@@ -43,8 +43,10 @@ from .geometry import (
 from .hermitian_numerics import NotPositiveDefinite
 from .montecarlo import (
     ALL_KINDS,
+    CurvePoint,
     ExperimentConfig,
     PROFILES,
+    RmsePoint,
     calibrate_thresholds,
     cfar_sweeps,
     convergence_study,
@@ -52,8 +54,7 @@ from .montecarlo import (
     pd_curves,
     rmse_curves,
     sliding_window,
-    write_curve_csv,
-    write_rmse_csv,
+    write_points_csv,
 )
 from .ris_design import (
     EchoPath,
@@ -68,6 +69,14 @@ from .ris_design import (
 
 THREADS_ENV_VAR = "RISDET_THREADS"
 
+# The "model" and "experiment" sections hold these ExperimentConfig fields;
+# the defaults of ExperimentConfig and CGlrtConfig fill in DEFAULT_CONFIG.
+_MODEL_KEYS = ("n_antennas", "k_p", "k_s", "theta_r_deg", "theta_s_deg",
+               "cnr_db", "rho", "noise_power", "alpha_ratio")
+_EXPERIMENT_KEYS = ("pfa", "trials_cal", "trials_pd", "sinr_grid",
+                    "master_seed", "threads")
+_DEFAULTS = ExperimentConfig()
+
 DEFAULT_CONFIG = {
     "scenario": {
         "radar_pos": [-30_000.0, 200.0],
@@ -81,31 +90,13 @@ DEFAULT_CONFIG = {
         "sigma_str": 1.0,
         "sigma_sts": 1.0,
     },
-    "model": {
-        "n_antennas": 16,
-        "k_p": 6,
-        "k_s": 24,
-        "theta_r_deg": 0.5,
-        "theta_s_deg": -0.4,
-        "cnr_db": 25.0,
-        "rho": 0.9,
-        "noise_power": 1.0,
-        "alpha_ratio": 10.0,
-        "pair": None,
-    },
-    "detectors": {
-        "epsilon": 1e-5,
-        "h_max": 20,
-        "baseline_cell": 1,
-    },
-    "experiment": {
-        "pfa": 1e-3,
-        "trials_cal": 100_000,
-        "trials_pd": 1_000,
-        "sinr_grid": [float(s) for s in range(-24, 26, 2)],
-        "master_seed": 20260816,
-        "threads": 1,
-    },
+    "model": {**{key: getattr(_DEFAULTS, key) for key in _MODEL_KEYS},
+              "pair": None},
+    "detectors": {"epsilon": _DEFAULTS.cglrt.epsilon,
+                  "h_max": _DEFAULTS.cglrt.h_max,
+                  "baseline_cell": _DEFAULTS.baseline_cell},
+    "experiment": {**{key: getattr(_DEFAULTS, key) for key in _EXPERIMENT_KEYS},
+                   "sinr_grid": list(_DEFAULTS.sinr_grid)},
 }
 
 
@@ -197,11 +188,6 @@ def load_run(args: argparse.Namespace) -> tuple[dict, dict]:
     return doc, flags
 
 
-def load_config(args: argparse.Namespace) -> dict:
-    """Resolve the config document: defaults, file, profile, overrides, flags."""
-    return load_run(args)[0]
-
-
 def _derive_pair(doc: dict) -> tuple[int, int]:
     explicit = doc["model"]["pair"]
     if explicit is not None:
@@ -212,29 +198,24 @@ def _derive_pair(doc: dict) -> tuple[int, int]:
     return layout.n, layout.m
 
 
+def _coerce(key: str, value):
+    """Cast a config value to the type of its ExperimentConfig default."""
+    default = getattr(_DEFAULTS, key)
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in value)
+    return type(default)(value)
+
+
 def experiment_config(doc: dict) -> ExperimentConfig:
     model, det, exp = doc["model"], doc["detectors"], doc["experiment"]
     try:
         return ExperimentConfig(
-            pfa=float(exp["pfa"]),
-            trials_cal=int(exp["trials_cal"]),
-            trials_pd=int(exp["trials_pd"]),
-            sinr_grid=tuple(float(s) for s in exp["sinr_grid"]),
-            master_seed=int(exp["master_seed"]),
-            n_antennas=int(model["n_antennas"]),
-            k_p=int(model["k_p"]),
-            k_s=int(model["k_s"]),
-            theta_r_deg=float(model["theta_r_deg"]),
-            theta_s_deg=float(model["theta_s_deg"]),
-            cnr_db=float(model["cnr_db"]),
-            rho=float(model["rho"]),
-            noise_power=float(model["noise_power"]),
+            **{key: _coerce(key, model[key]) for key in _MODEL_KEYS},
+            **{key: _coerce(key, exp[key]) for key in _EXPERIMENT_KEYS},
             pair=_derive_pair(doc),
-            alpha_ratio=float(model["alpha_ratio"]),
             baseline_cell=int(det["baseline_cell"]),
             cglrt=CGlrtConfig(epsilon=float(det["epsilon"]),
                               h_max=int(det["h_max"])),
-            threads=int(exp["threads"]),
         )
     except (KeyError, TypeError, ValueError) as err:
         if isinstance(err, (InfeasibleGeometry, WindowTooSmall)):
@@ -334,7 +315,7 @@ def _cmd_pd_curve(args, doc, flags):
     table = calibrate_thresholds(cfg, kinds)
     curves = pd_curves(kinds, table, cfg)
     out = _out_dir(args) / "pd_curve.csv"
-    write_curve_csv(out, flatten_curves(curves))
+    write_points_csv(out, CurvePoint, flatten_curves(curves))
     for kind in kinds:
         top = curves[kind][-1]
         print(f"{kind.value:>14s}  P_d({top.x:+.0f} dB) = {top.estimate:.3f}")
@@ -350,7 +331,10 @@ def _cmd_cfar_sweep(args, doc, flags):
         raise ConfigError(f"axis must be cnr or rho, got {axis!r}")
     values_arg = _run_flag(args, flags, "values", None)
     if values_arg is not None:
-        values = [float(v) for v in str(values_arg).split(",")]
+        try:
+            values = [float(v) for v in str(values_arg).split(",")]
+        except ValueError as err:
+            raise ConfigError(f"bad --values {values_arg!r}: {err}") from err
     elif axis == "cnr":
         values = [float(v) for v in range(-15, 31, 5)]
     else:
@@ -358,7 +342,7 @@ def _cmd_cfar_sweep(args, doc, flags):
     table = calibrate_thresholds(cfg, kinds)
     curves = cfar_sweeps(kinds, table, axis, values, cfg)
     out = _out_dir(args) / "cfar_sweep.csv"
-    write_curve_csv(out, flatten_curves(curves))
+    write_points_csv(out, CurvePoint, flatten_curves(curves))
     worst = max(abs(p.estimate / cfg.pfa - 1.0)
                 for pts in curves.values() for p in pts)
     print(f"axis={axis}  points={len(values)}  "
@@ -373,10 +357,7 @@ def _cmd_rmse(args, doc, flags):
                              PROPOSED_KINDS)
     curves = rmse_curves(kinds, cfg)
     out = _out_dir(args) / "rmse.csv"
-    rows = []
-    for kind in DetectorKind:
-        rows.extend(curves.get(kind, []))
-    write_rmse_csv(out, rows)
+    write_points_csv(out, RmsePoint, flatten_curves(curves))
     for kind in kinds:
         last = curves[kind][-1]
         print(f"{kind.value:>14s}  rmse_n({last.sinr_db:+.0f} dB) = "
@@ -398,8 +379,14 @@ def _cmd_convergence(args, doc, flags):
                     f"bad pair {token!r}: expected n,m") from err
     else:
         pairs = [cfg.pair]
+    for n, m in pairs:
+        if not 1 < n < m <= cfg.k_p:
+            raise ConfigError(f"pair {n},{m} must satisfy "
+                              f"1 < n < m <= k_p = {cfg.k_p}")
     sinr = float(_run_flag(args, flags, "sinr", 0.0))
     conv_trials = int(_run_flag(args, flags, "conv_trials", 1000))
+    if conv_trials < 1:
+        raise ConfigError(f"conv_trials must be >= 1, got {conv_trials}")
     traces = convergence_study(cfg, pairs, sinr_db=sinr,
                                n_trials=conv_trials)
     out = _out_dir(args) / "convergence.csv"
@@ -424,11 +411,13 @@ def _cmd_sliding_window(args, doc, flags):
     kinds = _parse_detectors(_run_flag(args, flags, "detectors", None),
                              ALL_KINDS)
     n_bins = int(_run_flag(args, flags, "n_bins", 20))
+    if n_bins < cfg.k_p:
+        raise ConfigError(f"n_bins must be >= k_p = {cfg.k_p}, got {n_bins}")
     sinr = float(_run_flag(args, flags, "sinr", 0.0))
     table = calibrate_thresholds(cfg, kinds)
     curves = sliding_window(kinds, table, cfg, n_bins=n_bins, sinr_db=sinr)
     out = _out_dir(args) / "sliding_window.csv"
-    write_curve_csv(out, flatten_curves(curves))
+    write_points_csv(out, CurvePoint, flatten_curves(curves))
     for kind in kinds:
         drop = next((p.x for p in curves[kind] if p.estimate < 0.5), None)
         print(f"{kind.value:>14s}  first position with P_d < 0.5: {drop}")

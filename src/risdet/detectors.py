@@ -5,18 +5,12 @@ for the single- and double-bounce echoes while the direct echo sits in
 cell 1; two classical single-cell detectors (Kelly's GLRT and the AMF)
 serve as baselines.
 
-Two independent code routes are provided on purpose:
-
-* Reference route: the single-trial functions below (`ep_glrt_km`,
-  `ep_glrt_ka`, `c_glrt`, `a_glrt`, `kelly`, `amf`) follow the written
-  estimator and statistic forms with explicit N x N matrices factored
-  through hermitian_numerics.
-* Batched route: `batch_evaluate` whitens each trial by the Cholesky factor
-  of the training scatter matrix S_S and reduces every statistic to algebra
-  on the Gram matrix of the K_P + 3 whitened window/steering vectors
-  (Woodbury identities on small capacitance matrices).  This is the engine
-  the Monte Carlo layer uses; the test suite cross-validates it against the
-  reference route.
+One route evaluates all seven: `batch_evaluate` whitens each trial by the
+Cholesky factor of the training scatter matrix S_S and reduces every
+statistic to algebra on the Gram matrix of the K_P + 3 whitened
+window/steering vectors (Woodbury identities on small capacitance
+matrices).  The test suite checks it, statistic by statistic, against the
+explicit-inverse oracles in tests/oracles.py.
 
 All det-ratio statistics are computed as exp of log-determinant differences.
 """
@@ -30,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import hermitian_numerics as hn
-from .signal_model import DataSet, SteeringSet
+from .signal_model import SteeringSet
 
 # A coordinate update may lower the compressed log-likelihood by at most this
 # relative amount before it is treated as a genuine monotonicity violation
@@ -94,30 +88,9 @@ class CGlrtConfig:
             raise ValueError("h_max must be >= 1")
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
-    statistic: float
-    n_hat: int | None = None
-    m_hat: int | None = None
-    iterations: int | None = None
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.statistic):
-            raise ValueError("statistic must be finite")
-        if (self.n_hat is None) != (self.m_hat is None):
-            raise ValueError("n_hat and m_hat must be set together")
-        if self.n_hat is not None and not 1 < self.n_hat < self.m_hat:
-            raise ValueError(f"need 1 < n_hat < m_hat, got ({self.n_hat}, {self.m_hat})")
-
-
 def candidate_pairs(k_p: int) -> list[tuple[int, int]]:
     """All (n, m) with 1 < n < m <= K_P, lexicographic: (K_P-1)(K_P-2)/2 pairs."""
     return [(n, m) for n in range(2, k_p + 1) for m in range(n + 1, k_p + 1)]
-
-
-def _check_window(data: DataSet) -> None:
-    if data.z_p.shape[1] < 3:
-        raise ValueError("window must hold at least 3 cells")
 
 
 def _warn_if_degenerate_steering(steering: SteeringSet) -> None:
@@ -140,224 +113,6 @@ def alpha_hat(v: np.ndarray, w: hn.HermitianFactor, z: np.ndarray) -> complex:
     """Amplitude estimate v† W^-1 z / v† W^-1 v for a factored matrix W."""
     return complex(hn.quad_form(v, w, z) / hn.quad_form(v, w, v).real)
 
-
-def _scatter(x: np.ndarray) -> np.ndarray:
-    return x @ x.conj().T
-
-
-def _s_nm(data: DataSet, n: int, m: int) -> np.ndarray:
-    """S_{n,m} = S_S plus the scatter of the window cells not in {1, n, m}."""
-    k_p = data.z_p.shape[1]
-    keep = [k for k in range(k_p) if k not in (0, n - 1, m - 1)]
-    return _scatter(data.r) + _scatter(data.z_p[:, keep])
-
-
-def _residuals(
-    data: DataSet, steering: SteeringSet, n: int, m: int,
-    a1: complex, a_n: complex, a_m: complex,
-) -> np.ndarray:
-    """Columns z_i - alpha_i v_i for cells (1, n, m)."""
-    return np.stack(
-        [
-            data.z_p[:, 0] - a1 * steering.v_r,
-            data.z_p[:, n - 1] - a_n * steering.v_sr,
-            data.z_p[:, m - 1] - a_m * steering.v_s,
-        ],
-        axis=1,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Reference route: one trial, explicit matrices
-# ---------------------------------------------------------------------------
-
-def ep_glrt_km(data: DataSet, steering: SteeringSet, variant: int) -> DetectionOutcome:
-    """Known-M estimate-and-plug detector.
-
-    Sum of the three normalized matched-filter energies, maximized over the
-    cell pair.  Variant 1 plugs the training scatter S_S for M; variant 2
-    plugs S_{n,m}, which changes with the candidate pair.
-    """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    _check_window(data)
-    _warn_if_degenerate_steering(steering)
-    factor_ss = hn.cholesky(_scatter(data.r))
-    best, best_pair = -np.inf, None
-    for n, m in candidate_pairs(data.z_p.shape[1]):
-        factor = factor_ss if variant == 1 else hn.cholesky(_s_nm(data, n, m))
-        val = 0.0
-        for v, z in (
-            (steering.v_r, data.z_p[:, 0]),
-            (steering.v_sr, data.z_p[:, n - 1]),
-            (steering.v_s, data.z_p[:, m - 1]),
-        ):
-            val += abs(hn.quad_form(v, factor, z)) ** 2 / hn.quad_form(v, factor, v).real
-        if val > best:
-            best, best_pair = val, (n, m)
-    return DetectionOutcome(statistic=best, n_hat=best_pair[0], m_hat=best_pair[1])
-
-
-def _logdet_numerator(data: DataSet) -> float:
-    """log det(S_P + S_S), shared by every det-ratio statistic."""
-    return hn.logdet(hn.cholesky(_scatter(data.z_p) + _scatter(data.r)))
-
-
-def ep_glrt_ka(data: DataSet, steering: SteeringSet) -> DetectionOutcome:
-    """Known-alpha estimate-and-plug detector.
-
-    Amplitudes are estimated once against S_S; the statistic is the ratio
-    det(S_P + S_S) / det(S_{n,m} + Y Y†) with Y the residual columns,
-    maximized over the cell pair.
-    """
-    _check_window(data)
-    _warn_if_degenerate_steering(steering)
-    ld_num = _logdet_numerator(data)
-    factor_ss = hn.cholesky(_scatter(data.r))
-    best, best_pair = -np.inf, None
-    for n, m in candidate_pairs(data.z_p.shape[1]):
-        a1 = alpha_hat(steering.v_r, factor_ss, data.z_p[:, 0])
-        a_n = alpha_hat(steering.v_sr, factor_ss, data.z_p[:, n - 1])
-        a_m = alpha_hat(steering.v_s, factor_ss, data.z_p[:, m - 1])
-        y = _residuals(data, steering, n, m, a1, a_n, a_m)
-        ld_den = hn.logdet(hn.cholesky(_s_nm(data, n, m) + _scatter(y)))
-        val = np.exp(ld_num - ld_den)
-        if val > best:
-            best, best_pair = val, (n, m)
-    return DetectionOutcome(statistic=best, n_hat=best_pair[0], m_hat=best_pair[1])
-
-
-def a_glrt(data: DataSet, steering: SteeringSet) -> DetectionOutcome:
-    """Trace-bound approximate detector.
-
-    Same det ratio as ep_glrt_ka but with amplitudes estimated against
-    S_{n,m} for each candidate pair.
-    """
-    _check_window(data)
-    _warn_if_degenerate_steering(steering)
-    ld_num = _logdet_numerator(data)
-    best, best_pair = -np.inf, None
-    for n, m in candidate_pairs(data.z_p.shape[1]):
-        s_nm = _s_nm(data, n, m)
-        factor_nm = hn.cholesky(s_nm)
-        a1 = alpha_hat(steering.v_r, factor_nm, data.z_p[:, 0])
-        a_n = alpha_hat(steering.v_sr, factor_nm, data.z_p[:, n - 1])
-        a_m = alpha_hat(steering.v_s, factor_nm, data.z_p[:, m - 1])
-        q = _scatter(_residuals(data, steering, n, m, a1, a_n, a_m))
-        ld_den = hn.logdet(hn.cholesky(s_nm + q))
-        val = np.exp(ld_num - ld_den)
-        if val > best:
-            best, best_pair = val, (n, m)
-    return DetectionOutcome(statistic=best, n_hat=best_pair[0], m_hat=best_pair[1])
-
-
-def _cyclic_pair(
-    data: DataSet,
-    steering: SteeringSet,
-    n: int,
-    m: int,
-    cfg: CGlrtConfig,
-    collect_updates: bool = False,
-) -> tuple[float, int, list[float], list[float]]:
-    """Run the cyclic amplitude ascent for one candidate pair.
-
-    Returns (final log det denominator, iterations, per-iteration gains,
-    per-update log dets).  The likelihood is monotone in exact arithmetic;
-    a decrease beyond MONOTONE_SLACK raises NonMonotonic.
-    """
-    k_tot = data.z_p.shape[1] + data.r.shape[1]
-    s_nm = _s_nm(data, n, m)
-    factor_nm = hn.cholesky(s_nm)
-    z1 = data.z_p[:, 0]
-    z_n = data.z_p[:, n - 1]
-    z_m = data.z_p[:, m - 1]
-    v_r, v_sr, v_s = steering.v_r, steering.v_sr, steering.v_s
-
-    def ld_at(a1: complex, a_n: complex, a_m: complex) -> float:
-        y = _residuals(data, steering, n, m, a1, a_n, a_m)
-        return hn.logdet(hn.cholesky(s_nm + _scatter(y)))
-
-    # Init: homogeneous degree-1 amplitude estimates against S_{n,m}, so the
-    # whole iteration inherits the data-scaling invariance of the statistic.
-    a1 = alpha_hat(v_r, factor_nm, z1)
-    a_n = alpha_hat(v_sr, factor_nm, z_n)
-    a_m = alpha_hat(v_s, factor_nm, z_m)
-    ld_prev = ld_at(a1, a_n, a_m)
-    slack = MONOTONE_SLACK * max(
-        1.0, *(hn.quad_form(z, factor_nm, z).real for z in (z1, z_n, z_m)))
-    gains: list[float] = []
-    updates: list[float] = [ld_prev] if collect_updates else []
-    iterations = 0
-    for _ in range(cfg.h_max):
-        iterations += 1
-        c1 = s_nm + _scatter(
-            np.stack([z_n - a_n * v_sr, z_m - a_m * v_s], axis=1))
-        a1 = alpha_hat(v_r, hn.cholesky(c1), z1)
-        if collect_updates:
-            updates.append(ld_at(a1, a_n, a_m))
-        c2 = s_nm + _scatter(
-            np.stack([z1 - a1 * v_r, z_m - a_m * v_s], axis=1))
-        a_n = alpha_hat(v_sr, hn.cholesky(c2), z_n)
-        if collect_updates:
-            updates.append(ld_at(a1, a_n, a_m))
-        c3 = s_nm + _scatter(
-            np.stack([z1 - a1 * v_r, z_n - a_n * v_sr], axis=1))
-        a_m = alpha_hat(v_s, hn.cholesky(c3), z_m)
-        ld_h = ld_at(a1, a_n, a_m)
-        if collect_updates:
-            updates.append(ld_h)
-        gain = np.expm1(k_tot * (ld_prev - ld_h))
-        gains.append(float(gain))
-        if gain < -slack:
-            raise NonMonotonic(
-                f"likelihood decreased at pair ({n}, {m}): gain {gain:.3e}")
-        ld_prev = ld_h
-        if gain < cfg.epsilon:
-            break
-    return ld_prev, iterations, gains, updates
-
-
-def c_glrt(
-    data: DataSet, steering: SteeringSet, cfg: CGlrtConfig = CGlrtConfig()
-) -> DetectionOutcome:
-    """Cyclic-ascent detector: coordinate-wise amplitude refinement per pair.
-
-    For each candidate pair the three amplitudes are refined in turn, each
-    against a base matrix rebuilt from the other two residuals, until the
-    relative likelihood gain drops below cfg.epsilon or cfg.h_max is hit.
-    """
-    _check_window(data)
-    _warn_if_degenerate_steering(steering)
-    ld_num = _logdet_numerator(data)
-    best, best_pair, best_iter = -np.inf, None, 0
-    for n, m in candidate_pairs(data.z_p.shape[1]):
-        ld_den, iterations, _, _ = _cyclic_pair(data, steering, n, m, cfg)
-        val = np.exp(ld_num - ld_den)
-        if val > best:
-            best, best_pair, best_iter = val, (n, m), iterations
-    return DetectionOutcome(
-        statistic=best, n_hat=best_pair[0], m_hat=best_pair[1], iterations=best_iter
-    )
-
-
-def kelly(z: np.ndarray, r: np.ndarray, v: np.ndarray) -> float:
-    """Kelly's GLRT on a single cell against training scatter S_S = R R†."""
-    factor = hn.cholesky(_scatter(r))
-    num = abs(hn.quad_form(v, factor, z)) ** 2
-    den = hn.quad_form(v, factor, v).real * (1.0 + hn.quad_form(z, factor, z).real)
-    return num / den
-
-
-def amf(z: np.ndarray, r: np.ndarray, v: np.ndarray) -> float:
-    """Adaptive matched filter on a single cell."""
-    factor = hn.cholesky(_scatter(r))
-    num = abs(hn.quad_form(v, factor, z)) ** 2
-    return num / hn.quad_form(v, factor, v).real
-
-
-# ---------------------------------------------------------------------------
-# Batched route: whitened Gram reduction over stacked trials
-# ---------------------------------------------------------------------------
 
 @dataclass
 class BatchResult:
@@ -394,6 +149,8 @@ class _GramWorkspace:
 
     def __init__(self, z_p: np.ndarray, r: np.ndarray, steering: SteeringSet):
         t, n_dim, k_p = z_p.shape
+        if r.shape[:2] != (t, n_dim):
+            raise ValueError("Z_P and R must share the trial and array dimensions")
         if r.shape[2] < n_dim:
             raise ValueError(f"need K_S >= N, got K_S={r.shape[2]}, N={n_dim}")
         if k_p < 3:
@@ -582,9 +339,15 @@ def c_glrt_gain_trace(
         gains: (T, h_max) relative likelihood gains per iteration.
         update_lds: (T, 3 h_max + 1) log dets after every coordinate update,
             starting from the initialization.
+
+    Raises:
+        ValueError: unless 1 < n < m <= K_P for pair = (n, m).
     """
-    ws = _GramWorkspace(z_p, r, steering)
     n, m = pair
+    if not 1 < n < m <= z_p.shape[2]:
+        raise ValueError(
+            f"pair {tuple(pair)} must satisfy 1 < n < m <= K_P = {z_p.shape[2]}")
+    ws = _GramWorkspace(z_p, r, steering)
     h, _, _ = ws.pair_state(n, m)
     _, _, gains, update_lds = _cyclic_batch(h, ws.k_tot, cfg, collect_trace=True)
     return gains, update_lds

@@ -1,10 +1,9 @@
 """Numerical kernels for complex Hermitian matrices.
 
-Every matrix factorization, determinant, solve, and quadratic form in the
-package goes through this module.  No explicit inverses are formed anywhere:
-determinant ratios are taken as differences of log-determinants and solves
-are run against Cholesky factors.  All functions accept stacked operands
-(leading batch axes) and broadcast the way numpy.linalg does.
+Cholesky factors, log-determinants, whitening and quadratic forms.  No
+explicit inverses are formed: solves run against Cholesky factors.  All
+functions accept stacked operands (leading batch axes) and broadcast the
+way numpy.linalg does.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ class HermitianFactor:
     @property
     def dim(self) -> int:
         return self.lower.shape[-1]
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self.lower.shape[:-2]
 
 
 def _conj_t(a: np.ndarray) -> np.ndarray:
@@ -84,28 +79,15 @@ def logdet(f: HermitianFactor) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for a (stack of) square lower-triangular L.
-
-    b may be a vector (..., N) or a matrix stack (..., N, K).
-    """
-    vector = b.ndim == l.ndim - 1
-    if vector:
-        b = b[..., None]
-    x = np.linalg.solve(l, b)
-    return x[..., 0] if vector else x
-
-
-def solve(f: HermitianFactor, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b against the factor (A = L L†)."""
-    b = np.asarray(b, dtype=np.complex128)
-    y = solve_lower(f.lower, b)
-    return solve_lower(_conj_t(f.lower), y)
-
-
 def whiten(f: HermitianFactor, x: np.ndarray) -> np.ndarray:
-    """L^{-1} x, so that whiten(a)† whiten(b) = a† A^{-1} b."""
-    return solve_lower(f.lower, np.asarray(x, dtype=np.complex128))
+    """L^{-1} x, so that whiten(a)† whiten(b) = a† A^{-1} b.
+
+    x may be a vector (..., N) or a matrix stack (..., N, K).
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    vector = x.ndim == f.lower.ndim - 1
+    out = np.linalg.solve(f.lower, x[..., None] if vector else x)
+    return out[..., 0] if vector else out
 
 
 def quad_form(v: np.ndarray, f: HermitianFactor, z: np.ndarray) -> np.ndarray | complex:
@@ -114,18 +96,3 @@ def quad_form(v: np.ndarray, f: HermitianFactor, z: np.ndarray) -> np.ndarray | 
     wz = whiten(f, z)
     out = np.sum(np.conj(wv) * wz, axis=-1)
     return complex(out) if out.ndim == 0 else out
-
-
-def logdet_plus_outer(f: HermitianFactor, x: np.ndarray) -> np.ndarray | float:
-    """log det(A + X X†) for factored A and low-rank X (..., N, k).
-
-    Uses the determinant lemma: log det(A) + log det(I_k + (L^{-1}X)† L^{-1}X),
-    so the cost is set by k, not N.  k = 0 degenerates to logdet(A).
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    k = x.shape[-1]
-    if k == 0:
-        return logdet(f)
-    w = whiten(f, x)
-    cap = np.eye(k) + _conj_t(w) @ w
-    return logdet(f) + logdet(cholesky(cap))

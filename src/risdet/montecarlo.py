@@ -5,7 +5,9 @@ clutter parameters, pair-index RMSE, cyclic-ascent convergence traces, and
 the sliding-window study.  Trials are keyed by (master_seed, trial_index)
 counter pairs; each experiment stage and grid point owns a disjoint block of
 trial indices, so every estimate is reproducible bit-for-bit under a fixed
-master seed regardless of chunking or worker scheduling.
+master seed regardless of chunking or worker scheduling.  Every curve runs
+through one loop (`_sweep`) over a list of (x, mean, cov) points, each
+reduced to an exceedance rate or a pair RMSE.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import astuple, dataclass, field, fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .detectors import (
+    MONOTONE_SLACK,
     BatchResult,
     CGlrtConfig,
     DetectorKind,
@@ -54,10 +57,6 @@ _STAGE_CFAR_RHO = 3
 _STAGE_RMSE = 4
 _STAGE_CONV = 5
 _STAGE_SLIDE = 6
-
-CSV_CURVE_HEADER = ("detector", "x", "estimate", "stderr", "trials", "seed")
-CSV_RMSE_HEADER = ("detector", "sinr_db", "rmse_n", "rmse_m", "trials", "seed")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -161,9 +160,6 @@ class ThresholdTable:
     def __getitem__(self, kind: DetectorKind) -> float:
         return self.thresholds[kind]
 
-    def kinds(self) -> tuple[DetectorKind, ...]:
-        return tuple(self.thresholds)
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -189,6 +185,9 @@ class RmsePoint:
     rmse_m: float
     trials: int
     seed: int
+
+
+Point = CurvePoint | RmsePoint
 
 
 @dataclass(frozen=True)
@@ -321,19 +320,57 @@ def calibrate_thresholds(
         master_seed=cfg.master_seed, trials=cfg.trials_cal)
 
 
-def calibrate_threshold(det: DetectorKind, cfg: ExperimentConfig) -> float:
-    return calibrate_thresholds(cfg, (det,))[det]
+# ---------------------------------------------------------------------------
+# Curves: one sweep loop over (x, mean, cov) points
+# ---------------------------------------------------------------------------
+
+def _sweep(
+    kinds: tuple[DetectorKind, ...],
+    cfg: ExperimentConfig,
+    stage: int,
+    trials: int,
+    points: Sequence[tuple[float, np.ndarray | None, np.ndarray]],
+    reduce: Callable[[DetectorKind, float, BatchResult], Point],
+) -> dict[DetectorKind, list[Point]]:
+    """Evaluate every point (x, mean, cov) on its own trial block.
+
+    Point j draws `trials` trials from counter block (stage, j); all kinds
+    share each trial, and reduce(kind, x, result) turns one kind's results
+    at the point into a curve point.
+    """
+    steering = cfg.steering()
+    out: dict[DetectorKind, list[Point]] = {k: [] for k in kinds}
+    for j, (x, mean, cov) in enumerate(points):
+        idx = _trial_block(stage, j, trials)
+        res = _run_detectors(kinds, mean, cov, cfg, idx, steering)
+        for kind in kinds:
+            out[kind].append(reduce(kind, float(x), res[kind]))
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Detection probability
-# ---------------------------------------------------------------------------
+def _exceedance(table: ThresholdTable, cfg: ExperimentConfig, trials: int):
+    """Reduction to the share of trials above the detector's threshold."""
+    def reduce(kind: DetectorKind, x: float, res: BatchResult) -> CurvePoint:
+        p = float(np.mean(res.statistic > table[kind]))
+        return CurvePoint(
+            detector=kind.value, x=x, estimate=p,
+            stderr=binomial_stderr(p, trials),
+            trials=trials, seed=cfg.master_seed)
+    return reduce
+
 
 def _h1_mean(cfg: ExperimentConfig, cov: np.ndarray, steering: SteeringSet,
              sinr_db: float) -> np.ndarray:
     alphas = alpha_from_sinr(sinr_db, cov, steering.v_r, cfg.alpha_ratio)
     params = TargetParams(alpha=alphas, layout=cfg.layout)
     return target_mean_matrix(params, steering, cfg.k_p)
+
+
+def _sinr_points(cfg: ExperimentConfig, sinr_grid: Sequence[float] | None):
+    grid = cfg.sinr_grid if sinr_grid is None else sinr_grid
+    cov = cfg.covariance()
+    steering = cfg.steering()
+    return [(sinr, _h1_mean(cfg, cov, steering, sinr), cov) for sinr in grid]
 
 
 def pd_curves(
@@ -343,39 +380,10 @@ def pd_curves(
     sinr_grid: Sequence[float] | None = None,
 ) -> dict[DetectorKind, list[CurvePoint]]:
     """Detection probability versus SINR; all detectors share each trial."""
-    kinds = tuple(kinds)
-    grid = tuple(cfg.sinr_grid if sinr_grid is None else sinr_grid)
-    cov = cfg.covariance()
-    steering = cfg.steering()
-    out: dict[DetectorKind, list[CurvePoint]] = {k: [] for k in kinds}
-    for j, sinr in enumerate(grid):
-        mean = _h1_mean(cfg, cov, steering, sinr)
-        idx = _trial_block(_STAGE_PD, j, cfg.trials_pd)
-        res = _run_detectors(kinds, mean, cov, cfg, idx, steering)
-        for kind in kinds:
-            p = float(np.mean(res[kind].statistic > table[kind]))
-            out[kind].append(CurvePoint(
-                detector=kind.value, x=float(sinr), estimate=p,
-                stderr=binomial_stderr(p, cfg.trials_pd),
-                trials=cfg.trials_pd, seed=cfg.master_seed))
-    return out
+    return _sweep(tuple(kinds), cfg, _STAGE_PD, cfg.trials_pd,
+                  _sinr_points(cfg, sinr_grid),
+                  _exceedance(table, cfg, cfg.trials_pd))
 
-
-def pd_curve(
-    det: DetectorKind,
-    eta: float,
-    cfg: ExperimentConfig,
-    sinr_grid: Sequence[float] | None = None,
-) -> list[CurvePoint]:
-    table = ThresholdTable(
-        thresholds={det: eta}, pfa=cfg.pfa,
-        master_seed=cfg.master_seed, trials=cfg.trials_cal)
-    return pd_curves((det,), table, cfg, sinr_grid)[det]
-
-
-# ---------------------------------------------------------------------------
-# CFAR sweeps
-# ---------------------------------------------------------------------------
 
 def cfar_sweeps(
     kinds: Sequence[DetectorKind],
@@ -389,42 +397,14 @@ def cfar_sweeps(
     axis "cnr" sweeps the clutter-to-noise ratio in dB at the configured rho;
     axis "rho" sweeps the one-lag correlation at the configured CNR.
     """
-    kinds = tuple(kinds)
     if axis not in ("cnr", "rho"):
         raise ValueError('axis must be "cnr" or "rho"')
     stage = _STAGE_CFAR_CNR if axis == "cnr" else _STAGE_CFAR_RHO
-    steering = cfg.steering()
-    out: dict[DetectorKind, list[CurvePoint]] = {k: [] for k in kinds}
-    for j, value in enumerate(values):
-        cov = (cfg.covariance(cnr_db=value) if axis == "cnr"
-               else cfg.covariance(rho=value))
-        idx = _trial_block(stage, j, cfg.trials_cal)
-        res = _run_detectors(kinds, None, cov, cfg, idx, steering)
-        for kind in kinds:
-            p = float(np.mean(res[kind].statistic > table[kind]))
-            out[kind].append(CurvePoint(
-                detector=kind.value, x=float(value), estimate=p,
-                stderr=binomial_stderr(p, cfg.trials_cal),
-                trials=cfg.trials_cal, seed=cfg.master_seed))
-    return out
+    points = [(v, None, cfg.covariance(cnr_db=v) if axis == "cnr"
+               else cfg.covariance(rho=v)) for v in values]
+    return _sweep(tuple(kinds), cfg, stage, cfg.trials_cal, points,
+                  _exceedance(table, cfg, cfg.trials_cal))
 
-
-def cfar_sweep(
-    det: DetectorKind,
-    eta_nominal: float,
-    axis: str,
-    values: Sequence[float],
-    cfg: ExperimentConfig,
-) -> list[CurvePoint]:
-    table = ThresholdTable(
-        thresholds={det: eta_nominal}, pfa=cfg.pfa,
-        master_seed=cfg.master_seed, trials=cfg.trials_cal)
-    return cfar_sweeps((det,), table, axis, values, cfg)[det]
-
-
-# ---------------------------------------------------------------------------
-# Pair-index RMSE
-# ---------------------------------------------------------------------------
 
 def rmse_curves(
     kinds: Sequence[DetectorKind],
@@ -436,31 +416,15 @@ def rmse_curves(
     for kind in kinds:
         if kind not in PROPOSED_KINDS:
             raise ValueError(f"{kind.value} does not estimate a cell pair")
-    grid = tuple(cfg.sinr_grid if sinr_grid is None else sinr_grid)
-    cov = cfg.covariance()
-    steering = cfg.steering()
-    true_n, true_m = cfg.pair
-    out: dict[DetectorKind, list[RmsePoint]] = {k: [] for k in kinds}
-    for j, sinr in enumerate(grid):
-        mean = _h1_mean(cfg, cov, steering, sinr)
-        idx = _trial_block(_STAGE_RMSE, j, cfg.trials_pd)
-        res = _run_detectors(kinds, mean, cov, cfg, idx, steering)
-        for kind in kinds:
-            rmse_n, rmse_m = rmse_from_estimates(
-                res[kind].n_hat, res[kind].m_hat, true_n, true_m)
-            out[kind].append(RmsePoint(
-                detector=kind.value, sinr_db=float(sinr),
-                rmse_n=rmse_n, rmse_m=rmse_m,
-                trials=cfg.trials_pd, seed=cfg.master_seed))
-    return out
 
+    def reduce(kind: DetectorKind, sinr: float, res: BatchResult) -> RmsePoint:
+        rmse_n, rmse_m = rmse_from_estimates(res.n_hat, res.m_hat, *cfg.pair)
+        return RmsePoint(
+            detector=kind.value, sinr_db=sinr, rmse_n=rmse_n, rmse_m=rmse_m,
+            trials=cfg.trials_pd, seed=cfg.master_seed)
 
-def rmse_nm(
-    det: DetectorKind,
-    cfg: ExperimentConfig,
-    sinr_grid: Sequence[float] | None = None,
-) -> list[RmsePoint]:
-    return rmse_curves((det,), cfg, sinr_grid)[det]
+    return _sweep(kinds, cfg, _STAGE_RMSE, cfg.trials_pd,
+                  _sinr_points(cfg, sinr_grid), reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +443,12 @@ def convergence_study(
     requested cell pair; the trace averages the per-iteration gains over
     the trials.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     pairs = [cfg.pair] if pairs is None else list(pairs)
     cov = cfg.covariance()
     steering = cfg.steering()
     mean = _h1_mean(cfg, cov, steering, sinr_db)
-    from .detectors import MONOTONE_SLACK
-
     traces = []
     for j, pair in enumerate(pairs):
         gains_parts, lds_parts = [], []
@@ -528,71 +492,44 @@ def sliding_window(
     1..K_P), and components outside the window contribute to no tested cell.
     The x coordinate of each point is the window start position.
     """
-    kinds = tuple(kinds)
     if n_bins < cfg.k_p:
         raise ValueError("need n_bins >= k_p")
     cov = cfg.covariance()
     steering = cfg.steering()
     alphas = alpha_from_sinr(sinr_db, cov, steering.v_r, cfg.alpha_ratio)
     vecs = (steering.v_r, steering.v_sr, steering.v_s)
-    out: dict[DetectorKind, list[CurvePoint]] = {k: [] for k in kinds}
-    for j, position in enumerate(range(1, n_bins - cfg.k_p + 2)):
+    points = []
+    for position in range(1, n_bins - cfg.k_p + 2):
         mean = np.zeros((cfg.n_antennas, cfg.k_p), dtype=np.complex128)
         for bin_abs, v, a in zip(target_bins, vecs, alphas):
             col = bin_abs - position
             if 0 <= col < cfg.k_p:
                 mean[:, col] += a * v
-        idx = _trial_block(_STAGE_SLIDE, j, cfg.trials_pd)
-        res = _run_detectors(kinds, mean, cov, cfg, idx, steering)
-        for kind in kinds:
-            p = float(np.mean(res[kind].statistic > table[kind]))
-            out[kind].append(CurvePoint(
-                detector=kind.value, x=float(position), estimate=p,
-                stderr=binomial_stderr(p, cfg.trials_pd),
-                trials=cfg.trials_pd, seed=cfg.master_seed))
-    return out
+        points.append((position, mean, cov))
+    return _sweep(tuple(kinds), cfg, _STAGE_SLIDE, cfg.trials_pd, points,
+                  _exceedance(table, cfg, cfg.trials_pd))
 
 
 # ---------------------------------------------------------------------------
 # Artifact output
 # ---------------------------------------------------------------------------
 
-def write_curve_csv(path, points: Iterable[CurvePoint]) -> None:
+def write_points_csv(path, point_type: type, points: Iterable[Point]) -> None:
+    """One row per point under a header of point_type's field names.
+
+    Floats are written with repr, so they round-trip exactly.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_CURVE_HEADER)
+        writer.writerow([f.name for f in fields(point_type)])
         for p in points:
-            writer.writerow([p.detector, repr(p.x), repr(p.estimate),
-                             repr(p.stderr), p.trials, p.seed])
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in astuple(p)])
 
 
-def write_rmse_csv(path, points: Iterable[RmsePoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_RMSE_HEADER)
-        for p in points:
-            writer.writerow([p.detector, repr(p.sinr_db), repr(p.rmse_n),
-                             repr(p.rmse_m), p.trials, p.seed])
-
-
-def flatten_curves(
-    curves: dict[DetectorKind, list[CurvePoint]]
-) -> list[CurvePoint]:
+def flatten_curves(curves: dict[DetectorKind, list[Point]]) -> list[Point]:
     """Deterministic row order: detector enumeration order, then x order."""
-    rows: list[CurvePoint] = []
+    rows: list[Point] = []
     for kind in DetectorKind:
         rows.extend(curves.get(kind, []))
     return rows
-
-
-def with_profile(profile: str, **overrides) -> ExperimentConfig:
-    try:
-        factory = PROFILES[profile]
-    except KeyError:
-        raise ValueError(f"unknown profile {profile!r}; "
-                         f"choose from {sorted(PROFILES)}") from None
-    return factory(**overrides)
-
-
-def replace_config(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    return replace(cfg, **overrides)

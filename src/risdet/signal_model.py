@@ -105,22 +105,6 @@ def alpha_from_sinr(
     return (complex(alpha_1), complex(ratio * alpha_1), complex(ratio * alpha_1))
 
 
-@dataclass(frozen=True)
-class DataSet:
-    """One trial: window cells Z_P (N x K_P) and training matrix R (N x K_S)."""
-
-    z_p: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self) -> None:
-        n, k_s = self.r.shape
-        if self.z_p.shape[0] != n:
-            raise ValueError("Z_P and R must share the array dimension")
-        # K_S >= N keeps the training scatter matrix nonsingular w.p. 1.
-        if k_s < n:
-            raise ValueError(f"need K_S >= N, got K_S={k_s}, N={n}")
-
-
 def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
     """Independent, reproducible stream for one trial.
 
@@ -167,6 +151,11 @@ def synthesize_batch(
     """
     factor = hn.cholesky(m)
     n = factor.dim
+    if mean is not None and mean.shape != (n, k_p):
+        raise ValueError(f"mean must be N x K_P = {n} x {k_p}, got {mean.shape}")
+    # K_S >= N keeps the training scatter matrix nonsingular w.p. 1.
+    if k_s < n:
+        raise ValueError(f"need K_S >= N, got K_S={k_s}, N={n}")
     k_tot = k_p + k_s
     t = len(trial_indices)
     u = np.empty((t, n, k_tot), dtype=np.complex128)
@@ -180,34 +169,3 @@ def synthesize_batch(
     if mean is not None:
         z_p = z_p + mean
     return np.ascontiguousarray(z_p), np.ascontiguousarray(d[:, :, k_p:])
-
-
-def synthesize(
-    hypothesis: str,
-    params: TargetParams | None,
-    m: np.ndarray,
-    steering: SteeringSet,
-    k_p: int,
-    k_s: int,
-    rng_seed: int | tuple[int, int],
-) -> DataSet:
-    """One trial of the hypothesis test.
-
-    hypothesis is "H0" or "H1"; under H1, params supplies the amplitudes
-    and layout.  rng_seed is a master seed or a (master_seed, trial_index)
-    pair; a bare seed means trial 0.
-    """
-    hyp = hypothesis.upper()
-    if hyp not in ("H0", "H1"):
-        raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
-    mean = None
-    if hyp == "H1":
-        if params is None:
-            raise ValueError("H1 synthesis requires target parameters")
-        mean = target_mean_matrix(params, steering, k_p)
-    if isinstance(rng_seed, tuple):
-        master_seed, trial_index = rng_seed
-    else:
-        master_seed, trial_index = rng_seed, 0
-    z_p, r = synthesize_batch(mean, m, k_p, k_s, master_seed, np.array([trial_index]))
-    return DataSet(z_p=z_p[0], r=r[0])

@@ -93,39 +93,58 @@ def a_oracle(zp, r, vr, vsr, vs):
     return best_val, best_pair
 
 
-def c_oracle(zp, r, vr, vsr, vs, eps=1e-5, h_max=20):
-    """Cyclic coordinate ascent scripted step by step."""
-    ss = scatter(r)
+def c_pair_oracle(zp, r, vr, vsr, vs, n, m, eps=1e-5, h_max=20, trace=False):
+    """Cyclic coordinate ascent at one pair, scripted step by step.
+
+    Returns (log det(S_{n,m} + Y Y†), iterations, gains, update_lds).  With
+    trace the loop runs all h_max iterations without the stop rule, and
+    update_lds holds the log det after every coordinate update, starting
+    from the initialization; otherwise update_lds is empty.
+    """
     k_tot = zp.shape[1] + r.shape[1]
-    num = det_real(scatter(zp) + ss)
+    s_nm = s_nm_oracle(zp, r, n, m)
+    z1, zn, zm = zp[:, 0], zp[:, n - 1], zp[:, m - 1]
+    a1 = alpha_plug(vr, s_nm, z1)
+    an = alpha_plug(vsr, s_nm, zn)
+    am = alpha_plug(vs, s_nm, zm)
+
+    def ld(a1_, an_, am_):
+        y = residual_cols(zp, vr, vsr, vs, n, m, a1_, an_, am_)
+        return math.log(det_real(s_nm + scatter(y)))
+
+    prev = ld(a1, an, am)
+    gains, update_lds = [], [prev] if trace else []
+    iters = 0
+    for _ in range(h_max):
+        iters += 1
+        c1 = s_nm + scatter(np.stack([zn - an * vsr, zm - am * vs], axis=1))
+        a1 = alpha_plug(vr, c1, z1)
+        if trace:
+            update_lds.append(ld(a1, an, am))
+        c2 = s_nm + scatter(np.stack([z1 - a1 * vr, zm - am * vs], axis=1))
+        an = alpha_plug(vsr, c2, zn)
+        if trace:
+            update_lds.append(ld(a1, an, am))
+        c3 = s_nm + scatter(np.stack([z1 - a1 * vr, zn - an * vsr], axis=1))
+        am = alpha_plug(vs, c3, zm)
+        cur = ld(a1, an, am)
+        if trace:
+            update_lds.append(cur)
+        gain = math.exp(k_tot * (prev - cur)) - 1.0
+        gains.append(gain)
+        prev = cur
+        if gain < eps and not trace:
+            break
+    return prev, iters, gains, update_lds
+
+
+def c_oracle(zp, r, vr, vsr, vs, eps=1e-5, h_max=20):
+    """Cyclic-ascent statistic, max over pairs."""
+    num = det_real(scatter(zp) + scatter(r))
     best_val, best_pair, best_iter = -np.inf, None, 0
     for n, m in pairs_oracle(zp.shape[1]):
-        s_nm = s_nm_oracle(zp, r, n, m)
-        z1, zn, zm = zp[:, 0], zp[:, n - 1], zp[:, m - 1]
-        a1 = alpha_plug(vr, s_nm, z1)
-        an = alpha_plug(vsr, s_nm, zn)
-        am = alpha_plug(vs, s_nm, zm)
-
-        def ld(a1_, an_, am_):
-            y = residual_cols(zp, vr, vsr, vs, n, m, a1_, an_, am_)
-            return math.log(det_real(s_nm + scatter(y)))
-
-        prev = ld(a1, an, am)
-        iters = 0
-        for _ in range(h_max):
-            iters += 1
-            c1 = s_nm + scatter(np.stack([zn - an * vsr, zm - am * vs], axis=1))
-            a1 = alpha_plug(vr, c1, z1)
-            c2 = s_nm + scatter(np.stack([z1 - a1 * vr, zm - am * vs], axis=1))
-            an = alpha_plug(vsr, c2, zn)
-            c3 = s_nm + scatter(np.stack([z1 - a1 * vr, zn - an * vsr], axis=1))
-            am = alpha_plug(vs, c3, zm)
-            cur = ld(a1, an, am)
-            gain = math.exp(k_tot * (prev - cur)) - 1.0
-            prev = cur
-            if gain < eps:
-                break
-        val = num / math.exp(prev)
+        ld, iters, _, _ = c_pair_oracle(zp, r, vr, vsr, vs, n, m, eps, h_max)
+        val = num / math.exp(ld)
         if val > best_val:
             best_val, best_pair, best_iter = val, (n, m), iters
     return best_val, best_pair, best_iter

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -238,7 +239,7 @@ def test_criterion_06_cyclic_convergence(capsys):
     t0 = time.perf_counter()
     results = {}
     for k_s in (24, 32):
-        cfg = mc.replace_config(_DESK, k_s=k_s)
+        cfg = replace(_DESK, k_s=k_s)
         trace = mc.convergence_study(cfg, n_trials=1000)[0]
         results[k_s] = (trace.first_below(1e-5), trace.monotone_fraction)
     elapsed = time.perf_counter() - t0
@@ -260,7 +261,7 @@ def test_criterion_06_cyclic_convergence(capsys):
 
 def test_criterion_07_pair_rmse(capsys):
     t0 = time.perf_counter()
-    cfg = mc.replace_config(_DESK, k_s=32)
+    cfg = replace(_DESK, k_s=32)
     curves = mc.rmse_curves(PROPOSED_KINDS, cfg)
     elapsed = time.perf_counter() - t0
 

@@ -15,9 +15,11 @@ from risdet.cli import (
     _derive_pair,
     apply_overrides,
     build_parser,
-    load_config,
+    experiment_config,
+    load_run,
     main,
 )
+from risdet.montecarlo import ExperimentConfig
 
 SMALL_MODEL = ["model.n_antennas=4", "model.k_s=8"]
 SMALL_CAL = ["experiment.pfa=0.05", "experiment.trials_cal=400"]
@@ -66,6 +68,30 @@ def test_config_file_errors_exit_2(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"bogus": {"x": 1}}')
     assert main(["scenario-check", "--config", str(unknown)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cfar-sweep", "--values", "1,x"],
+    ["cfar-sweep", "--values="],
+    ["convergence", "--conv-trials", "0"],
+    ["convergence", "--pair", "5,9"],
+    ["convergence", "--pair", "1,2"],
+    ["convergence", "--pair", "4,3"],
+    ["sliding-window", "--n-bins", "3"],
+])
+def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # Each is rejected before any trial runs: no experiment is entered and
+    # no artifact is written.
+    def no_trials(*args, **kwargs):
+        raise AssertionError("experiment started")
+
+    for name in ("calibrate_thresholds", "convergence_study"):
+        monkeypatch.setattr(f"risdet.cli.{name}", no_trials)
+    rc = main([*argv, "--out-dir", str(tmp_path), *SMALL_MODEL, *SMALL_CAL])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_collinear_geometry_exits_3(capsys):
@@ -193,14 +219,20 @@ def test_pd_curve_runs_are_byte_identical(tmp_path):
 def test_threads_resolution(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["calibrate"])
-    assert load_config(args)["experiment"]["threads"] == 1
+    assert load_run(args)[0]["experiment"]["threads"] == 1
     monkeypatch.setenv(THREADS_ENV_VAR, "2")
-    assert load_config(args)["experiment"]["threads"] == 2
+    assert load_run(args)[0]["experiment"]["threads"] == 2
     flagged = parser.parse_args(["calibrate", "--threads", "3"])
-    assert load_config(flagged)["experiment"]["threads"] == 3
+    assert load_run(flagged)[0]["experiment"]["threads"] == 3
     monkeypatch.setenv(THREADS_ENV_VAR, "abc")
     with pytest.raises(ConfigError):
-        load_config(args)
+        load_run(args)
+
+
+def test_default_config_comes_from_experiment_defaults():
+    cfg = experiment_config(apply_overrides(DEFAULT_CONFIG, ["model.pair=[3,6]"]))
+    assert cfg == ExperimentConfig()
+    assert DEFAULT_CONFIG["model"]["pair"] is None
 
 
 def test_apply_overrides_values():

@@ -6,33 +6,45 @@ import risdet.hermitian_numerics as hn
 from risdet.detectors import (
     BASELINE_KINDS,
     CGlrtConfig,
-    DetectionOutcome,
     DetectorKind,
     NonMonotonic,
     PROPOSED_KINDS,
     alpha_hat,
-    amf,
-    a_glrt,
     batch_evaluate,
     bounded_cfar_bounds,
-    c_glrt,
     c_glrt_gain_trace,
     candidate_pairs,
-    ep_glrt_ka,
-    ep_glrt_km,
-    kelly,
 )
-from risdet.signal_model import DataSet, SteeringSet
+from risdet.signal_model import SteeringSet
 
 import oracles
 
 from conftest import make_steering
 
+KM_1 = DetectorKind.EP_GLRT_KM_1
+KM_2 = DetectorKind.EP_GLRT_KM_2
+KA = DetectorKind.EP_GLRT_KA
+C = DetectorKind.C_GLRT
+A = DetectorKind.A_GLRT
+KELLY = DetectorKind.KELLY
+AMF = DetectorKind.AMF
+ALL_KINDS = tuple(DetectorKind)
+
 
 def random_case(rng, n, k_p, k_s, theta_r=0.5, theta_s=-0.4):
+    """One trial (z_p of shape (N, K_P), r of shape (N, K_S)) and steering."""
     cov = oracles.random_spd(rng, n)
     z_p, r = oracles.random_dataset(rng, n, k_p, k_s, cov)
-    return DataSet(z_p=z_p, r=r), make_steering(n, theta_r, theta_s)
+    return z_p, r, make_steering(n, theta_r, theta_s)
+
+
+def one_trial(z_p, r, steering, kinds=ALL_KINDS, cfg=CGlrtConfig()):
+    """batch_evaluate on a T = 1 stack."""
+    return batch_evaluate(z_p[None], r[None], steering, kinds, cfg)
+
+
+def pair_of(res, kind, t=0):
+    return int(res[kind].n_hat[t]), int(res[kind].m_hat[t])
 
 
 # ---------------------------------------------------------------------------
@@ -53,17 +65,6 @@ def test_detector_kind_from_name():
     assert DetectorKind.from_name(" kelly ") is DetectorKind.KELLY
     with pytest.raises(ValueError):
         DetectorKind.from_name("glrt")
-
-
-def test_detection_outcome_validation():
-    with pytest.raises(ValueError):
-        DetectionOutcome(statistic=float("nan"))
-    with pytest.raises(ValueError):
-        DetectionOutcome(statistic=1.0, n_hat=3, m_hat=None)
-    with pytest.raises(ValueError):
-        DetectionOutcome(statistic=1.0, n_hat=3, m_hat=3)
-    with pytest.raises(ValueError):
-        DetectionOutcome(statistic=1.0, n_hat=1, m_hat=4)
 
 
 def test_cglrt_config_validation():
@@ -97,55 +98,52 @@ def test_alpha_hat_weighted_example():
 
 def zero_window_case(rng, n=4, k_p=4, k_s=8):
     _, r = oracles.random_dataset(rng, n, k_p, k_s)
-    return DataSet(z_p=np.zeros((n, k_p), dtype=complex), r=r), \
-        make_steering(n)
+    return np.zeros((n, k_p), dtype=complex), r, make_steering(n)
 
 
 def test_km_zero_window(rng):
-    data, steering = zero_window_case(rng)
-    for variant in (1, 2):
-        out = ep_glrt_km(data, steering, variant)
-        assert out.statistic == pytest.approx(0.0, abs=1e-30)
+    res = one_trial(*zero_window_case(rng), (KM_1, KM_2))
+    for kind in (KM_1, KM_2):
+        assert res[kind].statistic[0] == pytest.approx(0.0, abs=1e-30)
 
 
 def test_det_ratio_zero_window(rng):
-    data, steering = zero_window_case(rng)
-    assert ep_glrt_ka(data, steering).statistic == pytest.approx(1.0, rel=1e-12)
-    assert a_glrt(data, steering).statistic == pytest.approx(1.0, rel=1e-12)
-    out = c_glrt(data, steering)
-    assert out.statistic == pytest.approx(1.0, rel=1e-12)
-    assert out.iterations == 1
+    res = one_trial(*zero_window_case(rng), (KA, A, C))
+    for kind in (KA, A, C):
+        assert res[kind].statistic[0] == pytest.approx(1.0, rel=1e-12)
+    assert res[C].iterations[0] == 1
 
 
 def test_kelly_amf_degenerate():
     v = np.array([1.0, 1.0j, 2.0])
+    steering = SteeringSet(v_r=v, v_sr=np.array([1.0, 0.0, 0.0]),
+                           v_s=np.array([0.0, 1.0, 0.0]))
     r = np.eye(3, dtype=complex)
-    assert kelly(np.zeros(3), r, v) == pytest.approx(0.0, abs=1e-30)
-    assert amf(np.zeros(3), r, v) == pytest.approx(0.0, abs=1e-30)
+    z_p = np.zeros((3, 3), dtype=complex)
+    res = one_trial(z_p, r, steering, BASELINE_KINDS)
+    assert res[KELLY].statistic[0] == pytest.approx(0.0, abs=1e-30)
+    assert res[AMF].statistic[0] == pytest.approx(0.0, abs=1e-30)
+    z_p[:, 0] = v
+    res = one_trial(z_p, r, steering, BASELINE_KINDS)
     nv2 = float(np.vdot(v, v).real)
-    assert kelly(v, r, v) == pytest.approx(nv2 / (1.0 + nv2), rel=1e-12)
-    assert amf(v, r, v) == pytest.approx(nv2, rel=1e-12)
+    assert res[KELLY].statistic[0] == pytest.approx(nv2 / (1.0 + nv2), rel=1e-12)
+    assert res[AMF].statistic[0] == pytest.approx(nv2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # Scalar (N = 1) closed forms
 # ---------------------------------------------------------------------------
 
-def scalar_case():
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_km_scalar_example():
     z_p = np.array([[1.0, 2.0, 3.0]], dtype=complex)
     r = np.array([[1.0, 1.0]], dtype=complex)  # S_S = 2
     steering = SteeringSet(v_r=np.array([1.0 + 0j]),
                            v_sr=np.array([2.0 + 0j]),
                            v_s=np.array([1.0 + 0j]))
-    return DataSet(z_p=z_p, r=r), steering
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_km_scalar_example():
-    data, steering = scalar_case()
-    out = ep_glrt_km(data, steering, 1)
-    assert out.statistic == pytest.approx(7.0, rel=1e-12)
-    assert (out.n_hat, out.m_hat) == (2, 3)
+    res = one_trial(z_p, r, steering, (KM_1,))
+    assert res[KM_1].statistic[0] == pytest.approx(7.0, rel=1e-12)
+    assert pair_of(res, KM_1) == (2, 3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -153,24 +151,21 @@ def test_scalar_closed_forms_all_detectors(rng):
     k_p, k_s = 5, 4
     zp = rng.standard_normal(k_p) + 1j * rng.standard_normal(k_p)
     rr = rng.standard_normal(k_s) + 1j * rng.standard_normal(k_s)
-    data = DataSet(z_p=zp[None, :], r=rr[None, :])
     steering = SteeringSet(v_r=np.array([1.5 + 0j]),
                            v_sr=np.array([0.5 - 1j]),
                            v_s=np.array([-2.0 + 1j]))
-    for variant in (1, 2):
+    res = one_trial(zp[None, :], rr[None, :], steering)
+    for kind, variant in ((KM_1, 1), (KM_2, 2)):
         want, pair = oracles.scalar_km(zp, rr, variant)
-        got = ep_glrt_km(data, steering, variant)
-        assert got.statistic == pytest.approx(want, rel=1e-10)
-        assert (got.n_hat, got.m_hat) == pair
+        assert res[kind].statistic[0] == pytest.approx(want, rel=1e-10)
+        assert pair_of(res, kind) == pair
     want, pair = oracles.scalar_det_ratio(zp, rr)
-    for fn in (ep_glrt_ka, a_glrt, c_glrt):
-        got = fn(data, steering)
-        assert got.statistic == pytest.approx(want, rel=1e-10)
-        assert (got.n_hat, got.m_hat) == pair
-    v = np.array([1.5 + 0j])
-    assert kelly(zp[:1], rr[None, :], v) == pytest.approx(
+    for kind in (KA, A, C):
+        assert res[kind].statistic[0] == pytest.approx(want, rel=1e-10)
+        assert pair_of(res, kind) == pair
+    assert res[KELLY].statistic[0] == pytest.approx(
         oracles.scalar_kelly(zp[0], rr), rel=1e-10)
-    assert amf(zp[:1], rr[None, :], v) == pytest.approx(
+    assert res[AMF].statistic[0] == pytest.approx(
         oracles.scalar_amf(zp[0], rr), rel=1e-10)
 
 
@@ -187,15 +182,14 @@ def test_a_glrt_scalar_drops_largest_off_cells(rng):
     # off-cell energies from S_{n,m}.
     zp = np.array([0.3, 2.0, -0.1, 1.5, 0.2], dtype=complex)
     rr = np.array([1.0, 1.0, 0.5], dtype=complex)
-    data = DataSet(z_p=zp[None, :], r=rr[None, :])
     steering = SteeringSet(v_r=np.array([1.0 + 0j]),
                            v_sr=np.array([1.0 + 0j]),
                            v_s=np.array([1.0 + 0j]))
-    out = a_glrt(data, steering)
+    res = one_trial(zp[None, :], rr[None, :], steering, (A,))
     # Cells 2 and 4 hold the largest off-cell energies.
-    assert (out.n_hat, out.m_hat) == (2, 4)
+    assert pair_of(res, A) == (2, 4)
     want, _ = oracles.scalar_det_ratio(zp, rr)
-    assert out.statistic == pytest.approx(want, rel=1e-10)
+    assert res[A].statistic[0] == pytest.approx(want, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -204,87 +198,79 @@ def test_a_glrt_scalar_drops_largest_off_cells(rng):
 
 def test_all_detectors_match_2x2_adjugate_oracles(rng):
     for _ in range(5):
-        data, steering = random_case(rng, 2, 4, 5)
-        zp, rr = data.z_p, data.r
+        zp, rr, steering = random_case(rng, 2, 4, 5)
         vr, vsr, vs = steering.v_r, steering.v_sr, steering.v_s
-        for variant in (1, 2):
+        res = one_trial(zp, rr, steering)
+        for kind, variant in ((KM_1, 1), (KM_2, 2)):
             want, pair = oracles.km2x2(zp, rr, vr, vsr, vs, variant)
-            got = ep_glrt_km(data, steering, variant)
-            assert got.statistic == pytest.approx(want, rel=1e-10)
-            assert (got.n_hat, got.m_hat) == pair
-        want, pair = oracles.det_ratio2x2(zp, rr, vr, vsr, vs, "ss")
-        got = ep_glrt_ka(data, steering)
-        assert got.statistic == pytest.approx(want, rel=1e-10)
-        assert (got.n_hat, got.m_hat) == pair
-        want, pair = oracles.det_ratio2x2(zp, rr, vr, vsr, vs, "snm")
-        got = a_glrt(data, steering)
-        assert got.statistic == pytest.approx(want, rel=1e-10)
-        assert (got.n_hat, got.m_hat) == pair
+            assert res[kind].statistic[0] == pytest.approx(want, rel=1e-10)
+            assert pair_of(res, kind) == pair
+        for kind, plug in ((KA, "ss"), (A, "snm")):
+            want, pair = oracles.det_ratio2x2(zp, rr, vr, vsr, vs, plug)
+            assert res[kind].statistic[0] == pytest.approx(want, rel=1e-10)
+            assert pair_of(res, kind) == pair
         want, pair, iters = oracles.c2x2(zp, rr, vr, vsr, vs)
-        got = c_glrt(data, steering)
-        assert got.statistic == pytest.approx(want, rel=1e-10)
-        assert (got.n_hat, got.m_hat) == pair
-        assert got.iterations == iters
+        assert res[C].statistic[0] == pytest.approx(want, rel=1e-10)
+        assert pair_of(res, C) == pair
+        assert res[C].iterations[0] == iters
         z1 = zp[:, 0]
-        assert kelly(z1, rr, vr) == pytest.approx(
+        assert res[KELLY].statistic[0] == pytest.approx(
             oracles.kelly2x2(z1, rr, vr), rel=1e-10)
-        assert amf(z1, rr, vr) == pytest.approx(
+        assert res[AMF].statistic[0] == pytest.approx(
             oracles.amf2x2(z1, rr, vr), rel=1e-10)
 
 
 def test_c_glrt_single_iteration_scripted(rng):
     # h_max = 1 pins the ascent to one deterministic pass over the three
     # amplitudes; compare against the step-by-step adjugate transcription.
-    data, steering = random_case(rng, 2, 3, 4)
-    cfg = CGlrtConfig(epsilon=1e-12, h_max=1)
-    got = c_glrt(data, steering, cfg)
+    zp, rr, steering = random_case(rng, 2, 3, 4)
+    res = one_trial(zp, rr, steering, (C,), CGlrtConfig(epsilon=1e-12, h_max=1))
     want, pair, iters = oracles.c2x2(
-        data.z_p, data.r, steering.v_r, steering.v_sr, steering.v_s,
-        eps=1e-12, h_max=1)
-    assert got.statistic == pytest.approx(want, rel=1e-10)
-    assert (got.n_hat, got.m_hat) == pair
-    assert got.iterations == iters == 1
+        zp, rr, steering.v_r, steering.v_sr, steering.v_s, eps=1e-12, h_max=1)
+    assert res[C].statistic[0] == pytest.approx(want, rel=1e-10)
+    assert pair_of(res, C) == pair
+    assert res[C].iterations[0] == iters == 1
 
 
 # ---------------------------------------------------------------------------
 # General inverse/determinant oracles
 # ---------------------------------------------------------------------------
 
-def test_reference_route_matches_inv_det_oracles(rng):
-    for n, k_p, k_s in ((3, 3, 4), (4, 6, 9), (6, 5, 13)):
-        data, steering = random_case(rng, n, k_p, k_s)
-        zp, rr = data.z_p, data.r
-        vr, vsr, vs = steering.v_r, steering.v_sr, steering.v_s
-        for variant in (1, 2):
-            want, pair = oracles.km_oracle(zp, rr, vr, vsr, vs, variant)
-            got = ep_glrt_km(data, steering, variant)
-            assert got.statistic == pytest.approx(want, rel=1e-10)
-            assert (got.n_hat, got.m_hat) == pair
-        want, pair = oracles.ka_oracle(zp, rr, vr, vsr, vs)
-        got = ep_glrt_ka(data, steering)
-        assert got.statistic == pytest.approx(want, rel=1e-10)
-        assert (got.n_hat, got.m_hat) == pair
-        want, pair = oracles.a_oracle(zp, rr, vr, vsr, vs)
-        got = a_glrt(data, steering)
-        assert got.statistic == pytest.approx(want, rel=1e-10)
-        assert (got.n_hat, got.m_hat) == pair
-        want, pair, iters = oracles.c_oracle(zp, rr, vr, vsr, vs)
-        got = c_glrt(data, steering)
-        assert got.statistic == pytest.approx(want, rel=1e-10)
-        assert (got.n_hat, got.m_hat) == pair
-        assert got.iterations == iters
+def _check_against_oracles(z_p, r, steering):
+    """Every statistic, pair and iteration count of batch_evaluate against
+    the explicit-inverse reference oracles, trial by trial."""
+    vr, vsr, vs = steering.v_r, steering.v_sr, steering.v_s
+    res = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    for t in range(z_p.shape[0]):
+        zp, rr = z_p[t], r[t]
+        wants = {
+            KM_1: oracles.km_oracle(zp, rr, vr, vsr, vs, 1),
+            KM_2: oracles.km_oracle(zp, rr, vr, vsr, vs, 2),
+            KA: oracles.ka_oracle(zp, rr, vr, vsr, vs),
+            A: oracles.a_oracle(zp, rr, vr, vsr, vs),
+        }
+        want_c, pair_c, iters_c = oracles.c_oracle(zp, rr, vr, vsr, vs)
+        wants[C] = (want_c, pair_c)
+        for kind, (want, pair) in wants.items():
+            assert res[kind].statistic[t] == pytest.approx(want, rel=1e-10)
+            assert pair_of(res, kind, t) == pair
+        assert res[C].iterations[t] == iters_c
         z1 = zp[:, 0]
-        assert kelly(z1, rr, vr) == pytest.approx(
+        assert res[KELLY].statistic[t] == pytest.approx(
             oracles.kelly_oracle(z1, rr, vr), rel=1e-10)
-        assert amf(z1, rr, vr) == pytest.approx(
+        assert res[AMF].statistic[t] == pytest.approx(
             oracles.amf_oracle(z1, rr, vr), rel=1e-10)
 
 
-# ---------------------------------------------------------------------------
-# Batched route against the reference route
-# ---------------------------------------------------------------------------
+def test_reference_route_matches_inv_det_oracles(rng):
+    # Single trials of three shapes.
+    for n, k_p, k_s in ((3, 3, 4), (4, 6, 9), (6, 5, 13)):
+        zp, rr, steering = random_case(rng, n, k_p, k_s)
+        _check_against_oracles(zp[None], rr[None], steering)
+
 
 def test_batch_route_matches_reference_route(rng):
+    # A multi-trial stack sharing one covariance.
     n, k_p, k_s, trials = 4, 6, 9, 12
     steering = make_steering(n)
     cov = oracles.random_spd(rng, n)
@@ -292,27 +278,7 @@ def test_batch_route_matches_reference_route(rng):
     r = np.empty((trials, n, k_s), dtype=complex)
     for t in range(trials):
         z_p[t], r[t] = oracles.random_dataset(rng, n, k_p, k_s, cov)
-    res = batch_evaluate(z_p, r, steering, tuple(DetectorKind))
-    for t in range(trials):
-        data = DataSet(z_p=z_p[t], r=r[t])
-        singles = {
-            DetectorKind.EP_GLRT_KM_1: ep_glrt_km(data, steering, 1),
-            DetectorKind.EP_GLRT_KM_2: ep_glrt_km(data, steering, 2),
-            DetectorKind.EP_GLRT_KA: ep_glrt_ka(data, steering),
-            DetectorKind.C_GLRT: c_glrt(data, steering),
-            DetectorKind.A_GLRT: a_glrt(data, steering),
-        }
-        for kind, one in singles.items():
-            assert res[kind].statistic[t] == pytest.approx(
-                one.statistic, rel=1e-10)
-            assert res[kind].n_hat[t] == one.n_hat
-            assert res[kind].m_hat[t] == one.m_hat
-        assert res[DetectorKind.C_GLRT].iterations[t] == \
-            singles[DetectorKind.C_GLRT].iterations
-        assert res[DetectorKind.KELLY].statistic[t] == pytest.approx(
-            kelly(z_p[t, :, 0], r[t], steering.v_r), rel=1e-10)
-        assert res[DetectorKind.AMF].statistic[t] == pytest.approx(
-            amf(z_p[t, :, 0], r[t], steering.v_r), rel=1e-10)
+    _check_against_oracles(z_p, r, steering)
 
 
 def test_batch_baseline_cell_selection(rng):
@@ -324,8 +290,8 @@ def test_batch_baseline_cell_selection(rng):
         z_p[t], r[t] = oracles.random_dataset(rng, n, k_p, k_s)
     res = batch_evaluate(z_p, r, steering, BASELINE_KINDS, baseline_cell=3)
     for t in range(3):
-        assert res[DetectorKind.KELLY].statistic[t] == pytest.approx(
-            kelly(z_p[t, :, 2], r[t], steering.v_r), rel=1e-10)
+        assert res[KELLY].statistic[t] == pytest.approx(
+            oracles.kelly_oracle(z_p[t, :, 2], r[t], steering.v_r), rel=1e-10)
     with pytest.raises(ValueError):
         batch_evaluate(z_p, r, steering, BASELINE_KINDS, baseline_cell=5)
 
@@ -335,6 +301,10 @@ def test_batch_requires_three_cells(rng):
     r = np.zeros((2, 3, 4), dtype=complex)
     with pytest.raises(ValueError):
         batch_evaluate(z_p, r, make_steering(3), PROPOSED_KINDS)
+    # K_S < N leaves the training scatter matrix singular.
+    z_p, r = oracles.random_dataset(rng, 4, 6, 3)
+    with pytest.raises(ValueError, match="K_S >= N"):
+        one_trial(z_p, r, make_steering(4))
 
 
 # ---------------------------------------------------------------------------
@@ -344,31 +314,26 @@ def test_batch_requires_three_cells(rng):
 def test_whole_data_scaling_leaves_statistics_invariant(rng):
     """Scaling (Z_P, R) jointly rescales every plug matrix the same way, so
     all five window statistics and their argmax pairs are unchanged."""
-    data, steering = random_case(rng, 4, 6, 9)
+    zp, rr, steering = random_case(rng, 4, 6, 9)
+    base = one_trial(zp, rr, steering, PROPOSED_KINDS)
     for gamma in (1e-3, 17.0, 1e3):
-        scaled = DataSet(z_p=gamma * data.z_p, r=gamma * data.r)
-        for variant in (1, 2):
-            a = ep_glrt_km(data, steering, variant)
-            b = ep_glrt_km(scaled, steering, variant)
-            assert b.statistic == pytest.approx(a.statistic, rel=1e-9)
-            assert (b.n_hat, b.m_hat) == (a.n_hat, a.m_hat)
-        for fn in (ep_glrt_ka, a_glrt, c_glrt):
-            a, b = fn(data, steering), fn(scaled, steering)
-            assert b.statistic == pytest.approx(a.statistic, rel=1e-9)
-            assert (b.n_hat, b.m_hat) == (a.n_hat, a.m_hat)
+        scaled = one_trial(gamma * zp, gamma * rr, steering, PROPOSED_KINDS)
+        for kind in PROPOSED_KINDS:
+            assert scaled[kind].statistic[0] == pytest.approx(
+                base[kind].statistic[0], rel=1e-9)
+            assert pair_of(scaled, kind) == pair_of(base, kind)
 
 
 def test_km_window_only_scaling_is_quadratic(rng):
     # With the plug matrix pinned by unscaled training data, scaling the
     # tested cells alone drives the variant-1 statistic quadratically.
-    data, steering = random_case(rng, 4, 6, 9)
-    base = ep_glrt_km(data, steering, 1)
+    zp, rr, steering = random_case(rng, 4, 6, 9)
+    base = one_trial(zp, rr, steering, (KM_1,))
     for gamma in (0.1, 10.0):
-        scaled = DataSet(z_p=gamma * data.z_p, r=data.r)
-        out = ep_glrt_km(scaled, steering, 1)
-        assert out.statistic == pytest.approx(gamma ** 2 * base.statistic,
-                                              rel=1e-12)
-        assert (out.n_hat, out.m_hat) == (base.n_hat, base.m_hat)
+        out = one_trial(gamma * zp, rr, steering, (KM_1,))
+        assert out[KM_1].statistic[0] == pytest.approx(
+            gamma ** 2 * base[KM_1].statistic[0], rel=1e-12)
+        assert pair_of(out, KM_1) == pair_of(base, KM_1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -379,13 +344,8 @@ def test_tie_breaks_keep_first_pair():
     steering = SteeringSet(v_r=np.array([1.0 + 0j]),
                            v_sr=np.array([1.0 + 0j]),
                            v_s=np.array([1.0 + 0j]))
-    data = DataSet(z_p=z_p, r=r)
-    out = ep_glrt_km(data, steering, 1)
-    assert (out.n_hat, out.m_hat) == (2, 3)
-    res = batch_evaluate(z_p[None], r[None], steering,
-                         (DetectorKind.EP_GLRT_KM_1,))
-    got = res[DetectorKind.EP_GLRT_KM_1]
-    assert (got.n_hat[0], got.m_hat[0]) == (2, 3)
+    res = one_trial(z_p, r, steering, (KM_1,))
+    assert pair_of(res, KM_1) == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -395,46 +355,48 @@ def test_tie_breaks_keep_first_pair():
 def test_non_monotonic_guard_raises(rng, monkeypatch):
     # Force the tolerance so that any finite gain trips the guard; the
     # ascent itself is untouched.
-    data, steering = random_case(rng, 3, 4, 6)
+    zp, rr, steering = random_case(rng, 3, 4, 6)
     monkeypatch.setattr(det, "MONOTONE_SLACK", -1e9)
     with pytest.raises(NonMonotonic):
-        c_glrt(data, steering)
-    z_p, r = data.z_p[None], data.r[None]
+        one_trial(zp, rr, steering, (C,))
     with pytest.raises(NonMonotonic):
-        batch_evaluate(z_p, r, steering, (DetectorKind.C_GLRT,))
-    with pytest.raises(NonMonotonic):
-        c_glrt_gain_trace(z_p, r, steering, (2, 3))
+        c_glrt_gain_trace(zp[None], rr[None], steering, (2, 3))
 
 
 def test_gain_trace_matches_reference_updates(rng):
-    data, steering = random_case(rng, 3, 4, 6)
+    zp, rr, steering = random_case(rng, 3, 4, 6)
     cfg = CGlrtConfig(epsilon=1e-9, h_max=6)
     gains, update_lds = c_glrt_gain_trace(
-        data.z_p[None], data.r[None], steering, (2, 4), cfg)
+        zp[None], rr[None], steering, (2, 4), cfg)
     assert gains.shape == (1, 6)
     assert update_lds.shape == (1, 19)
-    # Same pair, full iteration budget, through the explicit-matrix route.
-    _, _, ref_gains, ref_lds = det._cyclic_pair(
-        data, steering, 2, 4, CGlrtConfig(epsilon=1e-300, h_max=6),
-        collect_updates=True)
-    # The reference route may stop early once a gain underflows to zero;
-    # compare over the iterations it actually ran.  The batched trace
-    # measures log dets relative to log det(S_{n,m}), so align the offsets.
-    n_ref = len(ref_gains)
-    assert len(ref_lds) == 1 + 3 * n_ref
-    rel = np.asarray(ref_lds) - ref_lds[0] + update_lds[0, 0]
-    assert np.allclose(update_lds[0, :len(rel)], rel, rtol=1e-9, atol=1e-9)
-    assert np.allclose(gains[0, :n_ref], ref_gains, rtol=1e-7, atol=1e-12)
-    # Once converged, the remaining trace iterations change nothing.
-    assert np.allclose(update_lds[0, len(rel) - 1:], rel[-1], atol=1e-9)
+    # Same pair, full iteration budget, through plain det/inv arithmetic.
+    _, _, ref_gains, ref_lds = oracles.c_pair_oracle(
+        zp, rr, steering.v_r, steering.v_sr, steering.v_s, 2, 4,
+        h_max=6, trace=True)
+    assert len(ref_lds) == 19
+    # The batched trace measures log dets relative to log det(S_{n,m}).
+    rel = np.asarray(ref_lds) - np.log(
+        oracles.det_real(oracles.s_nm_oracle(zp, rr, 2, 4)))
+    assert np.allclose(update_lds[0], rel, rtol=1e-9, atol=1e-9)
+    assert np.allclose(gains[0], ref_gains, rtol=1e-7, atol=1e-12)
 
 
 def test_gain_trace_is_monotone(rng):
-    data, steering = random_case(rng, 4, 5, 8)
+    zp, rr, steering = random_case(rng, 4, 5, 8)
     gains, update_lds = c_glrt_gain_trace(
-        data.z_p[None], data.r[None], steering, (2, 3))
+        zp[None], rr[None], steering, (2, 3))
     assert np.all(gains >= -det.MONOTONE_SLACK)
     assert np.all(np.diff(update_lds, axis=1) <= 1e-10)
+
+
+@pytest.mark.parametrize("pair", [(5, 9), (1, 2), (4, 3), (3, 3)])
+def test_gain_trace_rejects_pairs_outside_window(rng, pair):
+    # K_P = 6: m = 9 would read a steering column of the Gram matrix as a
+    # window cell, and n = 1 or n >= m names no admissible pair.
+    zp, rr, steering = random_case(rng, 4, 6, 8)
+    with pytest.raises(ValueError, match="1 < n < m <= K_P"):
+        c_glrt_gain_trace(zp[None], rr[None], steering, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -451,24 +413,15 @@ def test_statistics_respect_cfar_bounds(rng):
     det_bound, km1_bound = bounded_cfar_bounds(z_p, r, steering)
     res = batch_evaluate(z_p, r, steering, PROPOSED_KINDS)
     slack = 1.0 + 1e-9
-    assert np.all(res[DetectorKind.EP_GLRT_KM_1].statistic
-                  <= km1_bound * slack)
-    for kind in (DetectorKind.EP_GLRT_KA, DetectorKind.C_GLRT,
-                 DetectorKind.A_GLRT):
+    assert np.all(res[KM_1].statistic <= km1_bound * slack)
+    for kind in (KA, C, A):
         assert np.all(res[kind].statistic <= det_bound * slack)
 
 
 def test_parallel_steering_warns(rng):
-    data, _ = random_case(rng, 4, 4, 8)
+    zp, rr, _ = random_case(rng, 4, 4, 8)
     degenerate = SteeringSet.from_angles(0.5, 0.5, 4)  # v_SR = 2 v_R
     with pytest.warns(RuntimeWarning):
-        ep_glrt_km(data, degenerate, 1)
+        one_trial(zp, rr, degenerate, (KM_1,))
     with pytest.warns(RuntimeWarning):
-        batch_evaluate(data.z_p[None], data.r[None], degenerate,
-                       (DetectorKind.A_GLRT,))
-
-
-def test_km_rejects_bad_variant(rng):
-    data, steering = random_case(rng, 3, 4, 6)
-    with pytest.raises(ValueError):
-        ep_glrt_km(data, steering, 3)
+        one_trial(zp, rr, degenerate, (A,))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,24 +10,21 @@ from risdet.montecarlo import (
     ALL_KINDS,
     CurvePoint,
     ExperimentConfig,
+    RmsePoint,
     ThresholdTable,
     binomial_stderr,
-    calibrate_threshold,
     calibrate_thresholds,
     cfar_sweeps,
     convergence_study,
     desk_profile,
     flatten_curves,
     paper_profile,
-    pd_curve,
     pd_curves,
     rmse_curves,
     rmse_from_estimates,
-    rmse_nm,
     sliding_window,
     threshold_from_stats,
-    with_profile,
-    write_curve_csv,
+    write_points_csv,
 )
 
 # Small-array configuration used throughout: fast but statistically useful.
@@ -88,9 +86,6 @@ def test_profiles():
     assert (paper.pfa, paper.trials_cal, paper.trials_pd) == (
         1e-4, 1_000_000, 10_000)
     assert paper.master_seed == 1
-    assert with_profile("desk").pfa == 1e-3
-    with pytest.raises(ValueError):
-        with_profile("lab")
 
 
 def test_config_covariance_and_steering():
@@ -107,7 +102,6 @@ def test_threshold_table_accessors():
     table = ThresholdTable({DetectorKind.AMF: 2.5}, pfa=0.1,
                            master_seed=1, trials=100)
     assert table[DetectorKind.AMF] == 2.5
-    assert table.kinds() == (DetectorKind.AMF,)
     with pytest.raises(ValueError):
         ThresholdTable({DetectorKind.AMF: float("inf")}, 0.1, 1, 100)
 
@@ -122,8 +116,9 @@ def test_calibration_is_deterministic():
     b = calibrate_thresholds(TINY, (DetectorKind.A_GLRT, DetectorKind.AMF))
     assert a.thresholds == b.thresholds
     assert a.pfa == TINY.pfa and a.trials == TINY.trials_cal
-    single = calibrate_threshold(DetectorKind.AMF, TINY)
-    assert single == a[DetectorKind.AMF]
+    # A single-detector calibration equals that detector inside a larger one.
+    single = calibrate_thresholds(TINY, (DetectorKind.AMF,))
+    assert single[DetectorKind.AMF] == a[DetectorKind.AMF]
 
 
 def test_calibration_chunk_size_invariance(monkeypatch):
@@ -135,9 +130,9 @@ def test_calibration_chunk_size_invariance(monkeypatch):
 
 
 def test_worker_pool_matches_serial():
-    cfg = mc.replace_config(TINY, trials_cal=6_000, threads=2)
+    cfg = replace(TINY, trials_cal=6_000, threads=2)
     kinds = (DetectorKind.A_GLRT,)
-    serial = calibrate_thresholds(mc.replace_config(cfg, threads=1), kinds)
+    serial = calibrate_thresholds(replace(cfg, threads=1), kinds)
     parallel = calibrate_thresholds(cfg, kinds)
     assert serial.thresholds == parallel.thresholds
 
@@ -145,7 +140,7 @@ def test_worker_pool_matches_serial():
 def test_calibrated_threshold_self_consistency():
     """Fresh H0 data tested against the calibrated threshold reproduces pfa
     within Monte Carlo error (the CFAR sweep at the calibration point)."""
-    cfg = mc.replace_config(TINY, trials_cal=20_000)
+    cfg = replace(TINY, trials_cal=20_000)
     kinds = (DetectorKind.EP_GLRT_KM_2, DetectorKind.A_GLRT)
     table = calibrate_thresholds(cfg, kinds)
     curves = cfar_sweeps(kinds, table, "rho", [cfg.rho], cfg)
@@ -183,10 +178,10 @@ def test_pd_overwhelming_signal():
 
 
 def test_pd_curve_wrapper_matches_full_run():
-    kinds = (DetectorKind.KELLY,)
-    table = calibrate_thresholds(TINY, kinds)
-    full = pd_curves(kinds, table, TINY)[DetectorKind.KELLY]
-    solo = pd_curve(DetectorKind.KELLY, table[DetectorKind.KELLY], TINY)
+    # A single-detector run equals the same detector inside a full run.
+    table = calibrate_thresholds(TINY, ALL_KINDS)
+    full = pd_curves(ALL_KINDS, table, TINY)[DetectorKind.KELLY]
+    solo = pd_curves((DetectorKind.KELLY,), table, TINY)[DetectorKind.KELLY]
     assert [(p.x, p.estimate) for p in solo] == \
         [(p.x, p.estimate) for p in full]
     assert [p.x for p in solo] == list(TINY.sinr_grid)
@@ -208,7 +203,7 @@ def test_rmse_helpers():
 
 def test_rmse_rejects_single_cell_detectors():
     with pytest.raises(ValueError):
-        rmse_nm(DetectorKind.KELLY, TINY)
+        rmse_curves((DetectorKind.KELLY,), TINY)
 
 
 def test_rmse_curve_shrinks_with_sinr():
@@ -234,14 +229,19 @@ def test_convergence_trace_shape_and_tail():
 
 
 def test_convergence_single_iteration_budget():
-    cfg = mc.replace_config(TINY, cglrt=CGlrtConfig(h_max=1))
+    cfg = replace(TINY, cglrt=CGlrtConfig(h_max=1))
     (trace,) = convergence_study(cfg, n_trials=50)
     assert trace.mean_gain.shape == (1,)
     assert trace.first_below(1e30) == 1
 
 
+def test_convergence_rejects_empty_budget():
+    with pytest.raises(ValueError, match="n_trials"):
+        convergence_study(TINY, n_trials=0)
+
+
 def test_sliding_window_pure_h0_positions():
-    cfg = mc.replace_config(TINY, pfa=0.1, trials_cal=20_000, trials_pd=2_000)
+    cfg = replace(TINY, pfa=0.1, trials_cal=20_000, trials_pd=2_000)
     kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.A_GLRT)
     table = calibrate_thresholds(cfg, kinds)
     curves = sliding_window(kinds, table, cfg, n_bins=12, sinr_db=0.0,
@@ -279,14 +279,18 @@ def test_curve_csv_bytes_deterministic(tmp_path):
         CurvePoint("kelly", 1.0, 0.5, 0.01767766952966369, 800, 7),
     ]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_curve_csv(p1, pts)
-    write_curve_csv(p2, pts)
+    write_points_csv(p1, CurvePoint, pts)
+    write_points_csv(p2, CurvePoint, pts)
     body = p1.read_bytes()
     assert body == p2.read_bytes()
     lines = body.decode().strip().split("\r\n")
     assert lines[0] == "detector,x,estimate,stderr,trials,seed"
     assert lines[1].startswith("amf,-3.0,0.125,")
     assert len(lines) == 3
+    rmse = tmp_path / "rmse.csv"
+    write_points_csv(rmse, RmsePoint, [RmsePoint("a-glrt", 0.0, 0.1, 1 / 3, 50, 7)])
+    assert rmse.read_bytes() == (b"detector,sinr_db,rmse_n,rmse_m,trials,seed\r\n"
+                                 b"a-glrt,0.0,0.1,0.3333333333333333,50,7\r\n")
 
 
 def test_flatten_curves_orders_by_detector():
@@ -302,5 +306,8 @@ def test_flatten_curves_orders_by_detector():
 
 
 def test_replace_config():
-    cfg = mc.replace_config(TINY, rho=0.5)
+    cfg = replace(TINY, rho=0.5)
     assert cfg.rho == 0.5 and cfg.pfa == TINY.pfa
+    # A replaced config is validated again.
+    with pytest.raises(ValueError):
+        replace(TINY, k_s=2)

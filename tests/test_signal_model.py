@@ -4,14 +4,12 @@ import pytest
 from risdet.geometry import BinLayout
 from risdet.signal_model import (
     CovarianceModel,
-    DataSet,
     SteeringSet,
     TargetParams,
     alpha_from_sinr,
     build_covariance,
     clutter_power_from_cnr,
     steering_vector,
-    synthesize,
     synthesize_batch,
     target_mean_matrix,
     trial_rng,
@@ -103,10 +101,13 @@ def test_alpha_matches_2x2_closed_form():
 
 
 def test_dataset_requires_enough_training():
+    m = np.eye(4, dtype=complex)
+    # K_S < N leaves the training scatter matrix singular.
+    with pytest.raises(ValueError, match="K_S >= N"):
+        synthesize_batch(None, m, 6, 3, 1, np.array([0]))
+    # The window mean must match the array dimension.
     with pytest.raises(ValueError):
-        DataSet(z_p=np.zeros((4, 6)), r=np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        DataSet(z_p=np.zeros((4, 6)), r=np.zeros((3, 8)))
+        synthesize_batch(np.zeros((3, 6)), m, 6, 8, 1, np.array([0]))
 
 
 def test_target_mean_matrix_placement():
@@ -149,20 +150,20 @@ def test_h1_dominant_signal_aligns_with_steering():
     m = build_covariance(CovarianceModel(1.0, 10.0, 0.9, 8))
     alphas = alpha_from_sinr(60.0, m, steering.v_r)
     params = TargetParams(alpha=alphas, layout=BinLayout(3, 6, 6))
-    data = synthesize("H1", params, m, steering, 6, 16, rng_seed=5)
-    z1 = data.z_p[:, 0]
+    mean = target_mean_matrix(params, steering, 6)
+    z_p, _ = synthesize_batch(mean, m, 6, 16, 5, np.array([0]))
+    z1 = z_p[0, :, 0]
     corr = abs(np.vdot(steering.v_r, z1)) / (
         np.linalg.norm(steering.v_r) * np.linalg.norm(z1))
     assert corr > 0.99
 
 
 def test_synthesize_deterministic():
-    steering = SteeringSet.from_angles(0.5, -0.4, 4)
     m = build_covariance(CovarianceModel(1.0, 5.0, 0.5, 4))
-    a = synthesize("H0", None, m, steering, 3, 8, rng_seed=(11, 42))
-    b = synthesize("H0", None, m, steering, 3, 8, rng_seed=(11, 42))
-    assert np.array_equal(a.z_p, b.z_p)
-    assert np.array_equal(a.r, b.r)
+    a = synthesize_batch(None, m, 3, 8, 11, np.array([42]))
+    b = synthesize_batch(None, m, 3, 8, 11, np.array([42]))
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_batch_slices_match_single_trials():
@@ -173,15 +174,6 @@ def test_batch_slices_match_single_trials():
     zp_one, r_one = synthesize_batch(None, m, 3, 8, 11, np.array([5]))
     assert np.array_equal(zp_all[1], zp_one[0])
     assert np.array_equal(r_all[1], r_one[0])
-
-
-def test_synthesize_rejects_bad_hypothesis():
-    steering = SteeringSet.from_angles(0.5, -0.4, 4)
-    m = np.eye(4)
-    with pytest.raises(ValueError):
-        synthesize("H2", None, m, steering, 3, 8, rng_seed=1)
-    with pytest.raises(ValueError):
-        synthesize("H1", None, m, steering, 3, 8, rng_seed=1)
 
 
 def test_synthesized_covariance_is_roughly_right():
