@@ -305,11 +305,20 @@ def _cmd_calibrate(args, doc, flags):
                              cfg.trials_cal, cfg.master_seed])
     for kind in kinds:
         print(f"{kind.value:>14s}  eta = {table[kind]:.6g}")
+    if table.hmax_hits is not None:
+        print(f"c-glrt: {table.hmax_hits} of {table.trials} trials stopped "
+              f"at h_max = {cfg.cglrt.h_max}")
     return [out], _detector_flags(kinds)
+
+
+def _require_sinr_grid(cfg: ExperimentConfig) -> None:
+    if not cfg.sinr_grid:
+        raise ConfigError("experiment.sinr_grid must hold at least one SINR")
 
 
 def _cmd_pd_curve(args, doc, flags):
     cfg = experiment_config(doc)
+    _require_sinr_grid(cfg)
     kinds = _parse_detectors(_run_flag(args, flags, "detectors", None),
                              ALL_KINDS)
     table = calibrate_thresholds(cfg, kinds)
@@ -353,6 +362,7 @@ def _cmd_cfar_sweep(args, doc, flags):
 
 def _cmd_rmse(args, doc, flags):
     cfg = experiment_config(doc)
+    _require_sinr_grid(cfg)
     kinds = _parse_detectors(_run_flag(args, flags, "detectors", None),
                              PROPOSED_KINDS)
     curves = rmse_curves(kinds, cfg)

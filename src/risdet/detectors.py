@@ -9,8 +9,23 @@ One route evaluates all seven: `batch_evaluate` whitens each trial by the
 Cholesky factor of the training scatter matrix S_S and reduces every
 statistic to algebra on the Gram matrix of the K_P + 3 whitened
 window/steering vectors (Woodbury identities on small capacitance
-matrices).  The test suite checks it, statistic by statistic, against the
-explicit-inverse oracles in tests/oracles.py.
+matrices).  Per cell pair this leaves a 6x6 workspace of quadratic forms
+through S_{n,m}, stored so that each entry is a (T,) array over trials;
+everything after it is elementwise arithmetic on such arrays:
+
+- the residual log det of ep-glrt-ka, a-glrt and the start of the cyclic
+  ascent comes from an LDL of the 3x3 residual capacitance with three real
+  pivots (a-glrt and the ascent share it);
+- each coordinate update of the cyclic ascent (c-glrt) needs only three
+  entries of the workspace downdated by the other two residual columns,
+  from a rank-2 capacitance with an explicit 2x2 inverse, and the
+  determinant lemma turns that capacitance and a rank-1 Schur term into
+  the log det after the update.  The early-stop ascent and the traced one
+  (`c_glrt_gain_trace`) run the same step.
+
+A pivot or capacitance determinant that is not positive and finite raises
+NotPositiveDefinite.  The test suite checks the route, statistic by
+statistic, against the explicit-inverse oracles in tests/oracles.py.
 
 All det-ratio statistics are computed as exp of log-determinant differences.
 """
@@ -185,104 +200,140 @@ class _GramWorkspace:
 
         Returns (h, ld_ex, sel) where h[i, j] = x_i† S_{n,m}^-1 x_j over
         sel = [z_1, z_n, z_m, v_R, v_SR, v_S] (whitened), and ld_ex is
-        log det(S_{n,m}) - log det(S_S).
+        log det(S_{n,m}) - log det(S_S).  h is laid out (6, 6, T), so
+        every entry h[i, j] is a contiguous (T,) array.
         """
         ex = [k for k in range(self.k_p) if k not in (0, n - 1, m - 1)]
         sel = [0, n - 1, m - 1, *self.iu]
-        gsel = self.g[:, sel][:, :, sel]
-        if not ex:
-            return gsel, np.zeros(self.t), sel
-        gex = self.g[:, ex][:, :, ex]
-        gse = self.g[:, sel][:, :, ex]
-        cap = np.eye(len(ex)) + gex
-        ld_ex = _small_logdet(cap)
-        h = gsel - np.matmul(gse, np.linalg.solve(cap, _conj_t(gse)))
-        return h, ld_ex, sel
+        h = self.g[:, sel][:, :, sel]
+        ld_ex = np.zeros(self.t)
+        if ex:
+            gex = self.g[:, ex][:, :, ex]
+            gse = self.g[:, sel][:, :, ex]
+            cap = np.eye(len(ex)) + gex
+            ld_ex = _small_logdet(cap)
+            h = h - np.matmul(gse, np.linalg.solve(cap, _conj_t(gse)))
+        return np.ascontiguousarray(h.transpose(1, 2, 0)), ld_ex, sel
 
 
-def _residual_coeffs(alphas: list[np.ndarray], cols: list[tuple[int, int]]) -> np.ndarray:
-    """Coefficient matrix T (.., 6, k): column j = e_cell - alpha_j e_steer."""
-    t_len = alphas[0].shape[0]
-    k = len(cols)
-    coef = np.zeros((t_len, 6, k), dtype=np.complex128)
-    for j, ((cell, steer), a) in enumerate(zip(cols, alphas)):
-        coef[:, cell, j] = 1.0
-        coef[:, steer, j] = -a
-    return coef
-
-
-def _ld_residual(h: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """log det(I_k + T† H T): denominator update for residual columns."""
-    k = coef.shape[-1]
-    cap = np.eye(k) + np.matmul(_conj_t(coef), np.matmul(h, coef))
-    return _small_logdet(cap)
-
-
-def _downdated(h: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Quadratic forms through the base matrix plus residual outer products.
-
-    Woodbury: Hc = H - (H T)(I + T† H T)^-1 (T† H).
-    """
-    p = np.matmul(h, coef)
-    cap = np.eye(coef.shape[-1]) + np.matmul(_conj_t(coef), p)
-    return h - np.matmul(p, np.linalg.solve(cap, _conj_t(p)))
-
-
-def _alpha_from_h(h: np.ndarray, steer: int, cell: int) -> np.ndarray:
-    return h[:, steer, cell] / h[:, steer, steer].real
-
-
-# Row indices of the pair workspace h.
+# Row indices of the pair workspace h, and the (cell, steering) rows of the
+# three residual columns t_k = e_cell - alpha_k e_steer: direct, single
+# bounce, double bounce.
 _Z1, _ZN, _ZM, _UR, _USR, _US = range(6)
+_COLS = ((_Z1, _UR), (_ZN, _USR), (_ZM, _US))
+
+
+def _require_positive(what: str, *pivots: np.ndarray) -> None:
+    """Raise unless every pivot is positive and finite; NaN fails too."""
+    for x in pivots:
+        if not np.all((x > 0) & (x < np.inf)):
+            raise hn.NotPositiveDefinite(f"{what} is not positive definite")
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return x.real * x.real + x.imag * x.imag
+
+
+def _residual_logdet(h: np.ndarray, alphas) -> np.ndarray:
+    """log det(I_3 + T† H T) for the residual columns at amplitudes alphas.
+
+    Elementwise LDL of the 3x3 Hermitian matrix A = I_3 + T† H T on (T,)
+    arrays: three real pivots, each >= 1 in exact arithmetic.
+    """
+    def col(k, row):  # (H t_k)[row]
+        cell, steer = _COLS[k]
+        return h[row, cell] - alphas[k] * h[row, steer]
+
+    def entry(i, k):  # t_i† H t_k
+        cell, steer = _COLS[i]
+        return col(k, cell) - np.conj(alphas[i]) * col(k, steer)
+
+    d0 = 1.0 + entry(0, 0).real
+    a10, a20 = entry(1, 0), entry(2, 0)
+    d1 = 1.0 + entry(1, 1).real - _abs2(a10) / d0
+    a21 = entry(2, 1) - a20 * np.conj(a10) / d0
+    d2 = 1.0 + entry(2, 2).real - _abs2(a20) / d0 - _abs2(a21) / d1
+    _require_positive("residual capacitance", d0, d1, d2)
+    return np.log(d0) + np.log(d1) + np.log(d2)
+
+
+def _plugin_start(h: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Amplitudes h[s, c] / h[s, s] through S_{n,m} and the residual log det
+    there: the a-glrt statistic's log det and the cyclic ascent's start."""
+    alphas = [h[steer, cell] / h[steer, steer].real for cell, steer in _COLS]
+    return alphas, _residual_logdet(h, alphas)
+
+
+def _ascent_step(h: np.ndarray, alphas: list[np.ndarray],
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One coordinate update: amplitude k maximizes the likelihood with the
+    other two residual columns t_j, t_l held fixed.
+
+    With P = H [t_j, t_l] and the 2x2 capacitance C = I_2 + [t_j, t_l]† P,
+    Woodbury gives the three entries of Hc = H - P C^-1 P† that the update
+    needs; alpha_k = Hc[s, c] / Hc[s, s].  By the determinant lemma the log
+    det(I_3 + T† H T) at the new amplitudes is
+    log det C + log(1 + Hc[c, c] - |Hc[s, c]|^2 / Hc[s, s]).
+
+    Returns (alpha_k, log det after the update), both (T,).
+    """
+    j, l = [i for i in range(3) if i != k]
+    (cj, sj), (cl, sl), (ck, sk) = _COLS[j], _COLS[l], _COLS[k]
+    aj, al = alphas[j], alphas[l]
+    pj = {row: h[row, cj] - aj * h[row, sj] for row in (cj, sj, ck, sk)}
+    pl = {row: h[row, cl] - al * h[row, sl] for row in (cj, sj, cl, sl, ck, sk)}
+    c00 = 1.0 + (pj[cj] - np.conj(aj) * pj[sj]).real
+    c11 = 1.0 + (pl[cl] - np.conj(al) * pl[sl]).real
+    c01 = pl[cj] - np.conj(aj) * pl[sj]
+    det_c = c00 * c11 - _abs2(c01)
+
+    def downdate(row):
+        # det C * (C^-1 P†)[:, row], as its two components.
+        pj_c, pl_c = np.conj(pj[row]), np.conj(pl[row])
+        return (c11 * pj_c - c01 * pl_c, c00 * pl_c - np.conj(c01) * pj_c)
+
+    wc0, wc1 = downdate(ck)
+    ws0, ws1 = downdate(sk)
+    hc_sc = h[sk, ck] - (pj[sk] * wc0 + pl[sk] * wc1) / det_c
+    hc_ss = h[sk, sk].real - (pj[sk] * ws0 + pl[sk] * ws1).real / det_c
+    hc_cc = h[ck, ck].real - (pj[ck] * wc0 + pl[ck] * wc1).real / det_c
+    alpha = hc_sc / hc_ss
+    schur = hc_cc - _abs2(hc_sc) / hc_ss
+    _require_positive("ascent capacitance", det_c, 1.0 + schur)
+    return alpha, np.log(det_c) + np.log1p(schur)
 
 
 def _cyclic_batch(
     h: np.ndarray,
+    start: tuple[list[np.ndarray], np.ndarray],
     k_tot: int,
     cfg: CGlrtConfig,
     collect_trace: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Cyclic amplitude ascent for one pair across a stack of trials.
 
-    Returns (ld_res, iterations, gain_trace, update_lds).  ld_res is
-    log det(S_{n,m} + residual scatter) - log det(S_{n,m}) at the final
-    amplitudes.  With collect_trace the loop runs all cfg.h_max iterations
-    (no early stop) and also records the log det after every coordinate
-    update, which is what the convergence experiment consumes.
+    h is the (6, 6, T) pair workspace and start the amplitudes and log det
+    from _plugin_start.  Returns (ld_res, iterations, gain_trace,
+    update_lds).  ld_res is log det(S_{n,m} + residual scatter) -
+    log det(S_{n,m}) at the final amplitudes.  With collect_trace the loop
+    runs all cfg.h_max iterations (no early stop) and also records the log
+    det after every coordinate update, which is what the convergence
+    experiment consumes.
     """
-    t_len = h.shape[0]
-    a1 = _alpha_from_h(h, _UR, _Z1)
-    a_n = _alpha_from_h(h, _USR, _ZN)
-    a_m = _alpha_from_h(h, _US, _ZM)
-    cell_diag = np.stack(
-        [h[:, i, i].real for i in (_Z1, _ZN, _ZM)], axis=1)
-    slack = MONOTONE_SLACK * np.maximum(1.0, cell_diag.max(axis=1))
-
-    def ld_at(a1_, an_, am_, h_):
-        coef = _residual_coeffs(
-            [a1_, an_, am_], [(_Z1, _UR), (_ZN, _USR), (_ZM, _US)])
-        return _ld_residual(h_, coef)
-
-    ld_prev = ld_at(a1, a_n, a_m, h)
+    alphas, ld_prev = list(start[0]), start[1]
+    t_len = ld_prev.shape[0]
+    cell_max = np.maximum(np.maximum(h[_Z1, _Z1].real, h[_ZN, _ZN].real),
+                          h[_ZM, _ZM].real)
+    slack = MONOTONE_SLACK * np.maximum(1.0, cell_max)
 
     if collect_trace:
         gains = np.zeros((t_len, cfg.h_max))
         update_lds = np.zeros((t_len, 3 * cfg.h_max + 1))
         update_lds[:, 0] = ld_prev
         for it in range(cfg.h_max):
-            hc = _downdated(h, _residual_coeffs(
-                [a_n, a_m], [(_ZN, _USR), (_ZM, _US)]))
-            a1 = _alpha_from_h(hc, _UR, _Z1)
-            update_lds[:, 3 * it + 1] = ld_at(a1, a_n, a_m, h)
-            hc = _downdated(h, _residual_coeffs(
-                [a1, a_m], [(_Z1, _UR), (_ZM, _US)]))
-            a_n = _alpha_from_h(hc, _USR, _ZN)
-            update_lds[:, 3 * it + 2] = ld_at(a1, a_n, a_m, h)
-            hc = _downdated(h, _residual_coeffs(
-                [a1, a_n], [(_Z1, _UR), (_ZN, _USR)]))
-            a_m = _alpha_from_h(hc, _US, _ZM)
-            ld_h = ld_at(a1, a_n, a_m, h)
-            update_lds[:, 3 * it + 3] = ld_h
+            for k in range(3):
+                alphas[k], ld_h = _ascent_step(h, alphas, k)
+                update_lds[:, 3 * it + k + 1] = ld_h
             gains[:, it] = np.expm1(k_tot * (ld_prev - ld_h))
             ld_prev = ld_h
         if np.any(gains < -slack[:, None]):
@@ -296,16 +347,8 @@ def _cyclic_batch(
     active = np.arange(t_len)
     h_act = h
     for it in range(1, cfg.h_max + 1):
-        hc = _downdated(h_act, _residual_coeffs(
-            [a_n, a_m], [(_ZN, _USR), (_ZM, _US)]))
-        a1 = _alpha_from_h(hc, _UR, _Z1)
-        hc = _downdated(h_act, _residual_coeffs(
-            [a1, a_m], [(_Z1, _UR), (_ZM, _US)]))
-        a_n = _alpha_from_h(hc, _USR, _ZN)
-        hc = _downdated(h_act, _residual_coeffs(
-            [a1, a_n], [(_Z1, _UR), (_ZN, _USR)]))
-        a_m = _alpha_from_h(hc, _US, _ZM)
-        ld_h = ld_at(a1, a_n, a_m, h_act)
+        for k in range(3):
+            alphas[k], ld_h = _ascent_step(h_act, alphas, k)
         gain = np.expm1(k_tot * (ld_prev - ld_h))
         if np.any(gain < -slack):
             raise NonMonotonic("likelihood decreased during cyclic ascent")
@@ -317,8 +360,8 @@ def _cyclic_batch(
             break
         keep = ~done
         active = active[keep]
-        h_act = h_act[keep]
-        a1, a_n, a_m = a1[keep], a_n[keep], a_m[keep]
+        h_act = h_act[:, :, keep]
+        alphas = [a[keep] for a in alphas]
         ld_prev = ld_h[keep]
         slack = slack[keep]
     return ld_final, iters, None, None
@@ -349,7 +392,8 @@ def c_glrt_gain_trace(
             f"pair {tuple(pair)} must satisfy 1 < n < m <= K_P = {z_p.shape[2]}")
     ws = _GramWorkspace(z_p, r, steering)
     h, _, _ = ws.pair_state(n, m)
-    _, _, gains, update_lds = _cyclic_batch(h, ws.k_tot, cfg, collect_trace=True)
+    _, _, gains, update_lds = _cyclic_batch(
+        h, _plugin_start(h), ws.k_tot, cfg, collect_trace=True)
     return gains, update_lds
 
 
@@ -432,39 +476,41 @@ def batch_evaluate(
         if iters is not None:
             c_iters[mask] = iters[mask]
 
+    # km-1 reads only the matched-filter terms against S_S; every other
+    # window detector needs the pair workspace.
+    need_pair = any(k is not DetectorKind.EP_GLRT_KM_1 for k in window_kinds)
     for n, m in candidate_pairs(k_p):
-        h, ld_ex, _ = ws.pair_state(n, m)
-
         if DetectorKind.EP_GLRT_KM_1 in window_kinds:
             val = (ws.km1_terms[:, 0, 0]
                    + ws.km1_terms[:, 1, n - 1]
                    + ws.km1_terms[:, 2, m - 1])
             keep_max(DetectorKind.EP_GLRT_KM_1, val, n, m)
+        if not need_pair:
+            continue
+        h, ld_ex, _ = ws.pair_state(n, m)
 
         if DetectorKind.EP_GLRT_KM_2 in window_kinds:
-            val = (np.abs(h[:, _UR, _Z1]) ** 2 / h[:, _UR, _UR].real
-                   + np.abs(h[:, _USR, _ZN]) ** 2 / h[:, _USR, _USR].real
-                   + np.abs(h[:, _US, _ZM]) ** 2 / h[:, _US, _US].real)
+            val = (np.abs(h[_UR, _Z1]) ** 2 / h[_UR, _UR].real
+                   + np.abs(h[_USR, _ZN]) ** 2 / h[_USR, _USR].real
+                   + np.abs(h[_US, _ZM]) ** 2 / h[_US, _US].real)
             keep_max(DetectorKind.EP_GLRT_KM_2, val, n, m)
 
         if DetectorKind.EP_GLRT_KA in window_kinds:
-            coef = _residual_coeffs(
-                [ws.alpha_ss[:, 0, 0], ws.alpha_ss[:, 1, n - 1],
-                 ws.alpha_ss[:, 2, m - 1]],
-                [(_Z1, _UR), (_ZN, _USR), (_ZM, _US)])
-            val = np.exp(ws.ld_num_rel - ld_ex - _ld_residual(h, coef))
+            alphas = [ws.alpha_ss[:, 0, 0], ws.alpha_ss[:, 1, n - 1],
+                      ws.alpha_ss[:, 2, m - 1]]
+            val = np.exp(ws.ld_num_rel - ld_ex - _residual_logdet(h, alphas))
             keep_max(DetectorKind.EP_GLRT_KA, val, n, m)
 
+        if DetectorKind.A_GLRT in window_kinds or \
+           DetectorKind.C_GLRT in window_kinds:
+            start = _plugin_start(h)
+
         if DetectorKind.A_GLRT in window_kinds:
-            coef = _residual_coeffs(
-                [_alpha_from_h(h, _UR, _Z1), _alpha_from_h(h, _USR, _ZN),
-                 _alpha_from_h(h, _US, _ZM)],
-                [(_Z1, _UR), (_ZN, _USR), (_ZM, _US)])
-            val = np.exp(ws.ld_num_rel - ld_ex - _ld_residual(h, coef))
+            val = np.exp(ws.ld_num_rel - ld_ex - start[1])
             keep_max(DetectorKind.A_GLRT, val, n, m)
 
         if DetectorKind.C_GLRT in window_kinds:
-            ld_res, iters, _, _ = _cyclic_batch(h, ws.k_tot, cfg)
+            ld_res, iters, _, _ = _cyclic_batch(h, start, ws.k_tot, cfg)
             val = np.exp(ws.ld_num_rel - ld_ex - ld_res)
             keep_max(DetectorKind.C_GLRT, val, n, m, iters=iters)
 

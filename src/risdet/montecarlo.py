@@ -145,12 +145,17 @@ PROFILES = {"desk": desk_profile, "paper": paper_profile}
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Detection thresholds keyed by detector, with their calibration recipe."""
+    """Detection thresholds keyed by detector, with their calibration recipe.
+
+    hmax_hits counts the calibration trials whose cyclic ascent stopped at
+    the iteration cap h_max; None when c-glrt was not calibrated.
+    """
 
     thresholds: dict[DetectorKind, float]
     pfa: float
     master_seed: int
     trials: int
+    hmax_hits: int | None = None
 
     def __post_init__(self) -> None:
         for kind, eta in self.thresholds.items():
@@ -315,9 +320,14 @@ def calibrate_thresholds(
         kind: threshold_from_stats(res[kind].statistic, cfg.pfa)
         for kind in kinds
     }
+    hmax_hits = None
+    if DetectorKind.C_GLRT in res:
+        hmax_hits = int(np.count_nonzero(
+            res[DetectorKind.C_GLRT].iterations == cfg.cglrt.h_max))
     return ThresholdTable(
         thresholds=thresholds, pfa=cfg.pfa,
-        master_seed=cfg.master_seed, trials=cfg.trials_cal)
+        master_seed=cfg.master_seed, trials=cfg.trials_cal,
+        hmax_hits=hmax_hits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,8 @@ def test_config_file_errors_exit_2(tmp_path):
     ["convergence", "--pair", "1,2"],
     ["convergence", "--pair", "4,3"],
     ["sliding-window", "--n-bins", "3"],
+    ["pd-curve", "experiment.sinr_grid=[]"],
+    ["rmse", "experiment.sinr_grid=[]"],
 ])
 def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     # Each is rejected before any trial runs: no experiment is entered and
@@ -85,9 +88,13 @@ def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("experiment started")
 
-    for name in ("calibrate_thresholds", "convergence_study"):
+    for name in ("calibrate_thresholds", "convergence_study", "pd_curves",
+                 "rmse_curves"):
         monkeypatch.setattr(f"risdet.cli.{name}", no_trials)
-    rc = main([*argv, "--out-dir", str(tmp_path), *SMALL_MODEL, *SMALL_CAL])
+    # Subcommand first, then the positional overrides as one run, then the
+    # case's own flags and overrides.
+    rc = main([argv[0], "--out-dir", str(tmp_path), *SMALL_MODEL, *SMALL_CAL,
+               *argv[1:]])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -129,6 +136,8 @@ def test_calibrate_smoke(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "eta =" in out and "wrote" in out
+    assert re.search(r"^c-glrt: \d+ of 400 trials stopped at h_max = 20$",
+                     out, re.MULTILINE)
     csv_path = tmp_path / "thresholds.csv"
     manifest_path = tmp_path / "calibrate_manifest.json"
     assert csv_path.exists() and manifest_path.exists()

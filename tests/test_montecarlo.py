@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import risdet.montecarlo as mc
-from risdet.detectors import CGlrtConfig, DetectorKind, PROPOSED_KINDS
+from risdet.detectors import (
+    CGlrtConfig,
+    DetectorKind,
+    PROPOSED_KINDS,
+    batch_evaluate,
+)
 from risdet.montecarlo import (
     ALL_KINDS,
     CurvePoint,
@@ -26,6 +31,7 @@ from risdet.montecarlo import (
     threshold_from_stats,
     write_points_csv,
 )
+from risdet.signal_model import synthesize_batch
 
 # Small-array configuration used throughout: fast but statistically useful.
 TINY = ExperimentConfig(
@@ -119,6 +125,20 @@ def test_calibration_is_deterministic():
     # A single-detector calibration equals that detector inside a larger one.
     single = calibrate_thresholds(TINY, (DetectorKind.AMF,))
     assert single[DetectorKind.AMF] == a[DetectorKind.AMF]
+
+
+def test_calibration_counts_hmax_hits():
+    # A tight cap makes some, but not all, ascents stop at h_max.
+    cfg = replace(TINY, trials_cal=1_000, cglrt=CGlrtConfig(h_max=3))
+    table = calibrate_thresholds(cfg, (DetectorKind.C_GLRT, DetectorKind.AMF))
+    idx = mc._trial_block(mc._STAGE_CAL, 0, cfg.trials_cal)
+    z_p, r = synthesize_batch(None, cfg.covariance(), cfg.k_p, cfg.k_s,
+                              cfg.master_seed, idx)
+    iters = batch_evaluate(z_p, r, cfg.steering(), (DetectorKind.C_GLRT,),
+                           cfg.cglrt)[DetectorKind.C_GLRT].iterations
+    assert table.hmax_hits == int(np.sum(iters == cfg.cglrt.h_max))
+    assert 0 < table.hmax_hits < cfg.trials_cal
+    assert calibrate_thresholds(cfg, (DetectorKind.AMF,)).hmax_hits is None
 
 
 def test_calibration_chunk_size_invariance(monkeypatch):
