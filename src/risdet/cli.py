@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Parses a sectioned JSON config (scenario / model / detectors / experiment),
-applies profile and dotted-key overrides, dispatches one experiment, and
-writes CSV artifacts plus a JSON run manifest next to them.  The manifest
+applies profile and dotted-key overrides, resolves the subcommand's flags
+from the one table that declares them (_COMMANDS), runs one experiment, and
+writes its CSV artifact plus a JSON run manifest next to it.  The manifest
 embeds the resolved config and the resolved subcommand flags, so running
-any subcommand with --config <manifest> reproduces its artifacts byte for
+any subcommand with --config <manifest> reproduces its artifact byte for
 byte; flags passed explicitly alongside --config still win.  Exit status 2
 flags configuration or usage errors, 3 numerical failures.
 """
@@ -13,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import datetime
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .montecarlo import (
     pd_curves,
     rmse_curves,
     sliding_window,
-    write_points_csv,
+    write_csv,
 )
 from .ris_design import (
     EchoPath,
@@ -156,23 +157,111 @@ def _read_config_file(path: str) -> dict:
     return loaded
 
 
+# ---------------------------------------------------------------------------
+# Subcommand flags
+# ---------------------------------------------------------------------------
+
+def _parse_detectors(text: str) -> tuple[DetectorKind, ...]:
+    try:
+        return tuple(DetectorKind.from_name(tok) for tok in str(text).split(","))
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _detector_list(text) -> str:
+    return ",".join(kind.value for kind in _parse_detectors(text))
+
+
+def _float_list(text) -> str:
+    return ",".join(repr(float(v)) for v in str(text).split(","))
+
+
+def _pair_list(tokens) -> list[str]:
+    pairs = []
+    for token in tokens:
+        n, m = str(token).split(",")
+        pairs.append(f"{int(n)},{int(m)}")
+    return pairs
+
+
+def _axis(text) -> str:
+    if text not in _CFAR_GRIDS:
+        raise ValueError(f"choose from {', '.join(_CFAR_GRIDS)}")
+    return text
+
+
+def _count(value) -> int:
+    count = int(value)
+    if count < 1:
+        raise ValueError("must be >= 1")
+    return count
+
+
+def _positive(value) -> float:
+    x = float(value)
+    if not x > 0.0:
+        raise ValueError("must be positive")
+    return x
+
+
+@dataclasses.dataclass(frozen=True)
+class Flag:
+    """One subcommand option, --name with dashes for underscores.
+
+    type turns the option's text, or the value a run manifest recorded for
+    it, into the value the manifest records, and raises ValueError on a bad
+    one.  A None default leaves the value to the subcommand; its help then
+    says what the subcommand uses.
+    """
+
+    name: str
+    type: Callable
+    default: object
+    help: str
+    repeat: bool = False
+
+
+_CFAR_GRIDS = {"cnr": "-15,-10,-5,0,5,10,15,20,25,30",
+               "rho": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"}
+_ALL_DETECTORS = Flag("detectors", _detector_list,
+                      ",".join(kind.value for kind in ALL_KINDS),
+                      "comma-separated detector list")
+_WINDOW_DETECTORS = Flag("detectors", _detector_list,
+                         ",".join(kind.value for kind in PROPOSED_KINDS),
+                         "comma-separated detector list")
+_SINR = Flag("sinr", float, 0.0, "SINR in dB")
+
+
+def _resolve_flags(args: argparse.Namespace, recorded: dict) -> dict:
+    """Each flag of the subcommand: its explicit value, else the manifest
+    record, else its default; the result is what the new manifest records."""
+    opts = {}
+    for flag in _COMMANDS[args.subcommand][2]:
+        raw = getattr(args, flag.name)
+        if raw is None:
+            raw = recorded.get(flag.name, flag.default)
+        try:
+            opts[flag.name] = None if raw is None else flag.type(raw)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad --{flag.name.replace('_', '-')} "
+                              f"{raw!r}: {err}") from err
+    return opts
+
+
 def load_run(args: argparse.Namespace) -> tuple[dict, dict]:
-    """Resolve the config document plus any manifest-recorded run flags."""
+    """Resolve the config document and the subcommand's flags."""
     doc = copy.deepcopy(DEFAULT_CONFIG)
-    flags: dict = {}
+    recorded: dict = {}
     if args.config is not None:
         loaded = _read_config_file(args.config)
         # A run manifest embeds the resolved config under "config" and the
         # resolved subcommand flags under "flags".
         if "config" in loaded and "scenario" not in loaded:
-            flags = dict(loaded.get("flags") or {})
+            recorded = dict(loaded.get("flags") or {})
             loaded = loaded["config"]
         doc = _merge(doc, loaded)
     if args.profile is not None:
-        profile_cfg = PROFILES[args.profile]()
-        doc["experiment"]["pfa"] = profile_cfg.pfa
-        doc["experiment"]["trials_cal"] = profile_cfg.trials_cal
-        doc["experiment"]["trials_pd"] = profile_cfg.trials_pd
+        doc["experiment"].update(PROFILES[args.profile])
     doc = apply_overrides(doc, args.override)
     if args.seed is not None:
         doc["experiment"]["master_seed"] = args.seed
@@ -185,7 +274,7 @@ def load_run(args: argparse.Namespace) -> tuple[dict, dict]:
                 f"{THREADS_ENV_VAR} must be an integer: {err}") from err
     if threads is not None:
         doc["experiment"]["threads"] = threads
-    return doc, flags
+    return doc, _resolve_flags(args, recorded)
 
 
 def _derive_pair(doc: dict) -> tuple[int, int]:
@@ -223,92 +312,29 @@ def experiment_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"bad experiment configuration: {err}") from err
 
 
-def _parse_detectors(arg: str | None, default: tuple[DetectorKind, ...]) -> tuple[DetectorKind, ...]:
-    if arg is None:
-        return default
-    try:
-        kinds = tuple(DetectorKind.from_name(tok) for tok in arg.split(","))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    if not kinds:
-        raise ConfigError("empty detector list")
-    return kinds
-
-
-def _run_flag(args: argparse.Namespace, flags: dict, name: str, default):
-    """Flag precedence: explicit CLI value, then manifest record, then default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    return flags.get(name, default)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every artifact."""
-
-    subcommand: str
-    config: dict
-    flags: dict
-    master_seed: int
-    version: str
-    timestamp: str
-    outputs: tuple[str, ...]
-
-    def write(self, path: Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _emit_manifest(subcommand: str, doc: dict, out_dir: Path,
-                   outputs: list[Path], flags: dict) -> Path:
-    manifest = RunManifest(
-        subcommand=subcommand,
-        config=doc,
-        flags=flags,
-        master_seed=int(doc["experiment"]["master_seed"]),
-        version=__version__,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        outputs=tuple(str(p) for p in outputs),
-    )
-    path = out_dir / f"{subcommand.replace('-', '_')}_manifest.json"
-    manifest.write(path)
-    return path
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each prints its summary and returns its CSV artifact as
+# (file name, header, rows) with the flags the manifest records, or None.
 # ---------------------------------------------------------------------------
 
-def _detector_flags(kinds: tuple[DetectorKind, ...]) -> dict:
-    return {"detectors": ",".join(kind.value for kind in kinds)}
+def _point_table(point_type: type, curves) -> tuple[list[str], list[tuple]]:
+    return ([f.name for f in dataclasses.fields(point_type)],
+            [dataclasses.astuple(p) for p in flatten_curves(curves)])
 
 
-def _cmd_calibrate(args, doc, flags):
+def _cmd_calibrate(doc, opts):
     cfg = experiment_config(doc)
-    kinds = _parse_detectors(_run_flag(args, flags, "detectors", None),
-                             ALL_KINDS)
+    kinds = _parse_detectors(opts["detectors"])
     table = calibrate_thresholds(cfg, kinds)
-    out = _out_dir(args) / "thresholds.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("detector", "threshold", "pfa", "trials", "seed"))
-        for kind in kinds:
-            writer.writerow([kind.value, repr(table[kind]), repr(cfg.pfa),
-                             cfg.trials_cal, cfg.master_seed])
     for kind in kinds:
         print(f"{kind.value:>14s}  eta = {table[kind]:.6g}")
     if table.hmax_hits is not None:
         print(f"c-glrt: {table.hmax_hits} of {table.trials} trials stopped "
               f"at h_max = {cfg.cglrt.h_max}")
-    return [out], _detector_flags(kinds)
+    rows = [(kind.value, table[kind], cfg.pfa, cfg.trials_cal, cfg.master_seed)
+            for kind in kinds]
+    return ("thresholds.csv", ("detector", "threshold", "pfa", "trials", "seed"),
+            rows, opts)
 
 
 def _require_sinr_grid(cfg: ExperimentConfig) -> None:
@@ -316,186 +342,122 @@ def _require_sinr_grid(cfg: ExperimentConfig) -> None:
         raise ConfigError("experiment.sinr_grid must hold at least one SINR")
 
 
-def _cmd_pd_curve(args, doc, flags):
+def _cmd_pd_curve(doc, opts):
     cfg = experiment_config(doc)
     _require_sinr_grid(cfg)
-    kinds = _parse_detectors(_run_flag(args, flags, "detectors", None),
-                             ALL_KINDS)
+    kinds = _parse_detectors(opts["detectors"])
     table = calibrate_thresholds(cfg, kinds)
     curves = pd_curves(kinds, table, cfg)
-    out = _out_dir(args) / "pd_curve.csv"
-    write_points_csv(out, CurvePoint, flatten_curves(curves))
     for kind in kinds:
         top = curves[kind][-1]
         print(f"{kind.value:>14s}  P_d({top.x:+.0f} dB) = {top.estimate:.3f}")
-    return [out], _detector_flags(kinds)
+    return ("pd_curve.csv", *_point_table(CurvePoint, curves), opts)
 
 
-def _cmd_cfar_sweep(args, doc, flags):
+def _cmd_cfar_sweep(doc, opts):
     cfg = experiment_config(doc)
-    kinds = _parse_detectors(_run_flag(args, flags, "detectors", None),
-                             PROPOSED_KINDS)
-    axis = _run_flag(args, flags, "axis", "cnr")
-    if axis not in ("cnr", "rho"):
-        raise ConfigError(f"axis must be cnr or rho, got {axis!r}")
-    values_arg = _run_flag(args, flags, "values", None)
-    if values_arg is not None:
-        try:
-            values = [float(v) for v in str(values_arg).split(",")]
-        except ValueError as err:
-            raise ConfigError(f"bad --values {values_arg!r}: {err}") from err
-    elif axis == "cnr":
-        values = [float(v) for v in range(-15, 31, 5)]
-    else:
-        values = [round(0.1 * k, 1) for k in range(1, 10)]
+    kinds = _parse_detectors(opts["detectors"])
+    axis = opts["axis"]
+    values = [float(v) for v in (opts["values"] or _CFAR_GRIDS[axis]).split(",")]
+    try:
+        for v in values:
+            cfg.covariance(**{"cnr_db" if axis == "cnr" else "rho": v})
+    except ValueError as err:
+        raise ConfigError(f"bad --values for axis {axis}: {err}") from err
     table = calibrate_thresholds(cfg, kinds)
     curves = cfar_sweeps(kinds, table, axis, values, cfg)
-    out = _out_dir(args) / "cfar_sweep.csv"
-    write_points_csv(out, CurvePoint, flatten_curves(curves))
     worst = max(abs(p.estimate / cfg.pfa - 1.0)
                 for pts in curves.values() for p in pts)
     print(f"axis={axis}  points={len(values)}  "
           f"max |P_fa/pfa - 1| = {worst:.3f}")
-    return [out], {**_detector_flags(kinds), "axis": axis,
-                   "values": ",".join(repr(v) for v in values)}
+    return ("cfar_sweep.csv", *_point_table(CurvePoint, curves),
+            {**opts, "values": ",".join(repr(v) for v in values)})
 
 
-def _cmd_rmse(args, doc, flags):
+def _cmd_rmse(doc, opts):
     cfg = experiment_config(doc)
     _require_sinr_grid(cfg)
-    kinds = _parse_detectors(_run_flag(args, flags, "detectors", None),
-                             PROPOSED_KINDS)
+    kinds = _parse_detectors(opts["detectors"])
     curves = rmse_curves(kinds, cfg)
-    out = _out_dir(args) / "rmse.csv"
-    write_points_csv(out, RmsePoint, flatten_curves(curves))
     for kind in kinds:
         last = curves[kind][-1]
         print(f"{kind.value:>14s}  rmse_n({last.sinr_db:+.0f} dB) = "
               f"{last.rmse_n:.3f}  rmse_m = {last.rmse_m:.3f}")
-    return [out], _detector_flags(kinds)
+    return ("rmse.csv", *_point_table(RmsePoint, curves), opts)
 
 
-def _cmd_convergence(args, doc, flags):
+def _cmd_convergence(doc, opts):
     cfg = experiment_config(doc)
-    pair_tokens = _run_flag(args, flags, "pair", None)
-    if pair_tokens:
-        pairs = []
-        for token in pair_tokens:
-            try:
-                n_str, m_str = str(token).split(",")
-                pairs.append((int(n_str), int(m_str)))
-            except ValueError as err:
-                raise ConfigError(
-                    f"bad pair {token!r}: expected n,m") from err
-    else:
-        pairs = [cfg.pair]
+    tokens = opts["pair"] or [f"{cfg.pair[0]},{cfg.pair[1]}"]
+    pairs = [tuple(int(i) for i in token.split(",")) for token in tokens]
     for n, m in pairs:
         if not 1 < n < m <= cfg.k_p:
             raise ConfigError(f"pair {n},{m} must satisfy "
                               f"1 < n < m <= k_p = {cfg.k_p}")
-    sinr = float(_run_flag(args, flags, "sinr", 0.0))
-    conv_trials = int(_run_flag(args, flags, "conv_trials", 1000))
-    if conv_trials < 1:
-        raise ConfigError(f"conv_trials must be >= 1, got {conv_trials}")
-    traces = convergence_study(cfg, pairs, sinr_db=sinr,
-                               n_trials=conv_trials)
-    out = _out_dir(args) / "convergence.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("pair", "iteration", "mean_gain", "trials", "seed"))
-        for trace in traces:
-            for h, gain in enumerate(trace.mean_gain, start=1):
-                writer.writerow([f"{trace.pair[0]}-{trace.pair[1]}", h,
-                                 repr(float(gain)), trace.trials,
-                                 cfg.master_seed])
+    traces = convergence_study(cfg, pairs, sinr_db=opts["sinr"],
+                               n_trials=opts["conv_trials"])
     for trace in traces:
         first = trace.first_below(cfg.cglrt.epsilon)
         print(f"pair {trace.pair}: mean gain < {cfg.cglrt.epsilon:g} at "
               f"h = {first}  (monotone fraction {trace.monotone_fraction:.4f})")
-    return [out], {"pair": [f"{n},{m}" for n, m in pairs],
-                   "sinr": sinr, "conv_trials": conv_trials}
+    rows = [(f"{trace.pair[0]}-{trace.pair[1]}", h, gain, trace.trials,
+             cfg.master_seed)
+            for trace in traces
+            for h, gain in enumerate(trace.mean_gain, start=1)]
+    return ("convergence.csv",
+            ("pair", "iteration", "mean_gain", "trials", "seed"),
+            rows, {**opts, "pair": tokens})
 
 
-def _cmd_sliding_window(args, doc, flags):
+def _cmd_sliding_window(doc, opts):
     cfg = experiment_config(doc)
-    kinds = _parse_detectors(_run_flag(args, flags, "detectors", None),
-                             ALL_KINDS)
-    n_bins = int(_run_flag(args, flags, "n_bins", 20))
-    if n_bins < cfg.k_p:
-        raise ConfigError(f"n_bins must be >= k_p = {cfg.k_p}, got {n_bins}")
-    sinr = float(_run_flag(args, flags, "sinr", 0.0))
+    kinds = _parse_detectors(opts["detectors"])
+    if opts["n_bins"] < cfg.k_p:
+        raise ConfigError(
+            f"n_bins must be >= k_p = {cfg.k_p}, got {opts['n_bins']}")
     table = calibrate_thresholds(cfg, kinds)
-    curves = sliding_window(kinds, table, cfg, n_bins=n_bins, sinr_db=sinr)
-    out = _out_dir(args) / "sliding_window.csv"
-    write_points_csv(out, CurvePoint, flatten_curves(curves))
+    curves = sliding_window(kinds, table, cfg, n_bins=opts["n_bins"],
+                            sinr_db=opts["sinr"])
     for kind in kinds:
         drop = next((p.x for p in curves[kind] if p.estimate < 0.5), None)
         print(f"{kind.value:>14s}  first position with P_d < 0.5: {drop}")
-    return [out], {**_detector_flags(kinds), "n_bins": n_bins, "sinr": sinr}
+    return ("sliding_window.csv", *_point_table(CurvePoint, curves), opts)
 
 
-def _link_budget_from_doc(doc: dict) -> LinkBudget:
+def _cmd_link_budget(doc, opts):
     sc = doc["scenario"]
-    geom = scenario_from_config(sc)
-    return LinkBudget.from_geometry(
-        geom, p_t=float(sc["p_t"]), g_t_dbi=float(sc["g_t_dbi"]),
-        sigma_rtr=float(sc["sigma_rtr"]), sigma_str=float(sc["sigma_str"]),
-        sigma_sts=float(sc["sigma_sts"]))
-
-
-def _cmd_link_budget(args, doc, flags):
-    lb = _link_budget_from_doc(doc)
-    sigma_min = float(_run_flag(args, flags, "sigma_min_dbsm", 10.0))
-    sigma_max = float(_run_flag(args, flags, "sigma_max_dbsm", 80.0))
-    sigma_points = int(_run_flag(args, flags, "sigma_points", 71))
-    grid = np.linspace(sigma_min, sigma_max, sigma_points)
-    out = _out_dir(args) / "link_budget.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("sigma_ris_dbsm", "p_rtr_w", "p_rstr_w", "p_rstsr_w"))
-        for s_db in grid:
-            sigma = from_dbsm(float(s_db))
-            writer.writerow([
-                repr(float(s_db)),
-                repr(received_power(EchoPath.RTR, lb, sigma)),
-                repr(received_power(EchoPath.RSTR, lb, sigma)),
-                repr(received_power(EchoPath.RSTSR, lb, sigma)),
-            ])
+    lb = LinkBudget.from_geometry(
+        scenario_from_config(sc), p_t=float(sc["p_t"]),
+        g_t_dbi=float(sc["g_t_dbi"]), sigma_rtr=float(sc["sigma_rtr"]),
+        sigma_str=float(sc["sigma_str"]), sigma_sts=float(sc["sigma_sts"]))
+    grid = np.linspace(opts["sigma_min_dbsm"], opts["sigma_max_dbsm"],
+                       opts["sigma_points"])
+    rows = [(s_db, *(received_power(path, lb, from_dbsm(s_db))
+                     for path in EchoPath))
+            for s_db in grid.tolist()]
     for mode in ("rstr", "rstsr", "total"):
         sigma = crossover_rcs(lb, mode)
         print(f"crossover ({mode:>5s} = direct): sigma_RIS = "
               f"{dbsm(sigma):.2f} dBsm")
-    return [out], {"sigma_min_dbsm": sigma_min, "sigma_max_dbsm": sigma_max,
-                   "sigma_points": sigma_points}
+    return ("link_budget.csv",
+            ("sigma_ris_dbsm", "p_rtr_w", "p_rstr_w", "p_rstsr_w"), rows, opts)
 
 
-def _cmd_ris_design(args, doc, flags):
-    sc = doc["scenario"]
-    geom = scenario_from_config(sc)
-    lam = geom.wavelength
-    sigma_dbsm = float(_run_flag(args, flags, "sigma_dbsm", 55.0))
-    phi0 = float(_run_flag(args, flags, "phi0", 10.0))
-    l_min_wl = float(_run_flag(args, flags, "l_min_wl", 1.0))
-    l_max_wl = float(_run_flag(args, flags, "l_max_wl", 100.0))
-    l_points = int(_run_flag(args, flags, "l_points", 20))
-    design = min_size(from_dbsm(sigma_dbsm), lam)
-    print(f"target RCS {sigma_dbsm:.1f} dBsm -> side {design.side:.3f} m, "
-          f"{design.n_elements} elements/side, HPBW {design.hpbw_deg:.2f} deg")
-    l_grid = np.geomspace(l_min_wl * lam, l_max_wl * lam, l_points)
-    rows = tapering_comparison(lam, phi0, l_grid)
-    out = _out_dir(args) / "ris_design.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("side_m", "uniform_m2", "sinc_m2", "lfm_m2"))
-        for row in rows:
-            writer.writerow([repr(row.side), repr(row.uniform_m2),
-                             repr(row.sinc_m2), repr(row.lfm_m2)])
-    return [out], {"sigma_dbsm": sigma_dbsm, "phi0": phi0,
-                   "l_min_wl": l_min_wl, "l_max_wl": l_max_wl,
-                   "l_points": l_points}
+def _cmd_ris_design(doc, opts):
+    lam = scenario_from_config(doc["scenario"]).wavelength
+    design = min_size(from_dbsm(opts["sigma_dbsm"]), lam)
+    print(f"target RCS {opts['sigma_dbsm']:.1f} dBsm -> side "
+          f"{design.side:.3f} m, {design.n_elements} elements/side, "
+          f"HPBW {design.hpbw_deg:.2f} deg")
+    l_grid = np.geomspace(opts["l_min_wl"] * lam, opts["l_max_wl"] * lam,
+                          opts["l_points"])
+    rows = [dataclasses.astuple(row)
+            for row in tapering_comparison(lam, opts["phi0"], l_grid)]
+    return ("ris_design.csv", ("side_m", "uniform_m2", "sinc_m2", "lfm_m2"),
+            rows, opts)
 
 
-def _cmd_scenario_check(args, doc, flags):
+def _cmd_scenario_check(doc, opts):
     geom = scenario_from_config(doc["scenario"])
     d_rt, d_rs, d_st = path_distances(geom)
     delays = compute_delays(d_rt, d_rs, d_st)
@@ -512,19 +474,55 @@ def _cmd_scenario_check(args, doc, flags):
     layout = bin_layout(delays, geom.range_resolution, doc["model"]["k_p"])
     print(f"window cells: direct = 1, single bounce = {layout.n}, "
           f"double bounce = {layout.m}  (K_P = {layout.window_size})")
-    return [], {}
+    return None
 
 
+# Per subcommand: body, help line, and its flags.  scenario-check takes the
+# detector list too, so that it accepts the same common flags as the
+# experiments it sets up.
 _COMMANDS = {
-    "calibrate": _cmd_calibrate,
-    "pd-curve": _cmd_pd_curve,
-    "cfar-sweep": _cmd_cfar_sweep,
-    "rmse": _cmd_rmse,
-    "convergence": _cmd_convergence,
-    "sliding-window": _cmd_sliding_window,
-    "link-budget": _cmd_link_budget,
-    "ris-design": _cmd_ris_design,
-    "scenario-check": _cmd_scenario_check,
+    "calibrate": (_cmd_calibrate, "calibrate detection thresholds under H0",
+                  (_ALL_DETECTORS,)),
+    "pd-curve": (_cmd_pd_curve, "detection probability versus SINR",
+                 (_ALL_DETECTORS,)),
+    "cfar-sweep": (_cmd_cfar_sweep, "false-alarm rate under clutter mismatch", (
+        _WINDOW_DETECTORS,
+        Flag("axis", _axis, "cnr", "sweep axis, cnr or rho"),
+        Flag("values", _float_list, None,
+             f"comma-separated axis values (default: {_CFAR_GRIDS['cnr']} "
+             f"for cnr, {_CFAR_GRIDS['rho']} for rho)"),
+    )),
+    "rmse": (_cmd_rmse, "RMSE of the estimated cell pair versus SINR",
+             (_WINDOW_DETECTORS,)),
+    "convergence": (_cmd_convergence, "cyclic-ascent mean gain trace", (
+        Flag("pair", _pair_list, None,
+             "cell pair n,m, repeatable (default: model.pair, else the "
+             "pair the scenario geometry gives)", repeat=True),
+        _SINR,
+        Flag("conv_trials", _count, 1000, "trials per pair"),
+    )),
+    "sliding-window": (_cmd_sliding_window,
+                       "P_d as the window slides over range bins", (
+        _ALL_DETECTORS,
+        Flag("n_bins", int, 20, "range bins to slide over, at least k_p"),
+        _SINR,
+    )),
+    "link-budget": (_cmd_link_budget,
+                    "received power per path versus surface RCS", (
+        Flag("sigma_min_dbsm", float, 10.0, "grid start, dBsm"),
+        Flag("sigma_max_dbsm", float, 80.0, "grid end, dBsm"),
+        Flag("sigma_points", _count, 71, "grid size"),
+    )),
+    "ris-design": (_cmd_ris_design, "aperture sizing and tapering comparison", (
+        Flag("sigma_dbsm", float, 55.0, "target RCS in dBsm"),
+        Flag("phi0", _positive, 10.0, "beamwidth target, degrees"),
+        Flag("l_min_wl", _positive, 1.0, "smallest side, wavelengths"),
+        Flag("l_max_wl", _positive, 100.0, "largest side, wavelengths"),
+        Flag("l_points", _count, 20, "grid size"),
+    )),
+    "scenario-check": (_cmd_scenario_check,
+                       "distances, delays, angles, and cell layout",
+                       (_ALL_DETECTORS,)),
 }
 
 
@@ -535,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--profile", choices=sorted(PROFILES),
                         help="trial-budget profile")
     common.add_argument("--out-dir", default=".", help="artifact directory")
-    common.add_argument("--detectors",
-                        help="comma-separated detector list (default: all)")
     common.add_argument("--threads", type=int,
                         help=f"worker processes (or ${THREADS_ENV_VAR})")
     common.add_argument("override", nargs="*", metavar="section.key=value",
@@ -546,70 +542,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="risdet",
         description="Surface-assisted radar detection experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub.add_parser("calibrate", parents=[common],
-                   help="calibrate detection thresholds under H0")
-    sub.add_parser("pd-curve", parents=[common],
-                   help="detection probability versus SINR")
-
-    # Subcommand flags default to None here; the handlers resolve them as
-    # CLI value, then manifest "flags" record, then the built-in default.
-    p_cfar = sub.add_parser("cfar-sweep", parents=[common],
-                            help="false-alarm rate under clutter mismatch")
-    p_cfar.add_argument("--axis", choices=("cnr", "rho"),
-                        help="sweep axis (default: cnr)")
-    p_cfar.add_argument("--values", help="comma-separated axis values")
-
-    sub.add_parser("rmse", parents=[common],
-                   help="RMSE of the estimated cell pair versus SINR")
-
-    p_conv = sub.add_parser("convergence", parents=[common],
-                            help="cyclic-ascent mean gain trace")
-    p_conv.add_argument("--pair", action="append",
-                        help="cell pair n,m (repeatable)")
-    p_conv.add_argument("--sinr", type=float, help="SINR in dB (default: 0)")
-    p_conv.add_argument("--conv-trials", type=int,
-                        help="trials per pair (default: 1000)")
-
-    p_slide = sub.add_parser("sliding-window", parents=[common],
-                             help="P_d as the window slides over range bins")
-    p_slide.add_argument("--n-bins", type=int,
-                         help="range bins to slide over (default: 20)")
-    p_slide.add_argument("--sinr", type=float, help="SINR in dB (default: 0)")
-
-    p_lb = sub.add_parser("link-budget", parents=[common],
-                          help="received power per path versus surface RCS")
-    p_lb.add_argument("--sigma-min-dbsm", type=float,
-                      help="grid start (default: 10)")
-    p_lb.add_argument("--sigma-max-dbsm", type=float,
-                      help="grid end (default: 80)")
-    p_lb.add_argument("--sigma-points", type=int,
-                      help="grid size (default: 71)")
-
-    p_rd = sub.add_parser("ris-design", parents=[common],
-                          help="aperture sizing and tapering comparison")
-    p_rd.add_argument("--sigma-dbsm", type=float,
-                      help="target RCS in dBsm (default: 55)")
-    p_rd.add_argument("--phi0", type=float,
-                      help="beamwidth target, degrees (default: 10)")
-    p_rd.add_argument("--l-min-wl", type=float,
-                      help="smallest side, wavelengths (default: 1)")
-    p_rd.add_argument("--l-max-wl", type=float,
-                      help="largest side, wavelengths (default: 100)")
-    p_rd.add_argument("--l-points", type=int,
-                      help="grid size (default: 20)")
-
-    sub.add_parser("scenario-check", parents=[common],
-                   help="distances, delays, angles, and cell layout")
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        # Flags default to None here so that an explicit value can be told
+        # apart from the manifest record and the table default.
+        for flag in flags:
+            default = "" if flag.default is None else f" (default: {flag.default})"
+            p.add_argument(f"--{flag.name.replace('_', '-')}",
+                           action="append" if flag.repeat else "store",
+                           help=flag.help + default)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        doc, flags = load_run(args)
-        outputs, run_flags = _COMMANDS[args.subcommand](args, doc, flags)
+        doc, opts = load_run(args)
+        artifact = _COMMANDS[args.subcommand][0](doc, opts)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -618,11 +567,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {type(err).__name__}: {err}",
               file=sys.stderr)
         return 3
-    if outputs:
-        manifest = _emit_manifest(args.subcommand, doc, _out_dir(args),
-                                  outputs, run_flags)
-        for path in [*outputs, manifest]:
-            print(f"wrote {path}")
+    if artifact is None:
+        return 0
+    csv_name, header, rows, flags = artifact
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / csv_name
+    manifest_path = out_dir / f"{args.subcommand.replace('-', '_')}_manifest.json"
+    write_csv(csv_path, header, rows)
+    manifest = {
+        "subcommand": args.subcommand,
+        "config": doc,
+        "flags": flags,
+        "master_seed": int(doc["experiment"]["master_seed"]),
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": [str(csv_path)],
+    }
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for path in (csv_path, manifest_path):
+        print(f"wrote {path}")
     return 0
 
 

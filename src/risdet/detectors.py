@@ -325,46 +325,41 @@ def _cyclic_batch(
     cell_max = np.maximum(np.maximum(h[_Z1, _Z1].real, h[_ZN, _ZN].real),
                           h[_ZM, _ZM].real)
     slack = MONOTONE_SLACK * np.maximum(1.0, cell_max)
-
+    gains = update_lds = None
     if collect_trace:
         gains = np.zeros((t_len, cfg.h_max))
         update_lds = np.zeros((t_len, 3 * cfg.h_max + 1))
         update_lds[:, 0] = ld_prev
-        for it in range(cfg.h_max):
-            for k in range(3):
-                alphas[k], ld_h = _ascent_step(h, alphas, k)
-                update_lds[:, 3 * it + k + 1] = ld_h
-            gains[:, it] = np.expm1(k_tot * (ld_prev - ld_h))
-            ld_prev = ld_h
-        if np.any(gains < -slack[:, None]):
-            raise NonMonotonic("likelihood decreased during cyclic ascent")
-        iters = np.full(t_len, cfg.h_max, dtype=np.int64)
-        return ld_prev, iters, gains, update_lds
 
-    # Fast path: early stop with active-set compression.
     ld_final = np.empty(t_len)
     iters = np.zeros(t_len, dtype=np.int64)
     active = np.arange(t_len)
-    h_act = h
     for it in range(1, cfg.h_max + 1):
         for k in range(3):
-            alphas[k], ld_h = _ascent_step(h_act, alphas, k)
+            alphas[k], ld_h = _ascent_step(h, alphas, k)
+            if collect_trace:
+                update_lds[:, 3 * (it - 1) + k + 1] = ld_h
         gain = np.expm1(k_tot * (ld_prev - ld_h))
         if np.any(gain < -slack):
             raise NonMonotonic("likelihood decreased during cyclic ascent")
-        done = (gain < cfg.epsilon) | np.full(gain.shape, it == cfg.h_max)
-        idx_done = active[done]
-        ld_final[idx_done] = ld_h[done]
-        iters[idx_done] = it
+        # A traced run retires no trial before h_max, so its arrays stay
+        # aligned with the trace columns.
+        done = np.full(gain.shape, it == cfg.h_max)
+        if collect_trace:
+            gains[:, it - 1] = gain
+        else:
+            done |= gain < cfg.epsilon
+        ld_final[active[done]] = ld_h[done]
+        iters[active[done]] = it
         if done.all():
             break
-        keep = ~done
-        active = active[keep]
-        h_act = h_act[:, :, keep]
-        alphas = [a[keep] for a in alphas]
-        ld_prev = ld_h[keep]
-        slack = slack[keep]
-    return ld_final, iters, None, None
+        if done.any():
+            keep = ~done
+            active, h, slack = active[keep], h[:, :, keep], slack[keep]
+            alphas = [a[keep] for a in alphas]
+            ld_h = ld_h[keep]
+        ld_prev = ld_h
+    return ld_final, iters, gains, update_lds
 
 
 def c_glrt_gain_trace(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -126,21 +126,12 @@ class ExperimentConfig:
         return build_covariance(model)
 
 
-def desk_profile(**overrides) -> ExperimentConfig:
-    """Default CI-scale budgets: pfa 1e-3, 1e5 calibration, 1e3 curve trials."""
-    base = dict(pfa=1e-3, trials_cal=100_000, trials_pd=1_000)
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def paper_profile(**overrides) -> ExperimentConfig:
-    """Publication-scale budgets: pfa 1e-4, 1e6 calibration, 1e4 curve trials."""
-    base = dict(pfa=1e-4, trials_cal=1_000_000, trials_pd=10_000)
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-PROFILES = {"desk": desk_profile, "paper": paper_profile}
+# Trial budgets selected by --profile: desk matches the ExperimentConfig
+# defaults, paper is the publication scale.
+PROFILES = {
+    "desk": {"pfa": 1e-3, "trials_cal": 100_000, "trials_pd": 1_000},
+    "paper": {"pfa": 1e-4, "trials_cal": 1_000_000, "trials_pd": 10_000},
+}
 
 
 @dataclass(frozen=True)
@@ -524,17 +515,19 @@ def sliding_window(
 # Artifact output
 # ---------------------------------------------------------------------------
 
-def write_points_csv(path, point_type: type, points: Iterable[Point]) -> None:
-    """One row per point under a header of point_type's field names.
+def write_csv(path, header: Sequence[str],
+              rows: Iterable[Sequence]) -> None:
+    """Write one CSV artifact: the header row, then the rows.
 
-    Floats are written with repr, so they round-trip exactly.
+    Floats are written as repr(float(v)), so they round-trip exactly and
+    read the same whatever numpy's repr of its own scalars.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(point_type)])
-        for p in points:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in astuple(p)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                             for v in row])
 
 
 def flatten_curves(curves: dict[DetectorKind, list[Point]]) -> list[Point]:

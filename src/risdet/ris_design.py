@@ -64,15 +64,6 @@ class EchoPath(Enum):
     RSTR = "rstr"
     RSTSR = "rstsr"
 
-    @classmethod
-    def from_name(cls, name: str) -> "EchoPath":
-        token = name.strip().lower()
-        for path in cls:
-            if path.value == token:
-                return path
-        raise ValueError(f"unknown path {name!r}; "
-                         f"choose from {[p.value for p in cls]}")
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -235,57 +226,6 @@ def lfm_rcs(length: float, k_x: float, wavelength: float) -> float:
     if length <= 0 or k_x <= 0 or wavelength <= 0:
         raise ValueError("length, k_x, and wavelength must be positive")
     return 8.0 * math.pi * length ** 2 / (wavelength ** 2 * k_x)
-
-
-class Tapering(Enum):
-    UNIFORM = "uniform"
-    SINC = "sinc"
-    LFM = "lfm"
-
-
-@dataclass(frozen=True)
-class TaperingSpec:
-    """One illumination taper over a square aperture of side l_ris."""
-
-    variant: Tapering
-    l_ris: float
-    wavelength: float
-    b: float | None = None
-    k_x: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.l_ris <= 0 or self.wavelength <= 0:
-            raise ValueError("l_ris and wavelength must be positive")
-        if self.variant is Tapering.SINC and (self.b is None or self.b <= 0):
-            raise ValueError("sinc taper needs b > 0")
-        if self.variant is Tapering.LFM and (self.k_x is None or self.k_x <= 0):
-            raise ValueError("lfm taper needs k_x > 0")
-
-    @classmethod
-    def uniform(cls, l_ris: float, wavelength: float) -> "TaperingSpec":
-        return cls(Tapering.UNIFORM, l_ris, wavelength)
-
-    @classmethod
-    def sinc_from_beamwidth(
-        cls, l_ris: float, wavelength: float, phi0_deg: float
-    ) -> "TaperingSpec":
-        return cls(Tapering.SINC, l_ris, wavelength,
-                   b=beam_parameter(phi0_deg, wavelength))
-
-    @classmethod
-    def lfm_from_beamwidth(
-        cls, l_ris: float, wavelength: float, phi0_deg: float
-    ) -> "TaperingSpec":
-        return cls(Tapering.LFM, l_ris, wavelength,
-                   k_x=chirp_rate(phi0_deg, wavelength, l_ris))
-
-    def rcs(self) -> float:
-        """Boresight RCS of this taper."""
-        if self.variant is Tapering.UNIFORM:
-            return uniform_rcs(self.l_ris, self.wavelength)
-        if self.variant is Tapering.SINC:
-            return sinc_rcs(self.l_ris, self.b, self.wavelength)[0]
-        return lfm_rcs(self.l_ris, self.k_x, self.wavelength)
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,16 @@ def test_config_file_errors_exit_2(tmp_path):
     ["sliding-window", "--n-bins", "3"],
     ["pd-curve", "experiment.sinr_grid=[]"],
     ["rmse", "experiment.sinr_grid=[]"],
+    ["cfar-sweep", "--axis", "rho", "--values", "1.0"],
+    ["link-budget", "--sigma-points", "-1"],
+    ["link-budget", "--sigma-points", "0"],
+    ["ris-design", "--l-min-wl", "0"],
+    ["ris-design", "--phi0", "0"],
+    ["ris-design", "--l-points", "0"],
 ])
 def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
-    # Each is rejected before any trial runs: no experiment is entered and
-    # no artifact is written.
+    # Each is rejected before any trial runs: no experiment is entered, no
+    # line is printed and no artifact is written.
     def no_trials(*args, **kwargs):
         raise AssertionError("experiment started")
 
@@ -96,8 +102,9 @@ def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     rc = main([argv[0], "--out-dir", str(tmp_path), *SMALL_MODEL, *SMALL_CAL,
                *argv[1:]])
     assert rc == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -205,6 +212,38 @@ def test_manifest_reload_restores_cfar_flags(tmp_path):
                  "--out-dir", str(dir2)]) == 0
     assert (dir1 / "cfar_sweep.csv").read_bytes() == \
         (dir2 / "cfar_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, flag, first, second", [
+    (["convergence", *SMALL_MODEL, *SMALL_CAL], "conv_trials", 60, 40),
+    (["sliding-window", *SMALL_MODEL, *SMALL_CAL, "experiment.trials_pd=50"],
+     "n_bins", 8, 7),
+    (["link-budget"], "sigma_points", 5, 3),
+    (["ris-design"], "l_points", 4, 3),
+], ids=["convergence", "sliding-window", "link-budget", "ris-design"])
+def test_manifest_reload_restores_subcommand_flags(argv, flag, first, second,
+                                                   tmp_path):
+    option = "--" + flag.replace("_", "-")
+    dirs = [tmp_path / f"run{k}" for k in range(3)]
+    assert main([*argv, option, str(first), "--out-dir", str(dirs[0])]) == 0
+    name = argv[0].replace("-", "_")
+    manifest_path = dirs[0] / f"{name}_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["flags"][flag] == first
+    (csv_name,) = [Path(p).name for p in manifest["outputs"]]
+    assert main([argv[0], "--config", str(manifest_path),
+                 "--out-dir", str(dirs[1])]) == 0
+    assert (dirs[0] / csv_name).read_bytes() == \
+        (dirs[1] / csv_name).read_bytes()
+    reloaded = json.loads((dirs[1] / f"{name}_manifest.json").read_text())
+    assert reloaded["flags"] == manifest["flags"]
+    # An explicit flag still beats the manifest record.
+    assert main([argv[0], "--config", str(manifest_path),
+                 option, str(second), "--out-dir", str(dirs[2])]) == 0
+    overridden = json.loads((dirs[2] / f"{name}_manifest.json").read_text())
+    assert overridden["flags"] == {**manifest["flags"], flag: second}
+    assert (dirs[2] / csv_name).read_bytes() != \
+        (dirs[0] / csv_name).read_bytes()
 
 
 def test_pd_curve_runs_are_byte_identical(tmp_path):

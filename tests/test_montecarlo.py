@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -20,16 +20,15 @@ from risdet.montecarlo import (
     binomial_stderr,
     calibrate_thresholds,
     cfar_sweeps,
+    PROFILES,
     convergence_study,
-    desk_profile,
     flatten_curves,
-    paper_profile,
     pd_curves,
     rmse_curves,
     rmse_from_estimates,
     sliding_window,
     threshold_from_stats,
-    write_points_csv,
+    write_csv,
 )
 from risdet.signal_model import synthesize_batch
 
@@ -86,12 +85,12 @@ def test_experiment_config_validation():
 
 
 def test_profiles():
-    desk = desk_profile()
-    assert (desk.pfa, desk.trials_cal, desk.trials_pd) == (1e-3, 100_000, 1_000)
-    paper = paper_profile(master_seed=1)
+    assert sorted(PROFILES) == ["desk", "paper"]
+    # The desk budgets are the ExperimentConfig defaults.
+    assert replace(ExperimentConfig(), **PROFILES["desk"]) == ExperimentConfig()
+    paper = replace(ExperimentConfig(), **PROFILES["paper"])
     assert (paper.pfa, paper.trials_cal, paper.trials_pd) == (
         1e-4, 1_000_000, 10_000)
-    assert paper.master_seed == 1
 
 
 def test_config_covariance_and_steering():
@@ -298,9 +297,10 @@ def test_curve_csv_bytes_deterministic(tmp_path):
         CurvePoint("amf", -3.0, 0.125, 0.011692679333668567, 800, 7),
         CurvePoint("kelly", 1.0, 0.5, 0.01767766952966369, 800, 7),
     ]
+    header = [f.name for f in fields(CurvePoint)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_points_csv(p1, CurvePoint, pts)
-    write_points_csv(p2, CurvePoint, pts)
+    write_csv(p1, header, [astuple(p) for p in pts])
+    write_csv(p2, header, [astuple(p) for p in pts])
     body = p1.read_bytes()
     assert body == p2.read_bytes()
     lines = body.decode().strip().split("\r\n")
@@ -308,9 +308,14 @@ def test_curve_csv_bytes_deterministic(tmp_path):
     assert lines[1].startswith("amf,-3.0,0.125,")
     assert len(lines) == 3
     rmse = tmp_path / "rmse.csv"
-    write_points_csv(rmse, RmsePoint, [RmsePoint("a-glrt", 0.0, 0.1, 1 / 3, 50, 7)])
+    write_csv(rmse, [f.name for f in fields(RmsePoint)],
+              [astuple(RmsePoint("a-glrt", 0.0, 0.1, 1 / 3, 50, 7))])
     assert rmse.read_bytes() == (b"detector,sinr_db,rmse_n,rmse_m,trials,seed\r\n"
                                  b"a-glrt,0.0,0.1,0.3333333333333333,50,7\r\n")
+    # numpy scalars are written as the plain float they hold.
+    scalars = tmp_path / "scalars.csv"
+    write_csv(scalars, ("gain", "count"), [(np.float64(0.1), np.int64(3))])
+    assert scalars.read_bytes() == b"gain,count\r\n0.1,3\r\n"
 
 
 def test_flatten_curves_orders_by_detector():
