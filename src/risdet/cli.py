@@ -17,7 +17,6 @@ import copy
 import dataclasses
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -67,8 +66,6 @@ from .ris_design import (
     received_power,
     tapering_comparison,
 )
-
-THREADS_ENV_VAR = "RISDET_THREADS"
 
 # The "model" and "experiment" sections hold these ExperimentConfig fields;
 # the defaults of ExperimentConfig and CGlrtConfig fill in DEFAULT_CONFIG.
@@ -265,15 +262,14 @@ def load_run(args: argparse.Namespace) -> tuple[dict, dict]:
     doc = apply_overrides(doc, args.override)
     if args.seed is not None:
         doc["experiment"]["master_seed"] = args.seed
-    threads = args.threads
-    if threads is None and os.environ.get(THREADS_ENV_VAR):
-        try:
-            threads = int(os.environ[THREADS_ENV_VAR])
-        except ValueError as err:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be an integer: {err}") from err
-    if threads is not None:
-        doc["experiment"]["threads"] = threads
+    if args.threads is not None:
+        doc["experiment"]["threads"] = args.threads
+    # Every subcommand's manifest records the seed, including those that
+    # never build an ExperimentConfig.
+    try:
+        int(doc["experiment"]["master_seed"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad experiment.master_seed: {err}") from err
     return doc, _resolve_flags(args, recorded)
 
 
@@ -533,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--profile", choices=sorted(PROFILES),
                         help="trial-budget profile")
     common.add_argument("--out-dir", default=".", help="artifact directory")
-    common.add_argument("--threads", type=int,
-                        help=f"worker processes (or ${THREADS_ENV_VAR})")
+    common.add_argument("--threads", type=int, help="worker processes")
     common.add_argument("override", nargs="*", metavar="section.key=value",
                         help="dotted config overrides")
 

@@ -309,25 +309,23 @@ def _cyclic_batch(
     k_tot: int,
     cfg: CGlrtConfig,
     collect_trace: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Cyclic amplitude ascent for one pair across a stack of trials.
 
     h is the (6, 6, T) pair workspace and start the amplitudes and log det
-    from _plugin_start.  Returns (ld_res, iterations, gain_trace,
-    update_lds).  ld_res is log det(S_{n,m} + residual scatter) -
-    log det(S_{n,m}) at the final amplitudes.  With collect_trace the loop
-    runs all cfg.h_max iterations (no early stop) and also records the log
-    det after every coordinate update, which is what the convergence
-    experiment consumes.
+    from _plugin_start.  Returns (ld_res, iterations, update_lds).  ld_res
+    is log det(S_{n,m} + residual scatter) - log det(S_{n,m}) at the final
+    amplitudes.  With collect_trace the loop runs all cfg.h_max iterations
+    (no early stop) and also records the log det after every coordinate
+    update, which is what the convergence experiment consumes.
     """
     alphas, ld_prev = list(start[0]), start[1]
     t_len = ld_prev.shape[0]
     cell_max = np.maximum(np.maximum(h[_Z1, _Z1].real, h[_ZN, _ZN].real),
                           h[_ZM, _ZM].real)
     slack = MONOTONE_SLACK * np.maximum(1.0, cell_max)
-    gains = update_lds = None
+    update_lds = None
     if collect_trace:
-        gains = np.zeros((t_len, cfg.h_max))
         update_lds = np.zeros((t_len, 3 * cfg.h_max + 1))
         update_lds[:, 0] = ld_prev
 
@@ -345,9 +343,7 @@ def _cyclic_batch(
         # A traced run retires no trial before h_max, so its arrays stay
         # aligned with the trace columns.
         done = np.full(gain.shape, it == cfg.h_max)
-        if collect_trace:
-            gains[:, it - 1] = gain
-        else:
+        if not collect_trace:
             done |= gain < cfg.epsilon
         ld_final[active[done]] = ld_h[done]
         iters[active[done]] = it
@@ -359,7 +355,7 @@ def _cyclic_batch(
             alphas = [a[keep] for a in alphas]
             ld_h = ld_h[keep]
         ld_prev = ld_h
-    return ld_final, iters, gains, update_lds
+    return ld_final, iters, update_lds
 
 
 def c_glrt_gain_trace(
@@ -387,8 +383,10 @@ def c_glrt_gain_trace(
             f"pair {tuple(pair)} must satisfy 1 < n < m <= K_P = {z_p.shape[2]}")
     ws = _GramWorkspace(z_p, r, steering)
     h, _, _ = ws.pair_state(n, m)
-    _, _, gains, update_lds = _cyclic_batch(
+    _, _, update_lds = _cyclic_batch(
         h, _plugin_start(h), ws.k_tot, cfg, collect_trace=True)
+    # The gain of each iteration, as the ascent loop computes it.
+    gains = np.expm1(ws.k_tot * (update_lds[:, :-1:3] - update_lds[:, 3::3]))
     return gains, update_lds
 
 
@@ -505,7 +503,7 @@ def batch_evaluate(
             keep_max(DetectorKind.A_GLRT, val, n, m)
 
         if DetectorKind.C_GLRT in window_kinds:
-            ld_res, iters, _, _ = _cyclic_batch(h, start, ws.k_tot, cfg)
+            ld_res, iters, _ = _cyclic_batch(h, start, ws.k_tot, cfg)
             val = np.exp(ws.ld_num_rel - ld_ex - ld_res)
             keep_max(DetectorKind.C_GLRT, val, n, m, iters=iters)
 

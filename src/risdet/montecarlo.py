@@ -7,16 +7,19 @@ counter pairs; each experiment stage and grid point owns a disjoint block of
 trial indices, so every estimate is reproducible bit-for-bit under a fixed
 master seed regardless of chunking or worker scheduling.  Every curve runs
 through one loop (`_sweep`) over a list of (x, mean, cov) points, each
-reduced to an exceedance rate or a pair RMSE.
+reduced to an exceedance rate or a pair RMSE.  Calibration, the curves and
+the convergence traces all schedule their (point, chunk) tasks through
+`_per_point`, on one process pool per call when threads > 1.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -235,20 +238,21 @@ def _trial_block(stage: int, point: int, count: int) -> np.ndarray:
     return np.arange(base, base + count, dtype=np.uint64)
 
 
-def _eval_chunk(
-    mean: np.ndarray | None,
-    cov: np.ndarray,
-    steering: SteeringSet,
-    k_p: int,
-    k_s: int,
-    master_seed: int,
-    indices: np.ndarray,
-    kinds: tuple[DetectorKind, ...],
-    cglrt: CGlrtConfig,
-    baseline_cell: int,
-) -> dict[DetectorKind, BatchResult]:
-    z_p, r = synthesize_batch(mean, cov, k_p, k_s, master_seed, indices)
-    return batch_evaluate(z_p, r, steering, kinds, cglrt, baseline_cell)
+def _eval_chunk(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
+                mean: np.ndarray | None, cov: np.ndarray,
+                indices: np.ndarray) -> dict[DetectorKind, BatchResult]:
+    z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s, cfg.master_seed,
+                              indices)
+    return batch_evaluate(z_p, r, cfg.steering(), kinds, cfg.cglrt,
+                          cfg.baseline_cell)
+
+
+def _trace_chunk(cfg: ExperimentConfig, pair: tuple[int, int],
+                 mean: np.ndarray | None, cov: np.ndarray,
+                 indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s, cfg.master_seed,
+                              indices)
+    return c_glrt_gain_trace(z_p, r, cfg.steering(), pair, cfg.cglrt)
 
 
 def _concat_results(
@@ -269,30 +273,36 @@ def _concat_results(
     return out
 
 
-def _run_detectors(
-    kinds: tuple[DetectorKind, ...],
-    mean: np.ndarray | None,
-    cov: np.ndarray,
+def _per_point(
+    fn: Callable,
     cfg: ExperimentConfig,
-    trial_indices: np.ndarray,
-    steering: SteeringSet | None = None,
-) -> dict[DetectorKind, BatchResult]:
-    """Chunked (optionally multi-process) evaluation over a trial block."""
-    steering = cfg.steering() if steering is None else steering
-    chunks = [trial_indices[i:i + _CHUNK]
-              for i in range(0, len(trial_indices), _CHUNK)]
-    args = [(mean, cov, steering, cfg.k_p, cfg.k_s, cfg.master_seed, c,
-             kinds, cfg.cglrt, cfg.baseline_cell) for c in chunks]
-    if cfg.threads > 1 and len(chunks) > 1:
+    stage: int,
+    trials: int,
+    points: Sequence[tuple[object, np.ndarray | None, np.ndarray]],
+) -> Iterator[list]:
+    """Run fn(cfg, key, mean, cov, chunk) on every chunk of every point.
+
+    Point j = (key, mean, cov) draws `trials` trials from counter block
+    (stage, j), cut into _CHUNK slices; with cfg.threads > 1 the chunks of
+    all points share one process pool.  Yields each point's chunk outputs
+    in trial order, point by point, so a caller can reduce and drop one
+    point's results before it takes the next.  fn is pickled by name and
+    reaches the synthesis and detectors through this module's globals.
+    """
+    starts = range(0, trials, _CHUNK)
+    tasks = []
+    for j, (key, mean, cov) in enumerate(points):
+        idx = _trial_block(stage, j, trials)
+        tasks += [(cfg, key, mean, cov, idx[i:i + _CHUNK]) for i in starts]
+    if cfg.threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(_eval_chunk_star, args))
+            outs = pool.map(fn, *zip(*tasks))
+            for _ in points:
+                yield list(itertools.islice(outs, len(starts)))
     else:
-        parts = [_eval_chunk(*a) for a in args]
-    return _concat_results(parts, kinds)
-
-
-def _eval_chunk_star(args) -> dict[DetectorKind, BatchResult]:
-    return _eval_chunk(*args)
+        outs = (fn(*task) for task in tasks)
+        for _ in points:
+            yield list(itertools.islice(outs, len(starts)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +315,9 @@ def calibrate_thresholds(
 ) -> ThresholdTable:
     """Thresholds at the configured pfa from a shared batch of H0 trials."""
     kinds = tuple(kinds)
-    idx = _trial_block(_STAGE_CAL, 0, cfg.trials_cal)
-    res = _run_detectors(kinds, None, cfg.covariance(), cfg, idx)
+    (parts,) = _per_point(_eval_chunk, cfg, _STAGE_CAL, cfg.trials_cal,
+                          [(kinds, None, cfg.covariance())])
+    res = _concat_results(parts, kinds)
     thresholds = {
         kind: threshold_from_stats(res[kind].statistic, cfg.pfa)
         for kind in kinds
@@ -339,11 +350,11 @@ def _sweep(
     share each trial, and reduce(kind, x, result) turns one kind's results
     at the point into a curve point.
     """
-    steering = cfg.steering()
     out: dict[DetectorKind, list[Point]] = {k: [] for k in kinds}
-    for j, (x, mean, cov) in enumerate(points):
-        idx = _trial_block(stage, j, trials)
-        res = _run_detectors(kinds, mean, cov, cfg, idx, steering)
+    chunks = _per_point(_eval_chunk, cfg, stage, trials,
+                        [(kinds, mean, cov) for _, mean, cov in points])
+    for (x, _, _), parts in zip(points, chunks):
+        res = _concat_results(parts, kinds)
         for kind in kinds:
             out[kind].append(reduce(kind, float(x), res[kind]))
     return out
@@ -448,23 +459,14 @@ def convergence_study(
         raise ValueError("n_trials must be >= 1")
     pairs = [cfg.pair] if pairs is None else list(pairs)
     cov = cfg.covariance()
-    steering = cfg.steering()
-    mean = _h1_mean(cfg, cov, steering, sinr_db)
+    mean = _h1_mean(cfg, cov, cfg.steering(), sinr_db)
+    k_tot = cfg.k_p + cfg.k_s
     traces = []
-    for j, pair in enumerate(pairs):
-        gains_parts, lds_parts = [], []
-        idx = _trial_block(_STAGE_CONV, j, n_trials)
-        for start in range(0, n_trials, _CHUNK):
-            sl = idx[start:start + _CHUNK]
-            z_p, r = synthesize_batch(
-                mean, cov, cfg.k_p, cfg.k_s, cfg.master_seed, sl)
-            gains, update_lds = c_glrt_gain_trace(
-                z_p, r, steering, pair, cfg.cglrt)
-            gains_parts.append(gains)
-            lds_parts.append(update_lds)
-        gains = np.concatenate(gains_parts, axis=0)
-        update_lds = np.concatenate(lds_parts, axis=0)
-        k_tot = cfg.k_p + cfg.k_s
+    chunks = _per_point(_trace_chunk, cfg, _STAGE_CONV, n_trials,
+                        [(pair, mean, cov) for pair in pairs])
+    for pair, parts in zip(pairs, chunks):
+        gains = np.concatenate([g for g, _ in parts], axis=0)
+        update_lds = np.concatenate([lds for _, lds in parts], axis=0)
         step_gain = np.expm1(k_tot * -np.diff(update_lds, axis=1))
         traces.append(ConvergenceTrace(
             pair=(int(pair[0]), int(pair[1])),

@@ -11,7 +11,6 @@ import pytest
 import risdet
 from risdet.cli import (
     DEFAULT_CONFIG,
-    THREADS_ENV_VAR,
     ConfigError,
     _derive_pair,
     apply_overrides,
@@ -87,6 +86,7 @@ def test_config_file_errors_exit_2(tmp_path):
     ["ris-design", "--l-min-wl", "0"],
     ["ris-design", "--phi0", "0"],
     ["ris-design", "--l-points", "0"],
+    ["link-budget", 'experiment.master_seed="abc"'],
 ])
 def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     # Each is rejected before any trial runs: no experiment is entered, no
@@ -264,17 +264,12 @@ def test_pd_curve_runs_are_byte_identical(tmp_path):
     assert manifest["master_seed"] == 7
 
 
-def test_threads_resolution(monkeypatch):
+def test_threads_resolution():
     parser = build_parser()
     args = parser.parse_args(["calibrate"])
     assert load_run(args)[0]["experiment"]["threads"] == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "2")
-    assert load_run(args)[0]["experiment"]["threads"] == 2
     flagged = parser.parse_args(["calibrate", "--threads", "3"])
     assert load_run(flagged)[0]["experiment"]["threads"] == 3
-    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
-    with pytest.raises(ConfigError):
-        load_run(args)
 
 
 def test_default_config_comes_from_experiment_defaults():

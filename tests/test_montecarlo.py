@@ -140,20 +140,31 @@ def test_calibration_counts_hmax_hits():
     assert calibrate_thresholds(cfg, (DetectorKind.AMF,)).hmax_hits is None
 
 
+def _convergence(cfg):
+    traces = convergence_study(cfg, pairs=[(2, 4), (3, 4)], n_trials=300)
+    return [(t.pair, t.mean_gain.tolist(), t.monotone_fraction)
+            for t in traces]
+
+
 def test_calibration_chunk_size_invariance(monkeypatch):
     kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.KELLY)
     base = calibrate_thresholds(TINY, kinds)
+    base_conv = _convergence(TINY)
     monkeypatch.setattr(mc, "_CHUNK", 97)
     chunked = calibrate_thresholds(TINY, kinds)
     assert base.thresholds == chunked.thresholds
+    assert _convergence(TINY) == base_conv
 
 
 def test_worker_pool_matches_serial():
     cfg = replace(TINY, trials_cal=6_000, threads=2)
+    serial = replace(cfg, threads=1)
     kinds = (DetectorKind.A_GLRT,)
-    serial = calibrate_thresholds(replace(cfg, threads=1), kinds)
-    parallel = calibrate_thresholds(cfg, kinds)
-    assert serial.thresholds == parallel.thresholds
+    table = calibrate_thresholds(serial, kinds)
+    assert calibrate_thresholds(cfg, kinds).thresholds == table.thresholds
+    # Three single-chunk points: the pool runs one task per point.
+    assert pd_curves(kinds, table, cfg) == pd_curves(kinds, table, serial)
+    assert _convergence(cfg) == _convergence(serial)
 
 
 def test_calibrated_threshold_self_consistency():
@@ -176,8 +187,10 @@ def test_cfar_single_point_equals_plain_reestimate():
     (point,) = curves[kinds[0]]
     # Re-run the same trial block by hand and count exceedances directly.
     idx = mc._trial_block(mc._STAGE_CFAR_CNR, 0, TINY.trials_cal)
-    res = mc._run_detectors(kinds, None, TINY.covariance(), TINY, idx)
-    manual = float(np.mean(res[kinds[0]].statistic > table[kinds[0]]))
+    z_p, r = synthesize_batch(None, TINY.covariance(), TINY.k_p, TINY.k_s,
+                              TINY.master_seed, idx)
+    stat = batch_evaluate(z_p, r, TINY.steering(), kinds)[kinds[0]].statistic
+    manual = float(np.mean(stat > table[kinds[0]]))
     assert point.estimate == manual
     assert point.x == TINY.cnr_db
     assert point.trials == TINY.trials_cal
