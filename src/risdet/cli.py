@@ -40,7 +40,6 @@ from .geometry import (
     ris_angles,
     scenario_from_config,
 )
-from .hermitian_numerics import NotPositiveDefinite
 from .montecarlo import (
     ALL_KINDS,
     CurvePoint,
@@ -66,6 +65,7 @@ from .ris_design import (
     received_power,
     tapering_comparison,
 )
+from .signal_model import NotPositiveDefinite
 
 # The "model" and "experiment" sections hold these ExperimentConfig fields;
 # the defaults of ExperimentConfig and CGlrtConfig fill in DEFAULT_CONFIG.
@@ -266,28 +266,36 @@ def load_run(args: argparse.Namespace) -> tuple[dict, dict]:
         doc["experiment"]["threads"] = args.threads
     # Every subcommand's manifest records the seed, including those that
     # never build an ExperimentConfig.
-    try:
-        int(doc["experiment"]["master_seed"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad experiment.master_seed: {err}") from err
+    _integer("experiment.master_seed", doc["experiment"]["master_seed"])
     return doc, _resolve_flags(args, recorded)
+
+
+def _integer(where: str, value) -> int:
+    """An integer setting: an int, or a float with no fractional part."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"bad {where}: {value!r} is not an integer")
+    return int(value)
 
 
 def _derive_pair(doc: dict) -> tuple[int, int]:
     explicit = doc["model"]["pair"]
     if explicit is not None:
-        return int(explicit[0]), int(explicit[1])
+        return tuple(_integer("model.pair", i) for i in explicit)
+    k_p = _integer("model.k_p", doc["model"]["k_p"])
     geom = scenario_from_config(doc["scenario"])
     delays = compute_delays(*path_distances(geom))
-    layout = bin_layout(delays, geom.range_resolution, doc["model"]["k_p"])
+    layout = bin_layout(delays, geom.range_resolution, k_p)
     return layout.n, layout.m
 
 
-def _coerce(key: str, value):
+def _coerce(section: str, key: str, value):
     """Cast a config value to the type of its ExperimentConfig default."""
     default = getattr(_DEFAULTS, key)
     if isinstance(default, tuple):
         return tuple(float(v) for v in value)
+    if isinstance(default, int):
+        return _integer(f"{section}.{key}", value)
     return type(default)(value)
 
 
@@ -295,12 +303,13 @@ def experiment_config(doc: dict) -> ExperimentConfig:
     model, det, exp = doc["model"], doc["detectors"], doc["experiment"]
     try:
         return ExperimentConfig(
-            **{key: _coerce(key, model[key]) for key in _MODEL_KEYS},
-            **{key: _coerce(key, exp[key]) for key in _EXPERIMENT_KEYS},
+            **{key: _coerce("model", key, model[key]) for key in _MODEL_KEYS},
+            **{key: _coerce("experiment", key, exp[key])
+               for key in _EXPERIMENT_KEYS},
             pair=_derive_pair(doc),
-            baseline_cell=int(det["baseline_cell"]),
+            baseline_cell=_integer("detectors.baseline_cell", det["baseline_cell"]),
             cglrt=CGlrtConfig(epsilon=float(det["epsilon"]),
-                              h_max=int(det["h_max"])),
+                              h_max=_integer("detectors.h_max", det["h_max"])),
         )
     except (KeyError, TypeError, ValueError) as err:
         if isinstance(err, (InfeasibleGeometry, WindowTooSmall)):
@@ -454,6 +463,7 @@ def _cmd_ris_design(doc, opts):
 
 
 def _cmd_scenario_check(doc, opts):
+    k_p = _integer("model.k_p", doc["model"]["k_p"])
     geom = scenario_from_config(doc["scenario"])
     d_rt, d_rs, d_st = path_distances(geom)
     delays = compute_delays(d_rt, d_rs, d_st)
@@ -467,7 +477,7 @@ def _cmd_scenario_check(doc, opts):
           f"departure {theta_so:.2f} deg")
     print(f"separability: {'ok' if feasible else 'VIOLATED'} "
           f"(slack {d_rs + d_st - d_rt - 2 * geom.range_resolution:.2f} m)")
-    layout = bin_layout(delays, geom.range_resolution, doc["model"]["k_p"])
+    layout = bin_layout(delays, geom.range_resolution, k_p)
     print(f"window cells: direct = 1, single bounce = {layout.n}, "
           f"double bounce = {layout.m}  (K_P = {layout.window_size})")
     return None

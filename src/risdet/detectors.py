@@ -38,8 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import hermitian_numerics as hn
-from .signal_model import SteeringSet
+from .signal_model import NotPositiveDefinite, SteeringSet
 
 # A coordinate update may lower the compressed log-likelihood by at most this
 # relative amount before it is treated as a genuine monotonicity violation
@@ -66,12 +65,11 @@ class DetectorKind(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "DetectorKind":
-        token = name.strip().lower().replace("_", "-")
-        for kind in cls:
-            if kind.value == token or kind.name.lower().replace("_", "-") == token:
-                return kind
-        raise ValueError(f"unknown detector {name!r}; choose from "
-                         f"{[k.value for k in cls]}")
+        try:
+            return cls(name.strip().lower().replace("_", "-"))
+        except ValueError:
+            raise ValueError(f"unknown detector {name!r}; choose from "
+                             f"{[k.value for k in cls]}") from None
 
 
 PROPOSED_KINDS = (
@@ -124,11 +122,6 @@ def _warn_if_degenerate_steering(steering: SteeringSet) -> None:
                       RuntimeWarning, stacklevel=3)
 
 
-def alpha_hat(v: np.ndarray, w: hn.HermitianFactor, z: np.ndarray) -> complex:
-    """Amplitude estimate v† W^-1 z / v† W^-1 v for a factored matrix W."""
-    return complex(hn.quad_form(v, w, z) / hn.quad_form(v, w, v).real)
-
-
 @dataclass
 class BatchResult:
     """Per-trial outcomes of one detector over a stack of trials."""
@@ -143,12 +136,17 @@ def _conj_t(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of Hermitian PD matrices."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefinite(str(err)) from err
+
+
 def _small_logdet(a: np.ndarray) -> np.ndarray:
     """log det of a stack of small Hermitian PD matrices."""
-    try:
-        l = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as err:
-        raise hn.NotPositiveDefinite(str(err)) from err
+    l = _cholesky(a)
     return 2.0 * np.sum(np.log(np.diagonal(l, axis1=-2, axis2=-1).real), axis=-1)
 
 
@@ -172,11 +170,7 @@ class _GramWorkspace:
             raise ValueError("window must hold at least 3 cells")
         self.t, self.k_p = t, k_p
         self.k_tot = k_p + r.shape[2]
-        s_s = np.matmul(r, _conj_t(r))
-        try:
-            l_ss = np.linalg.cholesky(s_s)
-        except np.linalg.LinAlgError as err:
-            raise hn.NotPositiveDefinite(str(err)) from err
+        l_ss = _cholesky(np.matmul(r, _conj_t(r)))
         vmat = np.stack([steering.v_r, steering.v_sr, steering.v_s], axis=1)
         base = np.concatenate(
             [z_p, np.broadcast_to(vmat, (t, n_dim, 3))], axis=2)
@@ -227,7 +221,7 @@ def _require_positive(what: str, *pivots: np.ndarray) -> None:
     """Raise unless every pivot is positive and finite; NaN fails too."""
     for x in pivots:
         if not np.all((x > 0) & (x < np.inf)):
-            raise hn.NotPositiveDefinite(f"{what} is not positive definite")
+            raise NotPositiveDefinite(f"{what} is not positive definite")
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:

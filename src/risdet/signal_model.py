@@ -13,10 +13,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermitian_numerics as hn
 from .geometry import BinLayout
 
 _MASK64 = (1 << 64) - 1
+
+# Relative asymmetry tolerated before a covariance is rejected as non-Hermitian.
+HERMITIAN_RTOL = 1e-10
+
+
+class NotPositiveDefinite(ValueError):
+    """Matrix expected to be Hermitian positive definite is not.
+
+    Typical causes: a sample covariance built from fewer snapshots than the
+    array dimension, or degenerate synthetic data.
+    """
+
+
+def _covariance_factor(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a covariance that must be square, Hermitian
+    within HERMITIAN_RTOL (it is then symmetrized) and positive definite."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    mh = m.conj().T
+    scale = max(np.abs(m).max(), np.finfo(float).tiny)
+    if np.abs(m - mh).max() > HERMITIAN_RTOL * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    try:
+        return np.linalg.cholesky(0.5 * (m + mh))
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefinite(str(err)) from err
 
 
 def steering_vector(theta_deg: float, n: int) -> np.ndarray:
@@ -99,8 +125,8 @@ def alpha_from_sinr(
     alpha_1 is taken real positive (every implemented statistic is phase
     invariant); the assisted-path amplitudes are ratio * alpha_1.
     """
-    factor = hn.cholesky(m)
-    qf = hn.quad_form(v_r, factor, v_r).real
+    w = np.linalg.solve(_covariance_factor(m), np.asarray(v_r)[:, None])[:, 0]
+    qf = np.sum(np.conj(w) * w).real
     alpha_1 = np.sqrt(10.0 ** (sinr_db / 10.0) / qf)
     return (complex(alpha_1), complex(ratio * alpha_1), complex(ratio * alpha_1))
 
@@ -149,8 +175,8 @@ def synthesize_batch(
     Returns:
         (z_p, r) with shapes (T, N, K_P) and (T, N, K_S).
     """
-    factor = hn.cholesky(m)
-    n = factor.dim
+    lower = _covariance_factor(m)
+    n = lower.shape[0]
     if mean is not None and mean.shape != (n, k_p):
         raise ValueError(f"mean must be N x K_P = {n} x {k_p}, got {mean.shape}")
     # K_S >= N keeps the training scatter matrix nonsingular w.p. 1.
@@ -164,7 +190,7 @@ def synthesize_batch(
         rng = trial_rng(master_seed, int(trial))
         rng.standard_normal(out=raw[j])
     u *= np.sqrt(0.5)  # unit-variance complex entries
-    d = np.matmul(factor.lower, u)
+    d = np.matmul(lower, u)
     z_p = d[:, :, :k_p]
     if mean is not None:
         z_p = z_p + mean

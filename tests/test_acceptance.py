@@ -28,7 +28,6 @@ import oracles
 from conftest import make_steering
 from risdet import detectors as det
 from risdet import geometry as geo
-from risdet import hermitian_numerics as hn
 from risdet import montecarlo as mc
 from risdet import ris_design as rd
 from risdet.detectors import DET_RATIO_KINDS, PROPOSED_KINDS, DetectorKind
@@ -406,11 +405,12 @@ def test_criterion_10_hand_oracles(capsys):
         worst = max(worst, _rel(
             float(res[DetectorKind.AMF].statistic[0]),
             oracles.scalar_amf(zp1[0], r1)))
-        v, z = (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        s = float(rng.uniform(0.5, 2.0))
-        got = det.alpha_hat(np.array([v]), hn.cholesky(np.array([[s + 0j]])),
-                            np.array([z]))
-        worst = max(worst, _rel(got, oracles.scalar_alpha(v, z)))
+        # the engine's S_S plug-in amplitudes: cell / steering at N = 1
+        ws = det._GramWorkspace(z_p[None], r[None], steering1)
+        for k, v in enumerate((steering1.v_r, steering1.v_sr, steering1.v_s)):
+            for c in range(6):
+                worst = max(worst, _rel(ws.alpha_ss[0, k, c],
+                                        oracles.scalar_alpha(v[0], zp1[c])))
 
     # 2x2 adjugate route: hand-expanded determinants and inverses
     steering2 = make_steering(2)
@@ -439,19 +439,27 @@ def test_criterion_10_hand_oracles(capsys):
         worst = max(worst, _rel(
             float(res[DetectorKind.AMF].statistic[0]),
             oracles.amf2x2(z_p[:, 0], r, v_r)))
-        for w in (oracles.scatter(r), oracles.s_nm_oracle(z_p, r, 3, 6)):
-            factor = hn.cholesky(w)
-            for v in v_list:
-                z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                worst = max(worst, _rel(det.alpha_hat(v, factor, z),
-                                        oracles.alpha2(v, w, z)))
+        # the engine's amplitude estimates: the S_S plug-in for every
+        # steering vector and cell, the S_{n,m} plug-in at every pair
+        ws = det._GramWorkspace(z_p[None], r[None], steering2)
+        s_s = oracles.scatter(r)
+        for k, v in enumerate(v_list):
+            for c in range(6):
+                worst = max(worst, _rel(ws.alpha_ss[0, k, c],
+                                        oracles.alpha2(v, s_s, z_p[:, c])))
+        for n, m in det.candidate_pairs(6):
+            alphas, _ = det._plugin_start(ws.pair_state(n, m)[0])
+            s_nm = oracles.s_nm_oracle(z_p, r, n, m)
+            for alpha, v, c in zip(alphas, v_list, (0, n - 1, m - 1)):
+                worst = max(worst, _rel(alpha[0],
+                                        oracles.alpha2(v, s_nm, z_p[:, c])))
     elapsed = time.perf_counter() - t0
 
     ok = worst <= 1e-10 and pair_mismatch == 0 and elapsed < 1.0
     detail = (
-        f"16 datasets, 7 statistics + amplitude estimates: worst relative "
-        f"difference {worst:.1e} (tol 1e-10), pair mismatches {pair_mismatch}, "
-        f"{elapsed * 1e3:.0f}ms (<1s)"
+        f"16 datasets, 7 statistics + S_S and S_n,m amplitude estimates: "
+        f"worst relative difference {worst:.1e} (tol 1e-10), pair "
+        f"mismatches {pair_mismatch}, {elapsed * 1e3:.0f}ms (<1s)"
     )
     _report(capsys, 10, "hand-oracles", ok, detail)
     assert ok, detail

@@ -87,6 +87,13 @@ def test_config_file_errors_exit_2(tmp_path):
     ["ris-design", "--phi0", "0"],
     ["ris-design", "--l-points", "0"],
     ["link-budget", 'experiment.master_seed="abc"'],
+    ["calibrate", "experiment.trials_cal=400.9", "model.k_p=6.7"],
+    ["calibrate", "experiment.threads=true"],
+    ["calibrate", "detectors.h_max=2.5"],
+    ["calibrate", "detectors.baseline_cell=true"],
+    ["calibrate", "model.pair=[2.5,4]"],
+    ["link-budget", "experiment.master_seed=1.5"],
+    ["scenario-check", "model.k_p=6.7"],
 ])
 def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     # Each is rejected before any trial runs: no experiment is entered, no
@@ -275,6 +282,11 @@ def test_threads_resolution():
 def test_default_config_comes_from_experiment_defaults():
     cfg = experiment_config(apply_overrides(DEFAULT_CONFIG, ["model.pair=[3,6]"]))
     assert cfg == ExperimentConfig()
+    # An integer setting may be written as a float with no fractional part.
+    whole = apply_overrides(DEFAULT_CONFIG, [
+        "model.pair=[3.0,6]", "model.k_p=6.0", "experiment.trials_cal=1e5",
+        "detectors.h_max=20.0"])
+    assert experiment_config(whole) == ExperimentConfig()
     assert DEFAULT_CONFIG["model"]["pair"] is None
 
 

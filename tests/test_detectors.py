@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import risdet.detectors as det
-import risdet.hermitian_numerics as hn
 from risdet.detectors import (
     BASELINE_KINDS,
     CGlrtConfig,
     DetectorKind,
     NonMonotonic,
     PROPOSED_KINDS,
-    alpha_hat,
     batch_evaluate,
     bounded_cfar_bounds,
     c_glrt_gain_trace,
@@ -17,6 +16,7 @@ from risdet.detectors import (
 )
 from risdet.geometry import BinLayout
 from risdet.signal_model import (
+    NotPositiveDefinite,
     SteeringSet,
     TargetParams,
     alpha_from_sinr,
@@ -84,18 +84,30 @@ def test_cglrt_config_validation():
 # Amplitude estimate
 # ---------------------------------------------------------------------------
 
+def alpha_ss(z_p, r, steering):
+    """The engine's S_S plug-in amplitudes v† S_S^-1 z / v† S_S^-1 v of one
+    trial, indexed [steering vector, cell]."""
+    return det._GramWorkspace(np.asarray(z_p, dtype=complex)[None],
+                              np.asarray(r, dtype=complex)[None],
+                              steering).alpha_ss[0]
+
+
 def test_alpha_hat_projection_cases():
-    f = hn.cholesky(np.eye(3))
     v = np.array([1.0, 1.0j, -1.0]) / np.sqrt(3.0)
-    assert alpha_hat(v, f, 3.0 * v) == pytest.approx(3.0)
-    assert abs(alpha_hat(np.array([1.0, 0.0, -1.0]), f,
-                         np.array([1.0, 0.0, 1.0]))) < 1e-14
+    steering = SteeringSet(v_r=v, v_sr=np.array([1.0, 0.0, -1.0]),
+                           v_s=np.array([0.0, 1.0, 0.0]))
+    z_p = np.column_stack([3.0 * v, [1.0, 0.0, 1.0], v])
+    a = alpha_ss(z_p, np.eye(3), steering)  # S_S = I
+    assert a[0, 0] == pytest.approx(3.0)
+    assert abs(a[1, 1]) < 1e-14
 
 
 def test_alpha_hat_weighted_example():
-    f = hn.cholesky(np.diag([1.0, 4.0]))
-    a = alpha_hat(np.array([1.0, 1.0]), f, np.array([2.0, 4.0]))
-    assert a == pytest.approx(2.4, rel=1e-14)
+    steering = SteeringSet(v_r=np.array([1.0, 1.0]), v_sr=np.array([1.0, 0.0]),
+                           v_s=np.array([0.0, 1.0]))
+    z_p = np.column_stack([[2.0, 4.0], [1.0, 0.0], [0.0, 1.0]])
+    a = alpha_ss(z_p, np.diag([1.0, 2.0]), steering)  # S_S = diag(1, 4)
+    assert a[0, 0] == pytest.approx(2.4, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +188,11 @@ def test_scalar_closed_forms_all_detectors(rng):
 
 
 def test_scalar_alpha_hat_ignores_weight(rng):
-    w = hn.cholesky(np.array([[3.7 + 0j]]))
     v, z = 2.0 - 1.0j, -1.0 + 4.0j
-    assert alpha_hat(np.array([v]), w, np.array([z])) == pytest.approx(
-        oracles.scalar_alpha(v, z), rel=1e-12)
+    steering = SteeringSet(v_r=np.array([v]), v_sr=np.array([1.0 + 0j]),
+                           v_s=np.array([1.0j]))
+    a = alpha_ss([[z, 1.0, 2.0]], [[np.sqrt(3.7)]], steering)  # S_S = 3.7
+    assert a[0, 0] == pytest.approx(oracles.scalar_alpha(v, z), rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -268,14 +281,14 @@ def _check_against_oracles(z_p, r, steering):
             oracles.amf_oracle(z1, rr, vr), rel=1e-10)
 
 
-def test_reference_route_matches_inv_det_oracles(rng):
+def test_batch_matches_oracles_on_single_trials(rng):
     # Single trials of three shapes.
     for n, k_p, k_s in ((3, 3, 4), (4, 6, 9), (6, 5, 13)):
         zp, rr, steering = random_case(rng, n, k_p, k_s)
         _check_against_oracles(zp[None], rr[None], steering)
 
 
-def test_batch_route_matches_reference_route(rng):
+def test_batch_matches_oracles_on_trial_stack(rng):
     # A multi-trial stack sharing one covariance.
     n, k_p, k_s, trials = 4, 6, 9, 12
     steering = make_steering(n)
@@ -327,14 +340,14 @@ def test_non_pd_pair_workspace_raises():
     # capacitance at the start and the 2x2 capacitance of the a_1 update
     # both lose positive definiteness.
     h = np.diag([1.0, -2.0, 0.0, 1.0, 1.0, 1.0]).astype(complex)[:, :, None]
-    with pytest.raises(hn.NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite):
         det._plugin_start(h)
     start = ([np.zeros(1, dtype=complex)] * 3, np.zeros(1))
     for trace in (False, True):
-        with pytest.raises(hn.NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite):
             det._cyclic_batch(h, start, 30, CGlrtConfig(), collect_trace=trace)
     # NaN entries fail every pivot test rather than pass through.
-    with np.errstate(invalid="ignore"), pytest.raises(hn.NotPositiveDefinite):
+    with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
         det._cyclic_batch(np.full_like(h, np.nan), start, 30, CGlrtConfig())
 
 
@@ -379,6 +392,58 @@ def test_whole_data_scaling_leaves_statistics_invariant(rng):
             assert scaled[kind].statistic[0] == pytest.approx(
                 base[kind].statistic[0], rel=1e-9)
             assert pair_of(scaled, kind) == pair_of(base, kind)
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_same_outcomes(got, want):
+    for kind in ALL_KINDS:
+        assert got[kind].statistic == pytest.approx(want[kind].statistic,
+                                                    rel=1e-9)
+    for kind in PROPOSED_KINDS:
+        assert np.array_equal(got[kind].n_hat, want[kind].n_hat)
+        assert np.array_equal(got[kind].m_hat, want[kind].m_hat)
+
+
+# Data come from numpy's generator at a drawn seed, so hypothesis picks
+# shapes and seeds but never hands the engine degenerate float data.
+_SHAPES = dict(n=st.integers(1, 5), k_p=st.integers(3, 6),
+               extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+_FEW = settings(max_examples=15, deadline=None)
+
+
+def _random_stack(n, k_p, extra, seed, trials=2):
+    rng = np.random.default_rng(seed)
+    z_p, r = _complex(rng, trials, n, k_p), _complex(rng, trials, n, n + extra)
+    steering = SteeringSet(*_complex(rng, 3, n))
+    return rng, z_p, r, steering
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES)
+def test_unitary_change_of_basis_leaves_statistics_invariant(n, k_p, extra,
+                                                             seed):
+    """z, r, v -> Uz, Ur, Uv keeps every quadratic form and determinant
+    ratio, so all seven statistics and the chosen pairs stay put."""
+    rng, z_p, r, steering = _random_stack(n, k_p, extra, seed)
+    u, _ = np.linalg.qr(_complex(rng, n, n))
+    rotated = SteeringSet(u @ steering.v_r, u @ steering.v_sr, u @ steering.v_s)
+    _assert_same_outcomes(batch_evaluate(u @ z_p, u @ r, rotated, ALL_KINDS),
+                          batch_evaluate(z_p, r, steering, ALL_KINDS))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES)
+def test_training_permutation_leaves_statistics_invariant(n, k_p, extra, seed):
+    """S_S sums over the training columns, so their order does not matter."""
+    rng, z_p, r, steering = _random_stack(n, k_p, extra, seed)
+    perm = rng.permutation(r.shape[2])
+    _assert_same_outcomes(batch_evaluate(z_p, r[:, :, perm], steering, ALL_KINDS),
+                          batch_evaluate(z_p, r, steering, ALL_KINDS))
 
 
 def test_km_window_only_scaling_is_quadratic(rng):
