@@ -1,74 +1,3 @@
 """Surface-assisted radar detection: detectors, experiments, aperture design."""
 
-from .detectors import (
-    BatchResult,
-    CGlrtConfig,
-    DetectorKind,
-    NonMonotonic,
-    batch_evaluate,
-    bounded_cfar_bounds,
-    c_glrt_gain_trace,
-    candidate_pairs,
-)
-from .geometry import (
-    C_LIGHT,
-    BinLayout,
-    InfeasibleGeometry,
-    PathDelays,
-    ScenarioGeometry,
-    WindowTooSmall,
-    bin_layout,
-    check_feasibility,
-    compute_delays,
-    path_distances,
-    ris_angles,
-    scenario_from_config,
-)
-from .signal_model import (
-    CovarianceModel,
-    NotPositiveDefinite,
-    SteeringSet,
-    TargetParams,
-    alpha_from_sinr,
-    build_covariance,
-    clutter_power_from_cnr,
-    steering_vector,
-    synthesize_batch,
-    trial_rng,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BatchResult",
-    "BinLayout",
-    "C_LIGHT",
-    "CGlrtConfig",
-    "CovarianceModel",
-    "DetectorKind",
-    "InfeasibleGeometry",
-    "NonMonotonic",
-    "NotPositiveDefinite",
-    "PathDelays",
-    "ScenarioGeometry",
-    "SteeringSet",
-    "TargetParams",
-    "WindowTooSmall",
-    "alpha_from_sinr",
-    "batch_evaluate",
-    "bin_layout",
-    "bounded_cfar_bounds",
-    "build_covariance",
-    "c_glrt_gain_trace",
-    "candidate_pairs",
-    "check_feasibility",
-    "clutter_power_from_cnr",
-    "compute_delays",
-    "path_distances",
-    "ris_angles",
-    "scenario_from_config",
-    "steering_vector",
-    "synthesize_batch",
-    "trial_rng",
-    "__version__",
-]

@@ -13,10 +13,12 @@ flags configuration or usage errors, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable
@@ -108,7 +110,9 @@ def _merge(base: dict, extra: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in out:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
+        if isinstance(out[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {where!r} must be an object")
             out[key] = _merge(out[key], value, where)
         else:
             out[key] = value
@@ -124,7 +128,6 @@ def _parse_override_value(text: str):
 
 def apply_overrides(doc: dict, items: list[str]) -> dict:
     """Apply dotted-key overrides such as model.rho=0.5."""
-    out = copy.deepcopy(doc)
     for item in items:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")
@@ -133,12 +136,8 @@ def apply_overrides(doc: dict, items: list[str]) -> dict:
         if len(parts) != 2:
             raise ConfigError(f"override key {dotted!r} must be section.key")
         section, key = parts
-        if section not in out:
-            raise ConfigError(f"unknown config section {section!r}")
-        if key not in out[section]:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        out[section][key] = _parse_override_value(raw)
-    return out
+        doc = _merge(doc, {section: {key: _parse_override_value(raw)}})
+    return doc
 
 
 def _read_config_file(path: str) -> dict:
@@ -187,18 +186,36 @@ def _axis(text) -> str:
     return text
 
 
+def _real(value) -> float:
+    """A number: a finite int or float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _whole(value) -> int:
+    """An integer: an int, or a float with no fractional part."""
+    if not _real(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _count(value) -> int:
-    count = int(value)
+    count = _whole(value)
     if count < 1:
         raise ValueError("must be >= 1")
     return count
 
 
 def _positive(value) -> float:
-    x = float(value)
+    x = _real(value)
     if not x > 0.0:
         raise ValueError("must be positive")
     return x
+
+
+_NUMBER_TYPES = (_real, _whole, _count, _positive)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,8 +224,10 @@ class Flag:
 
     type turns the option's text, or the value a run manifest recorded for
     it, into the value the manifest records, and raises ValueError on a bad
-    one.  A None default leaves the value to the subcommand; its help then
-    says what the subcommand uses.
+    one.  A number flag (type in _NUMBER_TYPES) reads its text as a float
+    first, so only a manifest record can be a bool or a string.  A None
+    default leaves the value to the subcommand; its help then says what the
+    subcommand uses.
     """
 
     name: str
@@ -226,7 +245,7 @@ _ALL_DETECTORS = Flag("detectors", _detector_list,
 _WINDOW_DETECTORS = Flag("detectors", _detector_list,
                          ",".join(kind.value for kind in PROPOSED_KINDS),
                          "comma-separated detector list")
-_SINR = Flag("sinr", float, 0.0, "SINR in dB")
+_SINR = Flag("sinr", _real, 0.0, "SINR in dB")
 
 
 def _resolve_flags(args: argparse.Namespace, recorded: dict) -> dict:
@@ -237,8 +256,12 @@ def _resolve_flags(args: argparse.Namespace, recorded: dict) -> dict:
         raw = getattr(args, flag.name)
         if raw is None:
             raw = recorded.get(flag.name, flag.default)
+        elif flag.type in _NUMBER_TYPES:
+            with contextlib.suppress(ValueError):
+                raw = float(raw)
         try:
-            opts[flag.name] = None if raw is None else flag.type(raw)
+            opts[flag.name] = (None if raw is None and flag.default is None
+                               else flag.type(raw))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad --{flag.name.replace('_', '-')} "
                               f"{raw!r}: {err}") from err
@@ -264,39 +287,58 @@ def load_run(args: argparse.Namespace) -> tuple[dict, dict]:
         doc["experiment"]["master_seed"] = args.seed
     if args.threads is not None:
         doc["experiment"]["threads"] = args.threads
-    # Every subcommand's manifest records the seed, including those that
-    # never build an ExperimentConfig.
-    _integer("experiment.master_seed", doc["experiment"]["master_seed"])
+    # Every subcommand's manifest records the seed and the scenario,
+    # including those that never build an ExperimentConfig.
+    _setting(_whole, "experiment.master_seed", doc["experiment"]["master_seed"])
+    _link_budget(doc["scenario"])
     return doc, _resolve_flags(args, recorded)
 
 
-def _integer(where: str, value) -> int:
-    """An integer setting: an int, or a float with no fractional part."""
-    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole:
-        raise ConfigError(f"bad {where}: {value!r} is not an integer")
-    return int(value)
+def _setting(rule: Callable, where: str, value):
+    """rule(value) for the config key `where`; a bad value is a ConfigError."""
+    try:
+        return rule(value)
+    except ValueError as err:
+        raise ConfigError(f"bad {where}: {err}") from err
+
+
+def _link_budget(sc: dict) -> LinkBudget:
+    """The scenario section as a link budget; every value must be a number
+    or a list of numbers, and a bad one is a ConfigError."""
+    for key, value in sc.items():
+        for v in value if isinstance(value, list) else [value]:
+            _setting(_real, f"scenario.{key}", v)
+    try:
+        return LinkBudget.from_geometry(
+            scenario_from_config(sc), p_t=float(sc["p_t"]),
+            g_t_dbi=float(sc["g_t_dbi"]), sigma_rtr=float(sc["sigma_rtr"]),
+            sigma_str=float(sc["sigma_str"]), sigma_sts=float(sc["sigma_sts"]))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad scenario: {err}") from err
 
 
 def _derive_pair(doc: dict) -> tuple[int, int]:
     explicit = doc["model"]["pair"]
     if explicit is not None:
-        return tuple(_integer("model.pair", i) for i in explicit)
-    k_p = _integer("model.k_p", doc["model"]["k_p"])
+        return tuple(_setting(_whole, "model.pair", i) for i in explicit)
+    k_p = _setting(_whole, "model.k_p", doc["model"]["k_p"])
     geom = scenario_from_config(doc["scenario"])
     delays = compute_delays(*path_distances(geom))
     layout = bin_layout(delays, geom.range_resolution, k_p)
     return layout.n, layout.m
 
 
-def _coerce(section: str, key: str, value):
-    """Cast a config value to the type of its ExperimentConfig default."""
-    default = getattr(_DEFAULTS, key)
+def _coerce(section: str, key: str, value, defaults=_DEFAULTS):
+    """Cast a config value to the type of its default in `defaults`."""
+    where = f"{section}.{key}"
+    default = getattr(defaults, key)
     if isinstance(default, tuple):
-        return tuple(float(v) for v in value)
+        if not isinstance(value, list):
+            raise ConfigError(f"bad {where}: {value!r} is not a list")
+        return tuple(_setting(_real, where, v) for v in value)
     if isinstance(default, int):
-        return _integer(f"{section}.{key}", value)
-    return type(default)(value)
+        return _setting(_whole, where, value)
+    return _setting(_real, where, value)
 
 
 def experiment_config(doc: dict) -> ExperimentConfig:
@@ -307,9 +349,11 @@ def experiment_config(doc: dict) -> ExperimentConfig:
             **{key: _coerce("experiment", key, exp[key])
                for key in _EXPERIMENT_KEYS},
             pair=_derive_pair(doc),
-            baseline_cell=_integer("detectors.baseline_cell", det["baseline_cell"]),
-            cglrt=CGlrtConfig(epsilon=float(det["epsilon"]),
-                              h_max=_integer("detectors.h_max", det["h_max"])),
+            baseline_cell=_coerce("detectors", "baseline_cell",
+                                  det["baseline_cell"]),
+            cglrt=CGlrtConfig(**{key: _coerce("detectors", key, det[key],
+                                              _DEFAULTS.cglrt)
+                                 for key in ("epsilon", "h_max")}),
         )
     except (KeyError, TypeError, ValueError) as err:
         if isinstance(err, (InfeasibleGeometry, WindowTooSmall)):
@@ -430,11 +474,7 @@ def _cmd_sliding_window(doc, opts):
 
 
 def _cmd_link_budget(doc, opts):
-    sc = doc["scenario"]
-    lb = LinkBudget.from_geometry(
-        scenario_from_config(sc), p_t=float(sc["p_t"]),
-        g_t_dbi=float(sc["g_t_dbi"]), sigma_rtr=float(sc["sigma_rtr"]),
-        sigma_str=float(sc["sigma_str"]), sigma_sts=float(sc["sigma_sts"]))
+    lb = _link_budget(doc["scenario"])
     grid = np.linspace(opts["sigma_min_dbsm"], opts["sigma_max_dbsm"],
                        opts["sigma_points"])
     rows = [(s_db, *(received_power(path, lb, from_dbsm(s_db))
@@ -463,7 +503,7 @@ def _cmd_ris_design(doc, opts):
 
 
 def _cmd_scenario_check(doc, opts):
-    k_p = _integer("model.k_p", doc["model"]["k_p"])
+    k_p = _setting(_whole, "model.k_p", doc["model"]["k_p"])
     geom = scenario_from_config(doc["scenario"])
     d_rt, d_rs, d_st = path_distances(geom)
     delays = compute_delays(d_rt, d_rs, d_st)
@@ -510,17 +550,17 @@ _COMMANDS = {
     "sliding-window": (_cmd_sliding_window,
                        "P_d as the window slides over range bins", (
         _ALL_DETECTORS,
-        Flag("n_bins", int, 20, "range bins to slide over, at least k_p"),
+        Flag("n_bins", _whole, 20, "range bins to slide over, at least k_p"),
         _SINR,
     )),
     "link-budget": (_cmd_link_budget,
                     "received power per path versus surface RCS", (
-        Flag("sigma_min_dbsm", float, 10.0, "grid start, dBsm"),
-        Flag("sigma_max_dbsm", float, 80.0, "grid end, dBsm"),
+        Flag("sigma_min_dbsm", _real, 10.0, "grid start, dBsm"),
+        Flag("sigma_max_dbsm", _real, 80.0, "grid end, dBsm"),
         Flag("sigma_points", _count, 71, "grid size"),
     )),
     "ris-design": (_cmd_ris_design, "aperture sizing and tapering comparison", (
-        Flag("sigma_dbsm", float, 55.0, "target RCS in dBsm"),
+        Flag("sigma_dbsm", _real, 55.0, "target RCS in dBsm"),
         Flag("phi0", _positive, 10.0, "beamwidth target, degrees"),
         Flag("l_min_wl", _positive, 1.0, "smallest side, wavelengths"),
         Flag("l_max_wl", _positive, 100.0, "largest side, wavelengths"),

@@ -449,19 +449,24 @@ def batch_evaluate(
     if not window_kinds:
         return out
 
-    best = {k: np.full(t_len, -np.inf) for k in window_kinds}
-    best_n = {k: np.zeros(t_len, dtype=np.int64) for k in window_kinds}
-    best_m = {k: np.zeros(t_len, dtype=np.int64) for k in window_kinds}
-    c_iters = np.zeros(t_len, dtype=np.int64)
+    # Each window detector's result holds its running maximum over the pairs.
+    for kind in window_kinds:
+        out[kind] = BatchResult(
+            statistic=np.full(t_len, -np.inf),
+            n_hat=np.zeros(t_len, dtype=np.int64),
+            m_hat=np.zeros(t_len, dtype=np.int64),
+            iterations=(np.zeros(t_len, dtype=np.int64)
+                        if kind is DetectorKind.C_GLRT else None))
 
     def keep_max(kind: DetectorKind, val: np.ndarray, n: int, m: int,
                  iters: np.ndarray | None = None) -> None:
-        mask = val > best[kind]
-        best[kind][mask] = val[mask]
-        best_n[kind][mask] = n
-        best_m[kind][mask] = m
+        best = out[kind]
+        mask = val > best.statistic
+        best.statistic[mask] = val[mask]
+        best.n_hat[mask] = n
+        best.m_hat[mask] = m
         if iters is not None:
-            c_iters[mask] = iters[mask]
+            best.iterations[mask] = iters[mask]
 
     # km-1 reads only the matched-filter terms against S_S; every other
     # window detector needs the pair workspace.
@@ -501,11 +506,4 @@ def batch_evaluate(
             val = np.exp(ws.ld_num_rel - ld_ex - ld_res)
             keep_max(DetectorKind.C_GLRT, val, n, m, iters=iters)
 
-    for kind in window_kinds:
-        out[kind] = BatchResult(
-            statistic=best[kind],
-            n_hat=best_n[kind],
-            m_hat=best_m[kind],
-            iterations=c_iters if kind is DetectorKind.C_GLRT else None,
-        )
     return out

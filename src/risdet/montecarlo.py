@@ -14,11 +14,12 @@ the convergence traces all schedule their (point, chunk) tasks through
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -129,10 +130,11 @@ class ExperimentConfig:
         return build_covariance(model)
 
 
-# Trial budgets selected by --profile: desk matches the ExperimentConfig
+# Trial budgets selected by --profile: desk is the ExperimentConfig
 # defaults, paper is the publication scale.
+_BUDGET_KEYS = ("pfa", "trials_cal", "trials_pd")
 PROFILES = {
-    "desk": {"pfa": 1e-3, "trials_cal": 100_000, "trials_pd": 1_000},
+    "desk": {key: getattr(ExperimentConfig(), key) for key in _BUDGET_KEYS},
     "paper": {"pfa": 1e-4, "trials_cal": 1_000_000, "trials_pd": 10_000},
 }
 
@@ -259,18 +261,11 @@ def _concat_results(
     parts: list[dict[DetectorKind, BatchResult]],
     kinds: tuple[DetectorKind, ...],
 ) -> dict[DetectorKind, BatchResult]:
-    out: dict[DetectorKind, BatchResult] = {}
-    for kind in kinds:
-        stat = np.concatenate([p[kind].statistic for p in parts])
-        n_hat = m_hat = iters = None
-        if parts[0][kind].n_hat is not None:
-            n_hat = np.concatenate([p[kind].n_hat for p in parts])
-            m_hat = np.concatenate([p[kind].m_hat for p in parts])
-        if parts[0][kind].iterations is not None:
-            iters = np.concatenate([p[kind].iterations for p in parts])
-        out[kind] = BatchResult(
-            statistic=stat, n_hat=n_hat, m_hat=m_hat, iterations=iters)
-    return out
+    """Each kind's chunk results joined field by field; None stays None."""
+    return {kind: BatchResult(**{
+        f.name: None if getattr(parts[0][kind], f.name) is None
+        else np.concatenate([getattr(p[kind], f.name) for p in parts])
+        for f in fields(BatchResult)}) for kind in kinds}
 
 
 def _per_point(
@@ -294,13 +289,11 @@ def _per_point(
     for j, (key, mean, cov) in enumerate(points):
         idx = _trial_block(stage, j, trials)
         tasks += [(cfg, key, mean, cov, idx[i:i + _CHUNK]) for i in starts]
-    if cfg.threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            outs = pool.map(fn, *zip(*tasks))
-            for _ in points:
-                yield list(itertools.islice(outs, len(starts)))
-    else:
-        outs = (fn(*task) for task in tasks)
+    pool = (ProcessPoolExecutor(max_workers=cfg.threads)
+            if cfg.threads > 1 and len(tasks) > 1 else None)
+    with pool or contextlib.nullcontext():
+        outs = (itertools.starmap(fn, tasks) if pool is None
+                else pool.map(fn, *zip(*tasks)))
         for _ in points:
             yield list(itertools.islice(outs, len(starts)))
 
@@ -486,11 +479,11 @@ def sliding_window(
     cfg: ExperimentConfig,
     n_bins: int = 20,
     sinr_db: float = 0.0,
-    target_bins: tuple[int, int, int] = (1, 3, 6),
 ) -> dict[DetectorKind, list[CurvePoint]]:
     """Detection probability as a size-K_P window slides over the range bins.
 
-    The three echo components sit at fixed absolute bins; a window starting
+    The three echo components sit at the fixed absolute bins 1, n and m of
+    the configured cell pair cfg.pair = (n, m); a window starting
     at position p tests bins p .. p+K_P-1 (re-indexed as window cells
     1..K_P), and components outside the window contribute to no tested cell.
     The x coordinate of each point is the window start position.
@@ -504,7 +497,7 @@ def sliding_window(
     points = []
     for position in range(1, n_bins - cfg.k_p + 2):
         mean = np.zeros((cfg.n_antennas, cfg.k_p), dtype=np.complex128)
-        for bin_abs, v, a in zip(target_bins, vecs, alphas):
+        for bin_abs, v, a in zip((1, *cfg.pair), vecs, alphas):
             col = bin_abs - position
             if 0 <= col < cfg.k_p:
                 mean[:, col] += a * v

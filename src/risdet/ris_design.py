@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
+from scipy.special import sici
 
 from .geometry import ScenarioGeometry, path_distances
 
@@ -22,8 +22,6 @@ FOUR_PI = 4.0 * math.pi
 # Half-power beamwidth of a uniformly illuminated line source, degrees,
 # divided by the aperture length in wavelengths.
 _HPBW_COEFF_DEG = 50.8
-
-_SI_SERIES_CUTOFF = 1e-3
 
 
 def dbsm(sigma_m2: float) -> float:
@@ -38,25 +36,8 @@ def from_dbsm(sigma_dbsm: float) -> float:
 
 
 def si(z: float) -> float:
-    """Sine integral: integral of sin(t)/t from 0 to z, accurate to 1e-10.
-
-    Adaptive quadrature away from the origin; the Maclaurin expansion
-    z - z^3/18 + z^5/600 below the cutoff, where its truncation error is
-    under 1e-24.
-    """
-    if z < 0:
-        return -si(-z)
-    if z < _SI_SERIES_CUTOFF:
-        return z - z ** 3 / 18.0 + z ** 5 / 600.0
-
-    def integrand(t: float) -> float:
-        return math.sin(t) / t if t != 0.0 else 1.0
-
-    # One subdivision per half-period keeps the oscillatory tail resolved.
-    val, _ = integrate.quad(
-        integrand, 0.0, z, epsabs=1e-12, epsrel=1e-12,
-        limit=max(200, 4 * int(z)))
-    return val
+    """Sine integral: integral of sin(t)/t from 0 to z."""
+    return float(sici(z)[0])
 
 
 class EchoPath(Enum):

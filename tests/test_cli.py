@@ -68,6 +68,12 @@ def test_config_file_errors_exit_2(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"bogus": {"x": 1}}')
     assert main(["scenario-check", "--config", str(unknown)]) == 2
+    not_a_section = tmp_path / "not_a_section.json"
+    not_a_section.write_text('{"model": 5}')
+    assert main(["scenario-check", "--config", str(not_a_section)]) == 2
+    assert main(["link-budget", "--config", str(not_a_section),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -94,16 +100,25 @@ def test_config_file_errors_exit_2(tmp_path):
     ["calibrate", "model.pair=[2.5,4]"],
     ["link-budget", "experiment.master_seed=1.5"],
     ["scenario-check", "model.k_p=6.7"],
+    ["link-budget", "scenario.fc=-1"],
+    ["ris-design", "scenario.fc=0"],
+    ["scenario-check", "scenario.delta_r=-5"],
+    ["link-budget", "scenario.ris_pos=[1,2,3]"],
+    ["calibrate", "model.theta_r_deg=true"],
+    ["calibrate", "detectors.epsilon=true"],
+    ["pd-curve", "experiment.sinr_grid=[true]"],
+    ["link-budget", "scenario.p_t=true"],
+    ["calibrate", 'model.rho="0.5"'],
+    ["rmse", 'experiment.sinr_grid="12"'],
+    ["convergence", "--sinr", "true"],
+    ["convergence", "--conv-trials", "10.5"],
+    ["calibrate", "model.cnr_db=NaN"],
+    ["convergence", "--sinr", "nan"],
 ])
 def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     # Each is rejected before any trial runs: no experiment is entered, no
     # line is printed and no artifact is written.
-    def no_trials(*args, **kwargs):
-        raise AssertionError("experiment started")
-
-    for name in ("calibrate_thresholds", "convergence_study", "pd_curves",
-                 "rmse_curves"):
-        monkeypatch.setattr(f"risdet.cli.{name}", no_trials)
+    _forbid_trials(monkeypatch)
     # Subcommand first, then the positional overrides as one run, then the
     # case's own flags and overrides.
     rc = main([argv[0], "--out-dir", str(tmp_path), *SMALL_MODEL, *SMALL_CAL,
@@ -113,6 +128,37 @@ def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _forbid_trials(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("experiment started")
+
+    for name in ("calibrate_thresholds", "convergence_study", "pd_curves",
+                 "rmse_curves"):
+        monkeypatch.setattr(f"risdet.cli.{name}", no_trials)
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("convergence", {"conv_trials": 10.7}),
+    ("convergence", {"sinr": True}),
+    ("sliding-window", {"n_bins": 8.5}),
+    ("ris-design", {"phi0": "10"}),
+    ("link-budget", {"sigma_max_dbsm": None}),
+])
+def test_bad_recorded_flags_exit_2(subcommand, flags, tmp_path, capsys,
+                                   monkeypatch):
+    # A manifest records number flags as numbers; anything else is rejected
+    # before any trial runs instead of being cast.
+    _forbid_trials(monkeypatch)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": {}, "flags": flags}))
+    out_dir = tmp_path / "out"
+    rc = main([subcommand, "--config", str(manifest), "--out-dir", str(out_dir)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: bad --") and out == ""
+    assert not out_dir.exists()
 
 
 def test_collinear_geometry_exits_3(capsys):

@@ -276,8 +276,7 @@ def test_sliding_window_pure_h0_positions():
     cfg = replace(TINY, pfa=0.1, trials_cal=20_000, trials_pd=2_000)
     kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.A_GLRT)
     table = calibrate_thresholds(cfg, kinds)
-    curves = sliding_window(kinds, table, cfg, n_bins=12, sinr_db=0.0,
-                            target_bins=(1, 2, 4))
+    curves = sliding_window(kinds, table, cfg, n_bins=12, sinr_db=0.0)
     for kind in kinds:
         pts = curves[kind]
         assert [p.x for p in pts] == [float(p) for p in range(1, 10)]
