@@ -215,7 +215,14 @@ def _positive(value) -> float:
     return x
 
 
-_NUMBER_TYPES = (_real, _whole, _count, _positive)
+def _dbsm(value) -> float:
+    """An RCS in dBsm whose value in square meters is finite and positive."""
+    x = _real(value)
+    from_dbsm(x)
+    return x
+
+
+_NUMBER_TYPES = (_real, _whole, _count, _positive, _dbsm)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -477,9 +484,14 @@ def _cmd_link_budget(doc, opts):
     lb = _link_budget(doc["scenario"])
     grid = np.linspace(opts["sigma_min_dbsm"], opts["sigma_max_dbsm"],
                        opts["sigma_points"])
-    rows = [(s_db, *(received_power(path, lb, from_dbsm(s_db))
-                     for path in EchoPath))
-            for s_db in grid.tolist()]
+    try:
+        rows = [(s_db, *(received_power(path, lb, from_dbsm(s_db))
+                         for path in EchoPath))
+                for s_db in grid.tolist()]
+    except OverflowError as err:
+        raise ConfigError(
+            f"bad dBsm grid {opts['sigma_min_dbsm']!r} to "
+            f"{opts['sigma_max_dbsm']!r}: received power overflows") from err
     for mode in ("rstr", "rstsr", "total"):
         sigma = crossover_rcs(lb, mode)
         print(f"crossover ({mode:>5s} = direct): sigma_RIS = "
@@ -555,12 +567,12 @@ _COMMANDS = {
     )),
     "link-budget": (_cmd_link_budget,
                     "received power per path versus surface RCS", (
-        Flag("sigma_min_dbsm", _real, 10.0, "grid start, dBsm"),
-        Flag("sigma_max_dbsm", _real, 80.0, "grid end, dBsm"),
+        Flag("sigma_min_dbsm", _dbsm, 10.0, "grid start, dBsm"),
+        Flag("sigma_max_dbsm", _dbsm, 80.0, "grid end, dBsm"),
         Flag("sigma_points", _count, 71, "grid size"),
     )),
     "ris-design": (_cmd_ris_design, "aperture sizing and tapering comparison", (
-        Flag("sigma_dbsm", _real, 55.0, "target RCS in dBsm"),
+        Flag("sigma_dbsm", _dbsm, 55.0, "target RCS in dBsm"),
         Flag("phi0", _positive, 10.0, "beamwidth target, degrees"),
         Flag("l_min_wl", _positive, 1.0, "smallest side, wavelengths"),
         Flag("l_max_wl", _positive, 100.0, "largest side, wavelengths"),

@@ -9,10 +9,18 @@ One route evaluates all seven: `batch_evaluate` whitens each trial by the
 Cholesky factor of the training scatter matrix S_S and reduces every
 statistic to algebra on the Gram matrix of the K_P + 3 whitened
 window/steering vectors (Woodbury identities on small capacitance
-matrices).  Per cell pair this leaves a 6x6 workspace of quadratic forms
-through S_{n,m}, stored so that each entry is a (T,) array over trials;
-everything after it is elementwise arithmetic on such arrays:
+matrices).  Every array is laid out trial-last, so each matrix entry is a
+contiguous (T,) array over trials, and all work after the factor is
+elementwise arithmetic on such arrays or one batched product:
 
+- whitening is row-wise forward substitution over an (N, N, T) copy of the
+  factor, and one batched product gives the (K_P + 3, K_P + 3, T) Gram
+  matrix G;
+- the numerator log det and, per cell pair, the 6x6 workspace of
+  quadratic forms through S_{n,m} come from one elementwise LDL
+  (`_ldl_schur`): of I + G_P, and of the capacitance I + G_ex of the cells
+  outside the pair, whose eliminations downdate the workspace's upper
+  triangle by rank-1 terms;
 - the residual log det of ep-glrt-ka, a-glrt and the start of the cyclic
   ascent comes from an LDL of the 3x3 residual capacitance with three real
   pivots (a-glrt and the ascent share it);
@@ -24,8 +32,9 @@ everything after it is elementwise arithmetic on such arrays:
   (`c_glrt_gain_trace`) run the same step.
 
 A pivot or capacitance determinant that is not positive and finite raises
-NotPositiveDefinite.  The test suite checks the route, statistic by
-statistic, against the explicit-inverse oracles in tests/oracles.py.
+NotPositiveDefinite naming the batch positions of the failing trials.  The
+test suite checks the route, statistic by statistic, against the
+explicit-inverse oracles in tests/oracles.py.
 
 All det-ratio statistics are computed as exp of log-determinant differences.
 """
@@ -51,7 +60,14 @@ MONOTONE_SLACK = 1e-8
 
 
 class NonMonotonic(RuntimeError):
-    """Cyclic likelihood ascent decreased beyond numerical tolerance."""
+    """Cyclic likelihood ascent decreased beyond numerical tolerance.
+
+    positions holds the batch positions of the offending trials.
+    """
+
+    def __init__(self, message: str, positions: np.ndarray | None = None):
+        super().__init__(message)
+        self.positions = positions
 
 
 class DetectorKind(Enum):
@@ -132,22 +148,63 @@ class BatchResult:
     iterations: np.ndarray | None = None
 
 
-def _conj_t(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
-
-
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of Hermitian PD matrices."""
+    """Lower Cholesky factors of a stack of Hermitian PD matrices.
+
+    On failure the matrices are factored one by one, so that the error
+    names the batch positions of those that are not positive definite.
+    """
     try:
         return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefinite(str(err)) from err
+    except np.linalg.LinAlgError:
+        def factors(x):
+            try:
+                np.linalg.cholesky(x)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        _require_positive("training scatter matrix",
+                          np.array([factors(x) for x in a], dtype=float))
+        raise
 
 
-def _small_logdet(a: np.ndarray) -> np.ndarray:
-    """log det of a stack of small Hermitian PD matrices."""
-    l = _cholesky(a)
-    return 2.0 * np.sum(np.log(np.diagonal(l, axis1=-2, axis2=-1).real), axis=-1)
+def _ldl_schur(g: np.ndarray, ex: list[int], sel: list[int],
+               what: str) -> tuple[np.ndarray, np.ndarray]:
+    """log det(I + G_ex) and the Schur complement
+    G_sel - G_sel,ex (I + G_ex)^-1 G_ex,sel of a (K, K, T) Hermitian stack,
+    where G_ex = G[ex][:, ex] and so on.
+
+    Elementwise LDL on (T,) arrays over the rows [ex, sel]: each of the
+    len(ex) real pivots of the capacitance I + G_ex must pass
+    _require_positive, and eliminating it downdates every upper-triangle
+    entry after it by a rank-1 term, which forward-substitutes the G_ex,sel
+    rows and leaves the Schur complement in the sel block.  The lower
+    triangle of the returned (len(sel), len(sel), T) block is the conjugate
+    of the upper.  ex may be empty.
+    """
+    rows = [*ex, *sel]
+    size, n_ex = len(rows), len(ex)
+    a = {(i, j): g[rows[i], rows[j]] for i in range(size)
+         for j in range(i, size)}
+    for i in range(size):
+        a[i, i] = a[i, i].real + (1.0 if i < n_ex else 0.0)
+    ld = np.zeros(g.shape[-1])
+    for k in range(n_ex):
+        d = a[k, k]
+        _require_positive(what, d)
+        ld += np.log(d)
+        for i in range(k + 1, size):
+            f = np.conj(a[k, i]) / d
+            a[i, i] = a[i, i] - _abs2(a[k, i]) / d
+            for j in range(i + 1, size):
+                a[i, j] = a[i, j] - f * a[k, j]
+    h = np.empty((len(sel), len(sel), g.shape[-1]), dtype=np.complex128)
+    for i in range(len(sel)):
+        for j in range(i, len(sel)):
+            h[i, j] = a[n_ex + i, n_ex + j]
+            h[j, i] = np.conj(h[i, j])
+    return ld, h
 
 
 class _GramWorkspace:
@@ -157,7 +214,8 @@ class _GramWorkspace:
     (quadratic forms and determinants through S_S, S_{n,m}, and their
     residual-augmented updates) into algebra on a (K_P + 3)-dim Gram matrix,
     via Woodbury and the determinant lemma.  Columns 0..K_P-1 index the
-    window cells; K_P, K_P+1, K_P+2 index v_R, v_SR, v_S.
+    window cells; K_P, K_P+1, K_P+2 index v_R, v_SR, v_S.  Every array is
+    laid out trial-last, so g[i, j] is a contiguous (T,) array.
     """
 
     def __init__(self, z_p: np.ndarray, r: np.ndarray, steering: SteeringSet):
@@ -170,24 +228,34 @@ class _GramWorkspace:
             raise ValueError("window must hold at least 3 cells")
         self.t, self.k_p = t, k_p
         self.k_tot = k_p + r.shape[2]
-        l_ss = _cholesky(np.matmul(r, _conj_t(r)))
-        vmat = np.stack([steering.v_r, steering.v_sr, steering.v_s], axis=1)
-        base = np.concatenate(
-            [z_p, np.broadcast_to(vmat, (t, n_dim, 3))], axis=2)
-        w = np.linalg.solve(l_ss, base)
-        self.g = np.matmul(_conj_t(w), w)
         self.iu = (k_p, k_p + 1, k_p + 2)
+        l_ss = _cholesky(np.matmul(r, np.conj(np.swapaxes(r, 1, 2))))
+        # Forward substitution L_ss W = [Z_P, V], row by row, over an
+        # (N, N, T) copy of the factor, so that each l_ss[i, j] is a
+        # contiguous (T,) array; W is (N, K_P + 3, T).
+        l_ss = np.ascontiguousarray(l_ss.transpose(1, 2, 0))
+        w = np.empty((n_dim, k_p + 3, t), dtype=np.complex128)
+        w[:, :k_p] = z_p.transpose(1, 2, 0)
+        w[:, k_p:] = np.stack([steering.v_r, steering.v_sr, steering.v_s],
+                              axis=1)[:, :, None]
+        for i in range(n_dim):
+            for j in range(i):
+                w[i] -= l_ss[i, j] * w[j]
+            w[i] /= l_ss[i, i].real
+        w = np.ascontiguousarray(w.transpose(2, 0, 1))
+        self.g = np.ascontiguousarray(
+            np.matmul(np.conj(np.swapaxes(w, 1, 2)), w).transpose(1, 2, 0))
         # log det(S_P + S_S) - log det(S_S): numerator of every det ratio
-        gp = self.g[:, :k_p, :k_p]
-        self.ld_num_rel = _small_logdet(np.eye(k_p) + gp)
+        self.ld_num_rel, _ = _ldl_schur(self.g, list(range(k_p)), [],
+                                        "numerator capacitance")
         # Cell energies and matched-filter terms against S_S (variant-1 /
-        # baseline ingredients): num[v, c] = |u_v† c|^2, den[v] = u_v† u_v.
-        gvc = self.g[:, k_p:, :k_p]
-        self.km1_terms = np.abs(gvc) ** 2 / np.real(
-            np.diagonal(self.g, axis1=-2, axis2=-1)[:, k_p:, None])
-        self.alpha_ss = gvc / np.real(
-            np.diagonal(self.g, axis1=-2, axis2=-1)[:, k_p:, None])
-        self.cell_energy = np.real(np.diagonal(self.g, axis1=-2, axis2=-1)[:, :k_p])
+        # baseline ingredients), indexed [steering vector, cell]:
+        # num[v, c] = |u_v† c|^2, den[v] = u_v† u_v.
+        gvc = self.g[k_p:, :k_p]
+        den = np.real(self.g[self.iu, self.iu])[:, None]
+        self.km1_terms = np.abs(gvc) ** 2 / den
+        self.alpha_ss = gvc / den
+        self.cell_energy = np.real(self.g[range(k_p), range(k_p)])
 
     def pair_state(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Quadratic forms through S_{n,m} for the six working vectors.
@@ -199,15 +267,8 @@ class _GramWorkspace:
         """
         ex = [k for k in range(self.k_p) if k not in (0, n - 1, m - 1)]
         sel = [0, n - 1, m - 1, *self.iu]
-        h = self.g[:, sel][:, :, sel]
-        ld_ex = np.zeros(self.t)
-        if ex:
-            gex = self.g[:, ex][:, :, ex]
-            gse = self.g[:, sel][:, :, ex]
-            cap = np.eye(len(ex)) + gex
-            ld_ex = _small_logdet(cap)
-            h = h - np.matmul(gse, np.linalg.solve(cap, _conj_t(gse)))
-        return np.ascontiguousarray(h.transpose(1, 2, 0)), ld_ex, sel
+        ld_ex, h = _ldl_schur(self.g, ex, sel, "pair capacitance")
+        return h, ld_ex, sel
 
 
 # Row indices of the pair workspace h, and the (cell, steering) rows of the
@@ -217,11 +278,23 @@ _Z1, _ZN, _ZM, _UR, _USR, _US = range(6)
 _COLS = ((_Z1, _UR), (_ZN, _USR), (_ZM, _US))
 
 
-def _require_positive(what: str, *pivots: np.ndarray) -> None:
-    """Raise unless every pivot is positive and finite; NaN fails too."""
+def _require_positive(what: str, *pivots: np.ndarray,
+                      at: np.ndarray | None = None) -> None:
+    """Raise unless every pivot is positive and finite; NaN fails too.
+
+    The error names the failing trials by batch position: their indices in
+    the (T,) pivot arrays, mapped through `at` when the arrays hold a subset
+    of the batch.
+    """
     for x in pivots:
-        if not np.all((x > 0) & (x < np.inf)):
-            raise NotPositiveDefinite(f"{what} is not positive definite")
+        bad = ~((x > 0) & (x < np.inf))
+        if bad.any():
+            pos = np.flatnonzero(bad)
+            if at is not None:
+                pos = at[pos]
+            raise NotPositiveDefinite(
+                f"{what} is not positive definite in {pos.size} trial(s), "
+                f"first at batch position {pos[0]}", positions=pos)
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -258,8 +331,8 @@ def _plugin_start(h: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return alphas, _residual_logdet(h, alphas)
 
 
-def _ascent_step(h: np.ndarray, alphas: list[np.ndarray],
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
+def _ascent_step(h: np.ndarray, alphas: list[np.ndarray], k: int,
+                 active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One coordinate update: amplitude k maximizes the likelihood with the
     other two residual columns t_j, t_l held fixed.
 
@@ -269,7 +342,8 @@ def _ascent_step(h: np.ndarray, alphas: list[np.ndarray],
     det(I_3 + T† H T) at the new amplitudes is
     log det C + log(1 + Hc[c, c] - |Hc[s, c]|^2 / Hc[s, s]).
 
-    Returns (alpha_k, log det after the update), both (T,).
+    active holds the batch positions of the trials in h.  Returns
+    (alpha_k, log det after the update), both (T,).
     """
     j, l = [i for i in range(3) if i != k]
     (cj, sj), (cl, sl), (ck, sk) = _COLS[j], _COLS[l], _COLS[k]
@@ -293,7 +367,7 @@ def _ascent_step(h: np.ndarray, alphas: list[np.ndarray],
     hc_cc = h[ck, ck].real - (pj[ck] * wc0 + pl[ck] * wc1).real / det_c
     alpha = hc_sc / hc_ss
     schur = hc_cc - _abs2(hc_sc) / hc_ss
-    _require_positive("ascent capacitance", det_c, 1.0 + schur)
+    _require_positive("ascent capacitance", det_c, 1.0 + schur, at=active)
     return alpha, np.log(det_c) + np.log1p(schur)
 
 
@@ -328,12 +402,13 @@ def _cyclic_batch(
     active = np.arange(t_len)
     for it in range(1, cfg.h_max + 1):
         for k in range(3):
-            alphas[k], ld_h = _ascent_step(h, alphas, k)
+            alphas[k], ld_h = _ascent_step(h, alphas, k, active)
             if collect_trace:
                 update_lds[:, 3 * (it - 1) + k + 1] = ld_h
         gain = np.expm1(k_tot * (ld_prev - ld_h))
         if np.any(gain < -slack):
-            raise NonMonotonic("likelihood decreased during cyclic ascent")
+            raise NonMonotonic("likelihood decreased during cyclic ascent",
+                               positions=active[gain < -slack])
         # A traced run retires no trial before h_max, so its arrays stay
         # aligned with the trace columns.
         done = np.full(gain.shape, it == cfg.h_max)
@@ -401,9 +476,9 @@ def bounded_cfar_bounds(
         _, ld_ex, _ = ws.pair_state(n, m)
         ld_ex_min = np.minimum(ld_ex_min, ld_ex)
         pair_energy = np.maximum(
-            pair_energy, ws.cell_energy[:, n - 1] + ws.cell_energy[:, m - 1])
+            pair_energy, ws.cell_energy[n - 1] + ws.cell_energy[m - 1])
     det_bound = np.exp(ws.ld_num_rel - ld_ex_min)
-    km1_bound = ws.cell_energy[:, 0] + pair_energy
+    km1_bound = ws.cell_energy[0] + pair_energy
     return det_bound, km1_bound
 
 
@@ -437,13 +512,13 @@ def batch_evaluate(
         c = baseline_cell - 1
         if not 0 <= c < k_p:
             raise ValueError(f"baseline cell {baseline_cell} outside window")
-        num = np.abs(ws.g[:, ws.iu[0], c]) ** 2
-        den_v = ws.g[:, ws.iu[0], ws.iu[0]].real
+        num = np.abs(ws.g[ws.iu[0], c]) ** 2
+        den_v = ws.g[ws.iu[0], ws.iu[0]].real
         if DetectorKind.AMF in kinds:
             out[DetectorKind.AMF] = BatchResult(statistic=num / den_v)
         if DetectorKind.KELLY in kinds:
             out[DetectorKind.KELLY] = BatchResult(
-                statistic=num / (den_v * (1.0 + ws.cell_energy[:, c])))
+                statistic=num / (den_v * (1.0 + ws.cell_energy[c])))
 
     window_kinds = [k for k in kinds if k in PROPOSED_KINDS]
     if not window_kinds:
@@ -473,9 +548,9 @@ def batch_evaluate(
     need_pair = any(k is not DetectorKind.EP_GLRT_KM_1 for k in window_kinds)
     for n, m in candidate_pairs(k_p):
         if DetectorKind.EP_GLRT_KM_1 in window_kinds:
-            val = (ws.km1_terms[:, 0, 0]
-                   + ws.km1_terms[:, 1, n - 1]
-                   + ws.km1_terms[:, 2, m - 1])
+            val = (ws.km1_terms[0, 0]
+                   + ws.km1_terms[1, n - 1]
+                   + ws.km1_terms[2, m - 1])
             keep_max(DetectorKind.EP_GLRT_KM_1, val, n, m)
         if not need_pair:
             continue
@@ -488,8 +563,8 @@ def batch_evaluate(
             keep_max(DetectorKind.EP_GLRT_KM_2, val, n, m)
 
         if DetectorKind.EP_GLRT_KA in window_kinds:
-            alphas = [ws.alpha_ss[:, 0, 0], ws.alpha_ss[:, 1, n - 1],
-                      ws.alpha_ss[:, 2, m - 1]]
+            alphas = [ws.alpha_ss[0, 0], ws.alpha_ss[1, n - 1],
+                      ws.alpha_ss[2, m - 1]]
             val = np.exp(ws.ld_num_rel - ld_ex - _residual_logdet(h, alphas))
             keep_max(DetectorKind.EP_GLRT_KA, val, n, m)
 

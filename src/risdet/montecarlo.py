@@ -9,7 +9,9 @@ master seed regardless of chunking or worker scheduling.  Every curve runs
 through one loop (`_sweep`) over a list of (x, mean, cov) points, each
 reduced to an exceedance rate or a pair RMSE.  Calibration, the curves and
 the convergence traces all schedule their (point, chunk) tasks through
-`_per_point`, on one process pool per call when threads > 1.
+`_per_point`, on one process pool per call when threads > 1.  A numerical
+failure in a chunk is re-raised naming the counter of its first failing
+trial.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .detectors import (
     BatchResult,
     CGlrtConfig,
     DetectorKind,
+    NonMonotonic,
     PROPOSED_KINDS,
     batch_evaluate,
     c_glrt_gain_trace,
@@ -36,6 +39,7 @@ from .detectors import (
 from .geometry import BinLayout
 from .signal_model import (
     CovarianceModel,
+    NotPositiveDefinite,
     SteeringSet,
     TargetParams,
     alpha_from_sinr,
@@ -240,21 +244,45 @@ def _trial_block(stage: int, point: int, count: int) -> np.ndarray:
     return np.arange(base, base + count, dtype=np.uint64)
 
 
+@contextlib.contextmanager
+def _naming_trial(cfg: ExperimentConfig, indices: np.ndarray) -> Iterator[None]:
+    """Re-raise a numerical failure of the chunk `indices` with the counter
+    of its first failing trial, so that trial_rng can replay it.
+
+    The counter is decoded into its (stage, point, offset) block; a failure
+    that names no trial (a bad covariance, say) passes unchanged.
+    """
+    try:
+        yield
+    except (NotPositiveDefinite, NonMonotonic) as err:
+        if err.positions is None:
+            raise
+        counter = int(indices[int(err.positions[0])])
+        stage, rest = divmod(counter, _STAGE_STRIDE)
+        point, offset = divmod(rest, _POINT_STRIDE)
+        raise type(err)(
+            f"{err}; first failing trial: counter {counter} (stage {stage}, "
+            f"point {point}, offset {offset}) under master seed "
+            f"{cfg.master_seed}") from err
+
+
 def _eval_chunk(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
                 mean: np.ndarray | None, cov: np.ndarray,
                 indices: np.ndarray) -> dict[DetectorKind, BatchResult]:
-    z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s, cfg.master_seed,
-                              indices)
-    return batch_evaluate(z_p, r, cfg.steering(), kinds, cfg.cglrt,
-                          cfg.baseline_cell)
+    with _naming_trial(cfg, indices):
+        z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s,
+                                  cfg.master_seed, indices)
+        return batch_evaluate(z_p, r, cfg.steering(), kinds, cfg.cglrt,
+                              cfg.baseline_cell)
 
 
 def _trace_chunk(cfg: ExperimentConfig, pair: tuple[int, int],
                  mean: np.ndarray | None, cov: np.ndarray,
                  indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s, cfg.master_seed,
-                              indices)
-    return c_glrt_gain_trace(z_p, r, cfg.steering(), pair, cfg.cglrt)
+    with _naming_trial(cfg, indices):
+        z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s,
+                                  cfg.master_seed, indices)
+        return c_glrt_gain_trace(z_p, r, cfg.steering(), pair, cfg.cglrt)
 
 
 def _concat_results(

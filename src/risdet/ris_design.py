@@ -32,7 +32,14 @@ def dbsm(sigma_m2: float) -> float:
 
 
 def from_dbsm(sigma_dbsm: float) -> float:
-    return 10.0 ** (sigma_dbsm / 10.0)
+    """RCS in square meters; ValueError unless it is finite and positive."""
+    try:
+        sigma = 10.0 ** (sigma_dbsm / 10.0)
+    except OverflowError:
+        sigma = math.inf
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"{sigma_dbsm!r} dBsm is not a finite positive RCS")
+    return sigma
 
 
 def si(z: float) -> float:

@@ -25,8 +25,14 @@ class NotPositiveDefinite(ValueError):
     """Matrix expected to be Hermitian positive definite is not.
 
     Typical causes: a sample covariance built from fewer snapshots than the
-    array dimension, or degenerate synthetic data.
+    array dimension, or degenerate synthetic data.  positions holds the
+    batch positions of the failing trials when the error concerns some
+    trials of a batch, else None.
     """
+
+    def __init__(self, message: str, positions: np.ndarray | None = None):
+        super().__init__(message)
+        self.positions = positions
 
 
 def _covariance_factor(m: np.ndarray) -> np.ndarray:
@@ -131,6 +137,11 @@ def alpha_from_sinr(
     return (complex(alpha_1), complex(ratio * alpha_1), complex(ratio * alpha_1))
 
 
+def _philox_key(master_seed: int, trial_index: int) -> np.ndarray:
+    return np.array([master_seed & _MASK64, trial_index & _MASK64],
+                    dtype=np.uint64)
+
+
 def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
     """Independent, reproducible stream for one trial.
 
@@ -138,8 +149,8 @@ def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
     key, so any subset of trials can be drawn in any order, serial or
     parallel, with identical results.
     """
-    key = np.array([master_seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(
+        np.random.Philox(key=_philox_key(master_seed, trial_index)))
 
 
 def target_mean_matrix(
@@ -167,6 +178,11 @@ def synthesize_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a stack of trials, one Philox stream per trial index.
 
+    The streams are those of trial_rng, drawn through one generator per call:
+    before each trial its Philox state is re-keyed to (master_seed, trial
+    index) with the counter and the output buffer reset, which costs far
+    less than building a generator per trial.
+
     Args:
         mean: mean of the window cells (N x K_P), or None for zero mean.
         m: disturbance covariance (N x N).
@@ -186,8 +202,16 @@ def synthesize_batch(
     t = len(trial_indices)
     u = np.empty((t, n, k_tot), dtype=np.complex128)
     raw = u.view(np.float64).reshape(t, n, 2 * k_tot)
+    key = _philox_key(master_seed, 0)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     for j, trial in enumerate(trial_indices):
-        rng = trial_rng(master_seed, int(trial))
+        key[:] = _philox_key(master_seed, int(trial))
+        bitgen.state = state
         rng.standard_normal(out=raw[j])
     u *= np.sqrt(0.5)  # unit-variance complex entries
     d = np.matmul(lower, u)

@@ -409,7 +409,7 @@ def test_criterion_10_hand_oracles(capsys):
         ws = det._GramWorkspace(z_p[None], r[None], steering1)
         for k, v in enumerate((steering1.v_r, steering1.v_sr, steering1.v_s)):
             for c in range(6):
-                worst = max(worst, _rel(ws.alpha_ss[0, k, c],
+                worst = max(worst, _rel(ws.alpha_ss[k, c, 0],
                                         oracles.scalar_alpha(v[0], zp1[c])))
 
     # 2x2 adjugate route: hand-expanded determinants and inverses
@@ -445,7 +445,7 @@ def test_criterion_10_hand_oracles(capsys):
         s_s = oracles.scatter(r)
         for k, v in enumerate(v_list):
             for c in range(6):
-                worst = max(worst, _rel(ws.alpha_ss[0, k, c],
+                worst = max(worst, _rel(ws.alpha_ss[k, c, 0],
                                         oracles.alpha2(v, s_s, z_p[:, c])))
         for n, m in det.candidate_pairs(6):
             alphas, _ = det._plugin_start(ws.pair_state(n, m)[0])

@@ -3,8 +3,10 @@
 The signal model factors the disturbance covariance once per call
 (`_covariance_factor`, behind `synthesize_batch` and `alpha_from_sinr`);
 the engine factors the training scatter S_S, whitens the window and
-steering vectors by that factor, and takes small log-dets (`_GramWorkspace`,
-`_small_logdet`).  No explicit inverse is formed on either side.
+steering vectors by forward substitution with that factor
+(`_GramWorkspace`), and takes small log-dets and Schur complements by an
+elementwise LDL (`_ldl_schur`).  No explicit inverse is formed on either
+side.
 """
 
 import numpy as np
@@ -37,11 +39,22 @@ def workspace(a, cells):
                               make_steering(len(a)))
 
 
+def logdet(a):
+    """log det A through the engine's elementwise LDL, which factors I + G:
+    G = A - I with the trial axis last.  A is one matrix or a stack."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[-1]
+    g = np.moveaxis(a - np.eye(n), (-2, -1), (0, 1))
+    ld, _ = det._ldl_schur(g[..., None] if a.ndim == 2 else g,
+                           list(range(n)), [], "test matrix")
+    return ld[0] if a.ndim == 2 else ld
+
+
 def solve(a, b):
     """A^-1 b through the engine's whitening: with window cells [I, b, b],
     Gram entry (k, N) is e_k† A^-1 b."""
     n = len(b)
-    return workspace(a, np.column_stack([np.eye(n), b, b])).g[0, :n, n]
+    return workspace(a, np.column_stack([np.eye(n), b, b])).g[:n, n, 0]
 
 
 def test_cholesky_identity():
@@ -79,15 +92,15 @@ def test_cholesky_rejects_non_square():
 
 
 def test_logdet_identity_and_diag():
-    assert det._small_logdet(np.eye(5)) == pytest.approx(0.0)
-    assert det._small_logdet(np.diag([2.0, 3.0])) == pytest.approx(
+    assert logdet(np.eye(5)) == pytest.approx(0.0)
+    assert logdet(np.diag([2.0, 3.0])) == pytest.approx(
         np.log(6.0), rel=1e-14)
 
 
 def test_logdet_matches_eigenvalue_product(rng):
     a = random_spd(rng, 8)
     eigs = np.linalg.eigvalsh(a)
-    assert det._small_logdet(a) == pytest.approx(
+    assert logdet(a) == pytest.approx(
         float(np.sum(np.log(eigs))), rel=1e-10)
 
 
@@ -113,7 +126,7 @@ def test_quad_form_projection_and_orthogonality():
     assert alpha_from_sinr(0.0, np.eye(3), 3.0 * v)[0] == pytest.approx(1 / 3)
     # Through S_S = I the engine's Gram entries are plain inner products.
     g = workspace(np.eye(3), np.column_stack(
-        [v, [1.0, 0.0, -1.0], [1.0, 0.0, 1.0]])).g[0]
+        [v, [1.0, 0.0, -1.0], [1.0, 0.0, 1.0]])).g[..., 0]
     assert g[0, 0] == pytest.approx(1.0)
     assert abs(g[1, 2]) < 1e-14
 
@@ -128,7 +141,7 @@ def test_quad_form_matches_solve_then_dot(rng):
     # The engine's Gram row of v_R holds v_R† S_S^-1 z for every cell z.
     v_r = make_steering(3).v_r
     expected = np.conj(v_r) @ np.linalg.solve(a, z)
-    assert np.allclose(workspace(a, z).g[0, 3, :3], expected,
+    assert np.allclose(workspace(a, z).g[3, :3, 0], expected,
                        rtol=1e-10, atol=0.0)
 
 
@@ -155,14 +168,14 @@ def test_logdet_plus_outer_matches_direct(rng):
 
 def test_batched_operations_match_per_slice(rng):
     stack = np.stack([random_spd(rng, 4) for _ in range(7)])
-    lds = det._small_logdet(stack)
+    lds = logdet(stack)
     z_p = rng.standard_normal((7, 4, 3)) + 1j * rng.standard_normal((7, 4, 3))
     r = np.linalg.cholesky(stack).astype(complex)
     ws = det._GramWorkspace(z_p, r, make_steering(4))
     for k in range(7):
-        assert lds[k] == pytest.approx(det._small_logdet(stack[k]), rel=1e-12)
+        assert lds[k] == pytest.approx(logdet(stack[k]), rel=1e-12)
         one = det._GramWorkspace(z_p[k:k + 1], r[k:k + 1], make_steering(4))
-        assert np.allclose(ws.g[k], one.g[0])
+        assert np.allclose(ws.g[..., k], one.g[..., 0])
         assert ws.ld_num_rel[k] == pytest.approx(one.ld_num_rel[0], rel=1e-12)
 
 

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import risdet
+import risdet.montecarlo as mc
 from risdet.cli import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -20,6 +22,7 @@ from risdet.cli import (
     main,
 )
 from risdet.montecarlo import ExperimentConfig
+from risdet.signal_model import synthesize_batch
 
 SMALL_MODEL = ["model.n_antennas=4", "model.k_s=8"]
 SMALL_CAL = ["experiment.pfa=0.05", "experiment.trials_cal=400"]
@@ -114,6 +117,10 @@ def test_config_file_errors_exit_2(tmp_path):
     ["convergence", "--conv-trials", "10.5"],
     ["calibrate", "model.cnr_db=NaN"],
     ["convergence", "--sinr", "nan"],
+    ["ris-design", "--sigma-dbsm", "4000"],
+    ["ris-design", "--sigma-dbsm", "-4000"],
+    ["link-budget", "--sigma-max-dbsm", "4000"],
+    ["link-budget", "--sigma-max-dbsm", "3000"],
 ])
 def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     # Each is rejected before any trial runs: no experiment is entered, no
@@ -166,6 +173,24 @@ def test_collinear_geometry_exits_3(capsys):
                "scenario.target_pos=[50,0]"])
     assert rc == 3
     assert "InfeasibleGeometry" in capsys.readouterr().err
+
+
+def test_failing_trial_exits_3_with_its_counter(tmp_path, capsys,
+                                                monkeypatch):
+    def planted(*args):
+        z_p, r = synthesize_batch(*args)
+        z_p[args[-1] == 7, 0, 0] = np.nan
+        return z_p, r
+
+    monkeypatch.setattr(mc, "synthesize_batch", planted)
+    with np.errstate(invalid="ignore"):
+        rc = main(["calibrate", "--out-dir", str(tmp_path), "--seed", "5",
+                   *SMALL_MODEL, *SMALL_CAL])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: NotPositiveDefinite: ")
+    assert "counter 7 (stage 0, point 0, offset 7) under master seed 5" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_window_too_small_exits_3(tmp_path, capsys):

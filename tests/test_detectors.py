@@ -89,7 +89,7 @@ def alpha_ss(z_p, r, steering):
     trial, indexed [steering vector, cell]."""
     return det._GramWorkspace(np.asarray(z_p, dtype=complex)[None],
                               np.asarray(r, dtype=complex)[None],
-                              steering).alpha_ss[0]
+                              steering).alpha_ss[..., 0]
 
 
 def test_alpha_hat_projection_cases():
@@ -283,7 +283,8 @@ def _check_against_oracles(z_p, r, steering):
 
 def test_batch_matches_oracles_on_single_trials(rng):
     # Single trials of three shapes.
-    for n, k_p, k_s in ((3, 3, 4), (4, 6, 9), (6, 5, 13)):
+    # K_P = 8 leaves five cells outside each pair's S_{n,m}.
+    for n, k_p, k_s in ((3, 3, 4), (4, 6, 9), (6, 5, 13), (4, 8, 12)):
         zp, rr, steering = random_case(rng, n, k_p, k_s)
         _check_against_oracles(zp[None], rr[None], steering)
 
@@ -335,7 +336,7 @@ def test_batch_matches_oracles_at_minimal_training(rng, sinr_db):
     _check_against_oracles(*_h1_stack(rng, 4, 6, 4, 8, sinr_db))
 
 
-def test_non_pd_pair_workspace_raises():
+def test_non_pd_pair_workspace_raises(rng):
     # Cell z_n has a negative quadratic form through S_{n,m}: the residual
     # capacitance at the start and the 2x2 capacitance of the a_1 update
     # both lose positive definiteness.
@@ -349,6 +350,30 @@ def test_non_pd_pair_workspace_raises():
     # NaN entries fail every pivot test rather than pass through.
     with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
         det._cyclic_batch(np.full_like(h, np.nan), start, 30, CGlrtConfig())
+    # The LDL pivots of the Gram workspace are checked trial by trial, and
+    # the error names the batch position of the trial that failed.
+    z_p = rng.standard_normal((3, 3, 4)) + 1j * rng.standard_normal((3, 3, 4))
+    r = rng.standard_normal((3, 3, 5)) + 1j * rng.standard_normal((3, 3, 5))
+    steering = make_steering(3)
+    # A negative energy of cell 4, the one cell outside pair (2, 3), makes
+    # the pivot of the capacitance I + G_ex negative.
+    ws = det._GramWorkspace(z_p, r, steering)
+    ws.g[3, 3, 1] = -2.0
+    with pytest.raises(NotPositiveDefinite, match="pair capacitance") as err:
+        ws.pair_state(2, 3)
+    assert err.value.positions.tolist() == [1]
+    ws.pair_state(2, 4)  # cell 4 is in this pair, outside its capacitance
+    # A NaN cell makes a pivot of the numerator I + G_P NaN.
+    z_p[2, 0, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NotPositiveDefinite, match="numerator capacitance") as err:
+        det._GramWorkspace(z_p, r, steering)
+    assert err.value.positions.tolist() == [2]
+    # A training scatter matrix that cannot be factored fails by position.
+    r[0] = 0.0
+    with pytest.raises(NotPositiveDefinite, match="training") as err:
+        det._GramWorkspace(z_p, r, steering)
+    assert err.value.positions.tolist() == [0]
 
 
 def test_batch_baseline_cell_selection(rng):

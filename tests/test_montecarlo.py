@@ -30,7 +30,7 @@ from risdet.montecarlo import (
     threshold_from_stats,
     write_csv,
 )
-from risdet.signal_model import synthesize_batch
+from risdet.signal_model import NotPositiveDefinite, synthesize_batch
 
 # Small-array configuration used throughout: fast but statistically useful.
 TINY = ExperimentConfig(
@@ -165,6 +165,36 @@ def test_worker_pool_matches_serial():
     # Three single-chunk points: the pool runs one task per point.
     assert pd_curves(kinds, table, cfg) == pd_curves(kinds, table, serial)
     assert _convergence(cfg) == _convergence(serial)
+
+
+def _plant_nan(monkeypatch, counter, block):
+    """Make synthesize_batch return a NaN in `block` ("z_p" or "r") of the
+    trial drawn at `counter`."""
+    def planted(*args):
+        z_p, r = synthesize_batch(*args)
+        hit = args[-1] == counter
+        (z_p if block == "z_p" else r)[hit, 0, 1] = np.nan
+        return z_p, r
+    monkeypatch.setattr(mc, "synthesize_batch", planted)
+
+
+def test_numerical_failure_names_its_trial_counter(monkeypatch):
+    # The failing trial sits in the middle of the second of several chunks;
+    # the error names its absolute counter and the block it decodes to.
+    monkeypatch.setattr(mc, "_CHUNK", 97)
+    _plant_nan(monkeypatch, 130, "z_p")
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NotPositiveDefinite,
+            match=r"counter 130 \(stage 0, point 0, offset 130\) under "
+                  r"master seed 31415"):
+        calibrate_thresholds(TINY, ALL_KINDS)
+    # A trace chunk of the second pair, with the NaN in the training data.
+    counter = mc._STAGE_CONV * mc._STAGE_STRIDE + mc._POINT_STRIDE + 42
+    _plant_nan(monkeypatch, counter, "r")
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NotPositiveDefinite,
+            match=rf"counter {counter} \(stage 5, point 1, offset 42\)"):
+        convergence_study(TINY, pairs=[(2, 4), (3, 4)], n_trials=300)
 
 
 def test_calibrated_threshold_self_consistency():

@@ -132,6 +132,27 @@ def test_trial_rng_keying():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("counters", [
+    [9, 3, 1 << 33, 3, 12, 0],
+    [7],
+    [6 << 40, (6 << 40) + (5 << 28) + 17, 5 << 40, 2**64 - 1, 2**64 - 2,
+     (1 << 40) + 1],
+])
+def test_rekeyed_draws_equal_trial_rng(counters):
+    # synthesize_batch re-keys one generator per call; each trial must still
+    # draw exactly trial_rng's stream, whatever the order, repeats or chunk
+    # size of the counters.  At M = I the coloring is exact, so the output
+    # is the scaled draw itself.
+    n, k_p, k_s, seed = 4, 3, 5, 2**63 + 11
+    z_p, r = synthesize_batch(None, np.eye(n), k_p, k_s, seed,
+                              np.array(counters, dtype=np.uint64))
+    for j, counter in enumerate(counters):
+        raw = trial_rng(seed, counter).standard_normal((n, 2 * (k_p + k_s)))
+        want = raw.view(np.complex128) * np.sqrt(0.5)
+        assert np.array_equal(z_p[j], want[:, :k_p])
+        assert np.array_equal(r[j], want[:, k_p:])
+
+
 def test_h0_columns_are_zero_mean():
     """Statistical check: sample mean of 1e4 draws within 5 sigma of zero."""
     n, k_p, k_s, trials = 4, 3, 8, 10_000
