@@ -53,6 +53,7 @@ from .montecarlo import (
     convergence_study,
     flatten_curves,
     pd_curves,
+    require_pair_estimators,
     rmse_curves,
     sliding_window,
     write_csv,
@@ -168,6 +169,11 @@ def _detector_list(text) -> str:
     return ",".join(kind.value for kind in _parse_detectors(text))
 
 
+def _pair_detector_list(text) -> str:
+    return ",".join(kind.value for kind in
+                    require_pair_estimators(_parse_detectors(text)))
+
+
 def _float_list(text) -> str:
     return ",".join(repr(float(v)) for v in str(text).split(","))
 
@@ -188,10 +194,15 @@ def _axis(text) -> str:
 
 def _real(value) -> float:
     """A number: a finite int or float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
 
 
 def _whole(value) -> int:
@@ -199,6 +210,14 @@ def _whole(value) -> int:
     if not _real(value).is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _seed(value) -> int:
+    """A master seed: an integer in [0, 2**64), one word of the Philox key."""
+    seed = _whole(value)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{seed} is outside [0, 2**64)")
+    return seed
 
 
 def _count(value) -> int:
@@ -252,6 +271,9 @@ _ALL_DETECTORS = Flag("detectors", _detector_list,
 _WINDOW_DETECTORS = Flag("detectors", _detector_list,
                          ",".join(kind.value for kind in PROPOSED_KINDS),
                          "comma-separated detector list")
+_PAIR_DETECTORS = dataclasses.replace(
+    _WINDOW_DETECTORS, type=_pair_detector_list,
+    help="comma-separated list of window detectors")
 _SINR = Flag("sinr", _real, 0.0, "SINR in dB")
 
 
@@ -296,7 +318,7 @@ def load_run(args: argparse.Namespace) -> tuple[dict, dict]:
         doc["experiment"]["threads"] = args.threads
     # Every subcommand's manifest records the seed and the scenario,
     # including those that never build an ExperimentConfig.
-    _setting(_whole, "experiment.master_seed", doc["experiment"]["master_seed"])
+    _setting(_seed, "experiment.master_seed", doc["experiment"]["master_seed"])
     _link_budget(doc["scenario"])
     return doc, _resolve_flags(args, recorded)
 
@@ -551,7 +573,7 @@ _COMMANDS = {
              f"for cnr, {_CFAR_GRIDS['rho']} for rho)"),
     )),
     "rmse": (_cmd_rmse, "RMSE of the estimated cell pair versus SINR",
-             (_WINDOW_DETECTORS,)),
+             (_PAIR_DETECTORS,)),
     "convergence": (_cmd_convergence, "cyclic-ascent mean gain trace", (
         Flag("pair", _pair_list, None,
              "cell pair n,m, repeatable (default: model.pair, else the "

@@ -317,7 +317,7 @@ def _per_point(
     for j, (key, mean, cov) in enumerate(points):
         idx = _trial_block(stage, j, trials)
         tasks += [(cfg, key, mean, cov, idx[i:i + _CHUNK]) for i in starts]
-    pool = (ProcessPoolExecutor(max_workers=cfg.threads)
+    pool = (ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks)))
             if cfg.threads > 1 and len(tasks) > 1 else None)
     with pool or contextlib.nullcontext():
         outs = (itertools.starmap(fn, tasks) if pool is None
@@ -439,16 +439,23 @@ def cfar_sweeps(
                   _exceedance(table, cfg, cfg.trials_cal))
 
 
+def require_pair_estimators(
+    kinds: Sequence[DetectorKind],
+) -> tuple[DetectorKind, ...]:
+    """kinds, if each is a window detector; only those estimate (n, m)."""
+    for kind in kinds:
+        if kind not in PROPOSED_KINDS:
+            raise ValueError(f"{kind.value} does not estimate a cell pair")
+    return tuple(kinds)
+
+
 def rmse_curves(
     kinds: Sequence[DetectorKind],
     cfg: ExperimentConfig,
     sinr_grid: Sequence[float] | None = None,
 ) -> dict[DetectorKind, list[RmsePoint]]:
     """Root mean square error of the maximizing pair versus SINR."""
-    kinds = tuple(kinds)
-    for kind in kinds:
-        if kind not in PROPOSED_KINDS:
-            raise ValueError(f"{kind.value} does not estimate a cell pair")
+    kinds = require_pair_estimators(kinds)
 
     def reduce(kind: DetectorKind, sinr: float, res: BatchResult) -> RmsePoint:
         rmse_n, rmse_m = rmse_from_estimates(res.n_hat, res.m_hat, *cfg.pair)

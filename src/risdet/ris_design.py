@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import sici
 
 from .geometry import ScenarioGeometry, path_distances
 
@@ -43,7 +42,13 @@ def from_dbsm(sigma_dbsm: float) -> float:
 
 
 def si(z: float) -> float:
-    """Sine integral: integral of sin(t)/t from 0 to z."""
+    """Sine integral: integral of sin(t)/t from 0 to z.
+
+    scipy is imported here, on the first call, because only the sinc taper
+    needs it; every other subcommand starts without loading scipy.
+    """
+    from scipy.special import sici
+
     return float(sici(z)[0])
 
 

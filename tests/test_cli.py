@@ -121,6 +121,8 @@ def test_config_file_errors_exit_2(tmp_path):
     ["ris-design", "--sigma-dbsm", "-4000"],
     ["link-budget", "--sigma-max-dbsm", "4000"],
     ["link-budget", "--sigma-max-dbsm", "3000"],
+    ["rmse", "--detectors", "kelly"],
+    ["rmse", "--detectors", "ep-glrt-ka,amf"],
 ])
 def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     # Each is rejected before any trial runs: no experiment is entered, no
@@ -152,6 +154,7 @@ def _forbid_trials(monkeypatch):
     ("sliding-window", {"n_bins": 8.5}),
     ("ris-design", {"phi0": "10"}),
     ("link-budget", {"sigma_max_dbsm": None}),
+    ("rmse", {"detectors": "amf"}),
 ])
 def test_bad_recorded_flags_exit_2(subcommand, flags, tmp_path, capsys,
                                    monkeypatch):
@@ -166,6 +169,36 @@ def test_bad_recorded_flags_exit_2(subcommand, flags, tmp_path, capsys,
     out, err = capsys.readouterr()
     assert err.startswith("error: bad --") and out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("seed", [1 << 64, -1, 10 ** 400],
+                         ids=["2**64", "-1", "10**400"])
+@pytest.mark.parametrize("route", ["flag", "override", "manifest"])
+def test_seed_outside_philox_key_range_exits_2(route, seed, tmp_path, capsys,
+                                               monkeypatch):
+    # The seed is one 64-bit word of the Philox key; a seed outside
+    # [0, 2**64) would alias one inside it, so each route rejects it.
+    _forbid_trials(monkeypatch)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"config": {"experiment": {"master_seed": seed}}, "flags": {}}))
+    argv = {"flag": ["--seed", str(seed)],
+            "override": [f"experiment.master_seed={seed}"],
+            "manifest": ["--config", str(manifest)]}[route]
+    out_dir = tmp_path / "out"
+    rc = main(["calibrate", "--out-dir", str(out_dir), *argv])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: bad experiment.master_seed") and out == ""
+    assert not out_dir.exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    seed = (1 << 64) - 1
+    assert main(["link-budget", "--out-dir", str(tmp_path), "--seed",
+                 str(seed), "--sigma-points", "2"]) == 0
+    manifest = json.loads((tmp_path / "link_budget_manifest.json").read_text())
+    assert manifest["master_seed"] == seed
 
 
 def test_collinear_geometry_exits_3(capsys):
@@ -402,17 +435,54 @@ def test_ris_design_smoke(tmp_path, capsys):
     assert (tmp_path / "ris_design_manifest.json").exists()
 
 
-def test_module_entry_point(tmp_path):
-    # The child runs from an unrelated directory, where a relative
-    # PYTHONPATH (such as "src") resolves to nothing; hand it the absolute
-    # directory that holds the package this process imported.
+def _child_env() -> dict:
+    # A child runs from an unrelated directory, where a relative PYTHONPATH
+    # (such as "src") resolves to nothing; hand it the absolute directory
+    # that holds the package this process imported.
     src_dir = str(Path(risdet.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "risdet.cli", "scenario-check"],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "single bounce = 3" in proc.stdout
     assert proc.stderr == ""  # scenario-check reports on stdout only
+
+
+_STARTUP_SCRIPT = """
+import sys
+from risdet.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+assert main(["scenario-check"]) == 0
+assert main(["calibrate", "--out-dir", "cal", "model.n_antennas=4",
+             "model.k_s=8", "experiment.trials_cal=1000",
+             "experiment.pfa=0.05"]) == 0
+print("before ris-design:", scipy_modules())
+assert main(["ris-design", "--out-dir", "design", "--l-points", "3"]) == 0
+print("after ris-design:", "scipy.special" in scipy_modules())
+"""
+
+
+def test_startup_loads_no_scipy(tmp_path):
+    # Only the sine integral of the sinc taper needs scipy, so a fresh
+    # process that sets up and calibrates never imports it; ris-design
+    # imports it on its first Si call and still writes its artifact.
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "before ris-design: []" in proc.stdout
+    assert "after ris-design: True" in proc.stdout
+    assert (tmp_path / "cal" / "thresholds.csv").exists()
+    lines = (tmp_path / "design" / "ris_design.csv").read_text().splitlines()
+    assert lines[0] == "side_m,uniform_m2,sinc_m2,lfm_m2" and len(lines) == 4

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -165,6 +166,29 @@ def test_worker_pool_matches_serial():
     # Three single-chunk points: the pool runs one task per point.
     assert pd_curves(kinds, table, cfg) == pd_curves(kinds, table, serial)
     assert _convergence(cfg) == _convergence(serial)
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # Under fork every worker starts with the pool, so a pool wider than its
+    # task list starts processes that never run a task.  A thread pool in
+    # its place records the width it is asked for and runs the same tasks.
+    widths = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "_CHUNK", 1_000)
+    kinds = (DetectorKind.KELLY,)
+    serial = calibrate_thresholds(TINY, kinds)
+    # Two chunks of one point on eight workers; then three single-chunk
+    # points on two workers.
+    assert calibrate_thresholds(replace(TINY, threads=8), kinds) == serial
+    assert pd_curves(kinds, serial, replace(TINY, threads=2)) == \
+        pd_curves(kinds, serial, TINY)
+    assert widths == [2, 2]
 
 
 def _plant_nan(monkeypatch, counter, block):
