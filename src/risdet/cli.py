@@ -633,8 +633,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse the command line, taking section.key=value tokens as overrides
+    wherever they stand.
+
+    The override positional takes one unbroken run of tokens, so a flag
+    between two overrides leaves the later ones to parse_known_args; those
+    join the overrides in command-line order.  Any other stray token exits
+    2 as an unrecognized argument.
+    """
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    stray = [tok for tok in rest if tok.startswith("-") or "=" not in tok]
+    if stray:
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
+    args.override += rest
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         doc, opts = load_run(args)
         artifact = _COMMANDS[args.subcommand][0](doc, opts)

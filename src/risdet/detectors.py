@@ -13,9 +13,10 @@ matrices).  Every array is laid out trial-last, so each matrix entry is a
 contiguous (T,) array over trials, and all work after the factor is
 elementwise arithmetic on such arrays or one batched product:
 
-- whitening is row-wise forward substitution over an (N, N, T) copy of the
-  factor, and one batched product gives the (K_P + 3, K_P + 3, T) Gram
-  matrix G;
+- whitening runs over fixed blocks of trials through buffers allocated
+  once: per block, a batched Cholesky of S_S, row-wise forward substitution
+  over a trial-last copy of the factor, and one batched product that writes
+  the block's columns of the (K_P + 3, K_P + 3, T) Gram matrix G;
 - the numerator log det and, per cell pair, the 6x6 workspace of
   quadratic forms through S_{n,m} come from one elementwise LDL
   (`_ldl_schur`): of I + G_P, and of the capacitance I + G_ex of the cells
@@ -57,6 +58,10 @@ from .signal_model import NotPositiveDefinite, SteeringSet
 # it while genuine ascent bugs produce decreases on the order of the gains
 # themselves.
 MONOTONE_SLACK = 1e-8
+
+# Trials per block of the whitening front end of _GramWorkspace: its block
+# buffers stay a few MB whatever the stack length.
+_GRAM_BLOCK = 256
 
 
 class NonMonotonic(RuntimeError):
@@ -148,8 +153,9 @@ class BatchResult:
     iterations: np.ndarray | None = None
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of Hermitian PD matrices.
+def _cholesky(a: np.ndarray, first: int) -> np.ndarray:
+    """Lower Cholesky factors of a stack of Hermitian PD matrices, the
+    block of a batch that starts at batch position `first`.
 
     On failure the matrices are factored one by one, so that the error
     names the batch positions of those that are not positive definite.
@@ -165,7 +171,8 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
             return True
 
         _require_positive("training scatter matrix",
-                          np.array([factors(x) for x in a], dtype=float))
+                          np.array([factors(x) for x in a], dtype=float),
+                          at=first + np.arange(len(a)))
         raise
 
 
@@ -229,22 +236,39 @@ class _GramWorkspace:
         self.t, self.k_p = t, k_p
         self.k_tot = k_p + r.shape[2]
         self.iu = (k_p, k_p + 1, k_p + 2)
-        l_ss = _cholesky(np.matmul(r, np.conj(np.swapaxes(r, 1, 2))))
-        # Forward substitution L_ss W = [Z_P, V], row by row, over an
-        # (N, N, T) copy of the factor, so that each l_ss[i, j] is a
-        # contiguous (T,) array; W is (N, K_P + 3, T).
-        l_ss = np.ascontiguousarray(l_ss.transpose(1, 2, 0))
-        w = np.empty((n_dim, k_p + 3, t), dtype=np.complex128)
-        w[:, :k_p] = z_p.transpose(1, 2, 0)
-        w[:, k_p:] = np.stack([steering.v_r, steering.v_sr, steering.v_s],
-                              axis=1)[:, :, None]
-        for i in range(n_dim):
-            for j in range(i):
-                w[i] -= l_ss[i, j] * w[j]
-            w[i] /= l_ss[i, i].real
-        w = np.ascontiguousarray(w.transpose(2, 0, 1))
-        self.g = np.ascontiguousarray(
-            np.matmul(np.conj(np.swapaxes(w, 1, 2)), w).transpose(1, 2, 0))
+        steer = np.stack([steering.v_r, steering.v_sr, steering.v_s], axis=1)
+        # The front end runs over blocks of at most _GRAM_BLOCK trials,
+        # through buffers allocated once: per trial, the factor L_ss of
+        # S_S = R R†, the whitened vectors W = L_ss^-1 [Z_P, V] and their
+        # Gram matrix W† W, which lands in the trial-last g.
+        size = min(t, _GRAM_BLOCK)
+        s_ss = np.empty((size, n_dim, n_dim), dtype=np.complex128)
+        l_tl = np.empty((n_dim, n_dim, size), dtype=np.complex128)
+        w_tl = np.empty((n_dim, k_p + 3, size), dtype=np.complex128)
+        w_st = np.empty((size, n_dim, k_p + 3), dtype=np.complex128)
+        g_st = np.empty((size, k_p + 3, k_p + 3), dtype=np.complex128)
+        self.g = np.empty((k_p + 3, k_p + 3, t), dtype=np.complex128)
+        for lo in range(0, t, _GRAM_BLOCK):
+            hi = min(lo + _GRAM_BLOCK, t)
+            r_b = r[lo:hi]
+            s_b = np.matmul(r_b, np.conj(np.swapaxes(r_b, 1, 2)),
+                            out=s_ss[:hi - lo])
+            # Forward substitution L_ss W = [Z_P, V], row by row, on
+            # trial-last copies, so that each l[i, j] is a (T,) array.
+            l = l_tl[:, :, :hi - lo]
+            l[...] = _cholesky(s_b, lo).transpose(1, 2, 0)
+            w = w_tl[:, :, :hi - lo]
+            w[:, :k_p] = z_p[lo:hi].transpose(1, 2, 0)
+            w[:, k_p:] = steer[:, :, None]
+            for i in range(n_dim):
+                for j in range(i):
+                    w[i] -= l[i, j] * w[j]
+                w[i] /= l[i, i].real
+            w_b = w_st[:hi - lo]
+            w_b[...] = w.transpose(2, 0, 1)
+            self.g[:, :, lo:hi] = np.matmul(
+                np.conj(np.swapaxes(w_b, 1, 2)), w_b,
+                out=g_st[:hi - lo]).transpose(1, 2, 0)
         # log det(S_P + S_S) - log det(S_S): numerator of every det ratio
         self.ld_num_rel, _ = _ldl_schur(self.g, list(range(k_p)), [],
                                         "numerator capacitance")

@@ -518,25 +518,23 @@ def sliding_window(
     """Detection probability as a size-K_P window slides over the range bins.
 
     The three echo components sit at the fixed absolute bins 1, n and m of
-    the configured cell pair cfg.pair = (n, m); a window starting
-    at position p tests bins p .. p+K_P-1 (re-indexed as window cells
-    1..K_P), and components outside the window contribute to no tested cell.
-    The x coordinate of each point is the window start position.
+    the configured cell pair cfg.pair = (n, m): the target mean over all
+    n_bins bins.  A window starting at position p tests bins p .. p+K_P-1
+    (re-indexed as window cells 1..K_P), so its mean is those columns of
+    the one mean, and components outside the window contribute to no
+    tested cell.  The x coordinate of each point is the window start
+    position.
     """
     if n_bins < cfg.k_p:
         raise ValueError("need n_bins >= k_p")
     cov = cfg.covariance()
     steering = cfg.steering()
     alphas = alpha_from_sinr(sinr_db, cov, steering.v_r, cfg.alpha_ratio)
-    vecs = (steering.v_r, steering.v_sr, steering.v_s)
-    points = []
-    for position in range(1, n_bins - cfg.k_p + 2):
-        mean = np.zeros((cfg.n_antennas, cfg.k_p), dtype=np.complex128)
-        for bin_abs, v, a in zip((1, *cfg.pair), vecs, alphas):
-            col = bin_abs - position
-            if 0 <= col < cfg.k_p:
-                mean[:, col] += a * v
-        points.append((position, mean, cov))
+    layout = BinLayout(n=cfg.pair[0], m=cfg.pair[1], window_size=n_bins)
+    bins = target_mean_matrix(TargetParams(alpha=alphas, layout=layout),
+                              steering, n_bins)
+    points = [(position, bins[:, position - 1:position - 1 + cfg.k_p], cov)
+              for position in range(1, n_bins - cfg.k_p + 2)]
     return _sweep(tuple(kinds), cfg, _STAGE_SLIDE, cfg.trials_pd, points,
                   _exceedance(table, cfg, cfg.trials_pd))
 

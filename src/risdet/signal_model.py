@@ -20,6 +20,10 @@ _MASK64 = (1 << 64) - 1
 # Relative asymmetry tolerated before a covariance is rejected as non-Hermitian.
 HERMITIAN_RTOL = 1e-10
 
+# Trials coloured per matrix product in synthesize_batch; the block buffer
+# (about 2 MB at N = 16, K_P + K_S = 30) stays in cache.
+_COLOUR_BLOCK = 256
+
 
 class NotPositiveDefinite(ValueError):
     """Matrix expected to be Hermitian positive definite is not.
@@ -183,13 +187,20 @@ def synthesize_batch(
     index) with the counter and the output buffer reset, which costs far
     less than building a generator per trial.
 
+    Each trial's N x (K_P + K_S) draw lands in one (T, N, K_P + K_S) buffer,
+    which is scaled, coloured and shifted by the mean in place: the
+    coloured draws of a block of _COLOUR_BLOCK trials are written back over
+    it from one reused block buffer.  Every step is per trial, so a trial's
+    data do not depend on the stack around it.
+
     Args:
         mean: mean of the window cells (N x K_P), or None for zero mean.
         m: disturbance covariance (N x N).
         trial_indices: integer array of trial counters.
 
     Returns:
-        (z_p, r) with shapes (T, N, K_P) and (T, N, K_S).
+        (z_p, r) with shapes (T, N, K_P) and (T, N, K_S): the first K_P and
+        the last K_S columns of the one buffer, as views.
     """
     lower = _covariance_factor(m)
     n = lower.shape[0]
@@ -200,22 +211,27 @@ def synthesize_batch(
         raise ValueError(f"need K_S >= N, got K_S={k_s}, N={n}")
     k_tot = k_p + k_s
     t = len(trial_indices)
-    u = np.empty((t, n, k_tot), dtype=np.complex128)
-    raw = u.view(np.float64).reshape(t, n, 2 * k_tot)
-    key = _philox_key(master_seed, 0)
-    bitgen = np.random.Philox(key=key)
+    keys = np.empty((t, 2), dtype=np.uint64)
+    keys[:, 0] = master_seed & _MASK64
+    keys[:, 1] = np.asarray(trial_indices).astype(np.uint64)
+    bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+    key_state = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {"bit_generator": "Philox", "state": key_state,
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for j, trial in enumerate(trial_indices):
-        key[:] = _philox_key(master_seed, int(trial))
-        bitgen.state = state
-        rng.standard_normal(out=raw[j])
-    u *= np.sqrt(0.5)  # unit-variance complex entries
-    d = np.matmul(lower, u)
-    z_p = d[:, :, :k_p]
-    if mean is not None:
-        z_p = z_p + mean
-    return np.ascontiguousarray(z_p), np.ascontiguousarray(d[:, :, k_p:])
+    u = np.empty((t, n, k_tot), dtype=np.complex128)
+    raw = u.view(np.float64).reshape(t, n, 2 * k_tot)
+    coloured = np.empty((min(t, _COLOUR_BLOCK), n, k_tot), dtype=np.complex128)
+    for lo in range(0, t, _COLOUR_BLOCK):
+        hi = min(lo + _COLOUR_BLOCK, t)
+        for j in range(lo, hi):
+            key_state["key"] = keys[j]
+            bitgen.state = state
+            rng.standard_normal(out=raw[j])
+        block = u[lo:hi]
+        block *= np.sqrt(0.5)  # unit-variance complex entries
+        block[...] = np.matmul(lower, block, out=coloured[:hi - lo])
+        if mean is not None:
+            block[:, :, :k_p] += mean
+    return u[:, :, :k_p], u[:, :, k_p:]

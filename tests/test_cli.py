@@ -60,6 +60,27 @@ def test_bad_overrides_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_overrides_may_stand_between_flags(tmp_path, capsys):
+    # A flag between two overrides ends the override positional's run; the
+    # later overrides still apply, in command-line order.
+    rc = main(["link-budget", "model.rho=0.5", "--seed", "3",
+               "experiment.pfa=0.05", "--out-dir", str(tmp_path),
+               "--sigma-points", "2", "experiment.pfa=0.07"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "link_budget_manifest.json").read_text())
+    assert manifest["config"]["model"]["rho"] == 0.5
+    assert manifest["config"]["experiment"]["pfa"] == 0.07
+    assert manifest["master_seed"] == 3
+    # Any other stray token is still an unrecognized argument.
+    for stray in ("stray", "--bogus", "--bogus=1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["link-budget", "model.rho=0.5", "--seed", "3", stray,
+                  "--out-dir", str(tmp_path / "stray")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {stray}" in capsys.readouterr().err
+    assert not (tmp_path / "stray").exists()
+
+
 def test_config_file_errors_exit_2(tmp_path):
     assert main(["scenario-check", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

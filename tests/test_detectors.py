@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import risdet.detectors as det
 from risdet.detectors import (
     BASELINE_KINDS,
+    BatchResult,
     CGlrtConfig,
     DetectorKind,
     NonMonotonic,
@@ -16,10 +19,13 @@ from risdet.detectors import (
 )
 from risdet.geometry import BinLayout
 from risdet.signal_model import (
+    CovarianceModel,
     NotPositiveDefinite,
     SteeringSet,
     TargetParams,
     alpha_from_sinr,
+    build_covariance,
+    synthesize_batch,
     target_mean_matrix,
 )
 
@@ -374,6 +380,44 @@ def test_non_pd_pair_workspace_raises(rng):
     with pytest.raises(NotPositiveDefinite, match="training") as err:
         det._GramWorkspace(z_p, r, steering)
     assert err.value.positions.tolist() == [0]
+    # The front end works in blocks of trials; a singular training set past
+    # the first block is named at its batch position, not its block offset.
+    z_p = rng.standard_normal((700, 3, 4)) + 1j * rng.standard_normal((700, 3, 4))
+    r = rng.standard_normal((700, 3, 5)) + 1j * rng.standard_normal((700, 3, 5))
+    r[600] = 0.0
+    assert 600 >= det._GRAM_BLOCK
+    with pytest.raises(NotPositiveDefinite, match="training") as err:
+        batch_evaluate(z_p, r, steering, ALL_KINDS)
+    assert err.value.positions.tolist() == [600]
+
+
+def test_stack_results_equal_those_of_its_parts():
+    # The whitening front end runs over blocks of trials, and every step is
+    # per trial: a stack must give, field by field and bit for bit, what two
+    # unequal parts of it give on their own.  The lengths 601, 270 and 331
+    # are no multiples of a front-end or colouring block.
+    n, k_p, k_s = 8, 6, 12
+    steering = make_steering(n)
+    cov = build_covariance(CovarianceModel(1.0, 30.0, 0.9, n))
+    mean = target_mean_matrix(
+        TargetParams(alpha=alpha_from_sinr(5.0, cov, steering.v_r),
+                     layout=BinLayout(3, 6, k_p)), steering, k_p)
+    z_p, r = synthesize_batch(mean, cov, k_p, k_s, 8, np.arange(601))
+    parts = (slice(0, 270), slice(270, None))
+    whole = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    split = [batch_evaluate(z_p[s], r[s], steering, ALL_KINDS) for s in parts]
+    for kind in ALL_KINDS:
+        for f in fields(BatchResult):
+            got = getattr(whole[kind], f.name)
+            if got is None:
+                assert all(getattr(p[kind], f.name) is None for p in split)
+            else:
+                assert np.array_equal(got, np.concatenate(
+                    [getattr(p[kind], f.name) for p in split]))
+    gains, update_lds = c_glrt_gain_trace(z_p, r, steering, (3, 6))
+    split = [c_glrt_gain_trace(z_p[s], r[s], steering, (3, 6)) for s in parts]
+    assert np.array_equal(gains, np.concatenate([g for g, _ in split]))
+    assert np.array_equal(update_lds, np.concatenate([u for _, u in split]))
 
 
 def test_batch_baseline_cell_selection(rng):

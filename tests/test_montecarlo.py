@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields, replace
 
@@ -200,6 +201,26 @@ def _plant_nan(monkeypatch, counter, block):
         (z_p if block == "z_p" else r)[hit, 0, 1] = np.nan
         return z_p, r
     monkeypatch.setattr(mc, "synthesize_batch", planted)
+
+
+def test_chunk_memory_stays_near_its_data_buffer():
+    # One chunk of the default model: synthesis colours its one
+    # (T, N, K_P + K_S) buffer in place, and the whitening front end works
+    # in blocks of trials, so drawing and evaluating the chunk with every
+    # detector peaks under 1.75 times that buffer.
+    cfg = ExperimentConfig()
+    idx = mc._trial_block(mc._STAGE_CAL, 0, mc._CHUNK)
+    data_bytes = idx.size * cfg.n_antennas * (cfg.k_p + cfg.k_s) * 16
+    tracemalloc.start()
+    try:
+        z_p, r = synthesize_batch(None, cfg.covariance(), cfg.k_p, cfg.k_s,
+                                  cfg.master_seed, idx)
+        batch_evaluate(z_p, r, cfg.steering(), ALL_KINDS, cfg.cglrt,
+                       cfg.baseline_cell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * data_bytes
 
 
 def test_numerical_failure_names_its_trial_counter(monkeypatch):

@@ -153,6 +153,34 @@ def test_rekeyed_draws_equal_trial_rng(counters):
         assert np.array_equal(r[j], want[:, k_p:])
 
 
+@pytest.mark.parametrize("with_mean", [False, True])
+def test_synthesis_equals_one_shot_colouring(with_mean):
+    # synthesize_batch colours its one buffer block by block, in place; the
+    # data must equal trial_rng's draws coloured by one product over the
+    # whole stack.  701 trials is no multiple of a colouring block.
+    n, k_p, k_s, seed, trials = 8, 5, 9, 21, 701
+    steering = SteeringSet.from_angles(0.5, -0.4, n)
+    m = build_covariance(CovarianceModel(1.0, 10.0, 0.8, n))
+    mean = None
+    if with_mean:
+        mean = target_mean_matrix(
+            TargetParams(alpha=alpha_from_sinr(5.0, m, steering.v_r),
+                         layout=BinLayout(2, 4, k_p)), steering, k_p)
+    counters = np.arange(3 << 28, (3 << 28) + trials, dtype=np.uint64)
+    z_p, r = synthesize_batch(mean, m, k_p, k_s, seed, counters)
+    draws = np.stack([
+        trial_rng(seed, int(c)).standard_normal((n, 2 * (k_p + k_s)))
+        for c in counters]).view(np.complex128) * np.sqrt(0.5)
+    want = np.matmul(np.linalg.cholesky(m), draws)
+    if mean is not None:
+        want[:, :, :k_p] += mean
+    assert np.array_equal(z_p, want[:, :, :k_p])
+    assert np.array_equal(r, want[:, :, k_p:])
+    # Both blocks are views of the one (T, N, K_P + K_S) buffer.
+    assert z_p.base is not None and z_p.base is r.base
+    assert z_p.base.shape == (trials, n, k_p + k_s)
+
+
 def test_h0_columns_are_zero_mean():
     """Statistical check: sample mean of 1e4 draws within 5 sigma of zero."""
     n, k_p, k_s, trials = 4, 3, 8, 10_000
