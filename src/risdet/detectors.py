@@ -132,6 +132,9 @@ def _warn_if_degenerate_steering(steering: SteeringSet) -> None:
     derivations but never needed by the final statistics; flag near-parallel
     signatures so the user can interpret amplitude estimates with care."""
     def cos2(a: np.ndarray, b: np.ndarray) -> float:
+        # At unit peak first: the Monte Carlo engine passes steering vectors
+        # whitened by the covariance factor, whose squares can overflow.
+        a, b = a / np.abs(a).max(), b / np.abs(b).max()
         num = abs(np.vdot(a, b)) ** 2
         den = np.vdot(a, a).real * np.vdot(b, b).real
         return num / den
@@ -536,8 +539,9 @@ def batch_evaluate(
         c = baseline_cell - 1
         if not 0 <= c < k_p:
             raise ValueError(f"baseline cell {baseline_cell} outside window")
-        num = np.abs(ws.g[ws.iu[0], c]) ** 2
         den_v = ws.g[ws.iu[0], ws.iu[0]].real
+        _require_positive("v_R† S_S^-1 v_R", den_v)
+        num = np.abs(ws.g[ws.iu[0], c]) ** 2
         if DetectorKind.AMF in kinds:
             out[DetectorKind.AMF] = BatchResult(statistic=num / den_v)
         if DetectorKind.KELLY in kinds:

@@ -9,9 +9,12 @@ master seed regardless of chunking or worker scheduling.  Every curve runs
 through one loop (`_sweep`) over a list of (x, mean, cov) points, each
 reduced to an exceedance rate or a pair RMSE.  Calibration, the curves and
 the convergence traces all schedule their (point, chunk) tasks through
-`_per_point`, on one process pool per call when threads > 1.  A numerical
-failure in a chunk is re-raised naming the counter of its first failing
-trial.
+`_per_point`, on one process pool per call when threads > 1.  Each point
+is whitened once by its covariance factor before its chunks run, so a
+chunk draws white trials around the whitened mean and tests them against
+the whitened steering vectors: every statistic is invariant under that
+change of array basis, and no trial is coloured.  A numerical failure in a
+chunk is re-raised naming the counter of its first failing trial.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .signal_model import (
     clutter_power_from_cnr,
     synthesize_batch,
     target_mean_matrix,
+    whiten,
 )
 
 ALL_KINDS = tuple(DetectorKind)
@@ -109,6 +113,10 @@ class ExperimentConfig:
             raise ValueError("rho must lie in [0, 1)")
         if self.noise_power <= 0:
             raise ValueError("noise_power must be positive")
+        try:
+            clutter_power_from_cnr(self.cnr_db, self.noise_power)
+        except ValueError as err:
+            raise ValueError(f"cnr_db: {err}") from None
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not 1 <= self.baseline_cell <= self.k_p:
@@ -266,23 +274,29 @@ def _naming_trial(cfg: ExperimentConfig, indices: np.ndarray) -> Iterator[None]:
             f"{cfg.master_seed}") from err
 
 
+def _white_trials(cfg: ExperimentConfig, mean: np.ndarray | None,
+                  indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk's trials in the whitened frame: covariance I around the
+    whitened mean, so synthesis colours nothing."""
+    return synthesize_batch(mean, np.eye(cfg.n_antennas), cfg.k_p, cfg.k_s,
+                            cfg.master_seed, indices)
+
+
 def _eval_chunk(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
-                mean: np.ndarray | None, cov: np.ndarray,
+                mean: np.ndarray | None, steering: SteeringSet,
                 indices: np.ndarray) -> dict[DetectorKind, BatchResult]:
     with _naming_trial(cfg, indices):
-        z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s,
-                                  cfg.master_seed, indices)
-        return batch_evaluate(z_p, r, cfg.steering(), kinds, cfg.cglrt,
+        z_p, r = _white_trials(cfg, mean, indices)
+        return batch_evaluate(z_p, r, steering, kinds, cfg.cglrt,
                               cfg.baseline_cell)
 
 
 def _trace_chunk(cfg: ExperimentConfig, pair: tuple[int, int],
-                 mean: np.ndarray | None, cov: np.ndarray,
+                 mean: np.ndarray | None, steering: SteeringSet,
                  indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with _naming_trial(cfg, indices):
-        z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s,
-                                  cfg.master_seed, indices)
-        return c_glrt_gain_trace(z_p, r, cfg.steering(), pair, cfg.cglrt)
+        z_p, r = _white_trials(cfg, mean, indices)
+        return c_glrt_gain_trace(z_p, r, steering, pair, cfg.cglrt)
 
 
 def _concat_results(
@@ -303,20 +317,25 @@ def _per_point(
     trials: int,
     points: Sequence[tuple[object, np.ndarray | None, np.ndarray]],
 ) -> Iterator[list]:
-    """Run fn(cfg, key, mean, cov, chunk) on every chunk of every point.
+    """Run fn(cfg, key, mean, steering, chunk) on every chunk of every point.
 
     Point j = (key, mean, cov) draws `trials` trials from counter block
     (stage, j), cut into _CHUNK slices; with cfg.threads > 1 the chunks of
-    all points share one process pool.  Yields each point's chunk outputs
-    in trial order, point by point, so a caller can reduce and drop one
-    point's results before it takes the next.  fn is pickled by name and
-    reaches the synthesis and detectors through this module's globals.
+    all points share one process pool.  Each point is whitened here, once,
+    and fn gets its whitened mean and steering vectors.  Yields each
+    point's chunk outputs in trial order, point by point, so a caller can
+    reduce and drop one point's results before it takes the next.  fn is
+    pickled by name and reaches the synthesis and detectors through this
+    module's globals.
     """
     starts = range(0, trials, _CHUNK)
+    steering = cfg.steering()
     tasks = []
     for j, (key, mean, cov) in enumerate(points):
         idx = _trial_block(stage, j, trials)
-        tasks += [(cfg, key, mean, cov, idx[i:i + _CHUNK]) for i in starts]
+        mean_w, steering_w = whiten(cov, mean, steering)
+        tasks += [(cfg, key, mean_w, steering_w, idx[i:i + _CHUNK])
+                  for i in starts]
     pool = (ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks)))
             if cfg.threads > 1 and len(tasks) > 1 else None)
     with pool or contextlib.nullcontext():

@@ -4,11 +4,15 @@ The window under test holds K_P cells: cell 1 may carry the direct echo
 (signature v_R), cell n the single-bounce echo (v_SR = v_S + v_R in the
 spatial-only setup), and cell m the double-bounce echo (v_S).  K_S training
 vectors are always target free.  Disturbance is colored complex Gaussian
-noise drawn by Cholesky coloring.
+noise drawn by Cholesky coloring.  The Monte Carlo engine skips the
+coloring: it draws white trials and maps the mean and the steering vectors
+through the inverse factor instead (`whiten`), which leaves every statistic
+unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +111,15 @@ class CovarianceModel:
 
 
 def clutter_power_from_cnr(cnr_db: float, noise_power: float = 1.0) -> float:
-    return noise_power * 10.0 ** (cnr_db / 10.0)
+    """sigma_c^2 = sigma_n^2 10^(CNR / 10); ValueError unless it is finite."""
+    try:
+        power = noise_power * 10.0 ** (float(cnr_db) / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise ValueError(f"CNR {cnr_db!r} dB at noise power {noise_power!r} "
+                         "gives a clutter power beyond the float range")
+    return power
 
 
 def build_covariance(model: CovarianceModel) -> np.ndarray:
@@ -139,6 +151,25 @@ def alpha_from_sinr(
     qf = np.sum(np.conj(w) * w).real
     alpha_1 = np.sqrt(10.0 ** (sinr_db / 10.0) / qf)
     return (complex(alpha_1), complex(ratio * alpha_1), complex(ratio * alpha_1))
+
+
+def whiten(m: np.ndarray, mean: np.ndarray | None,
+           steering: SteeringSet) -> tuple[np.ndarray | None, SteeringSet]:
+    """The mean and the steering vectors seen through L^-1, L the lower
+    Cholesky factor of the covariance m.
+
+    Every statistic is a function of X† S_S^-1 X, X = [Z_P, v_R, v_SR, v_S],
+    and an invertible map A of the array space leaves it unchanged:
+    (AX)† (A S_S A†)^-1 (AX) = X† S_S^-1 X.  With A = L^-1 the disturbance
+    is white, so a trial drawn with covariance I around L^-1 mean and tested
+    against L^-1 v gives the statistics of the coloured trial.
+    """
+    lower = _covariance_factor(m)
+    cols = [steering.v_r, steering.v_sr, steering.v_s]
+    w = np.linalg.solve(lower, np.column_stack(
+        cols if mean is None else [*cols, mean]))
+    return (None if mean is None else w[:, 3:],
+            SteeringSet(v_r=w[:, 0], v_sr=w[:, 1], v_s=w[:, 2]))
 
 
 def _philox_key(master_seed: int, trial_index: int) -> np.ndarray:
@@ -185,13 +216,16 @@ def synthesize_batch(
     The streams are those of trial_rng, drawn through one generator per call:
     before each trial its Philox state is re-keyed to (master_seed, trial
     index) with the counter and the output buffer reset, which costs far
-    less than building a generator per trial.
+    less than building a generator per trial.  The state is set from Python
+    ints, which the setter takes faster than numpy arrays.
 
     Each trial's N x (K_P + K_S) draw lands in one (T, N, K_P + K_S) buffer,
     which is scaled, coloured and shifted by the mean in place: the
     coloured draws of a block of _COLOUR_BLOCK trials are written back over
-    it from one reused block buffer.  Every step is per trial, so a trial's
-    data do not depend on the stack around it.
+    it from one reused block buffer.  When the factor of m is the identity
+    the product is skipped; colouring by I is exact, so the data are the
+    same.  Every step is per trial, so a trial's data do not depend on the
+    stack around it.
 
     Args:
         mean: mean of the window cells (N x K_P), or None for zero mean.
@@ -211,27 +245,29 @@ def synthesize_batch(
         raise ValueError(f"need K_S >= N, got K_S={k_s}, N={n}")
     k_tot = k_p + k_s
     t = len(trial_indices)
-    keys = np.empty((t, 2), dtype=np.uint64)
-    keys[:, 0] = master_seed & _MASK64
-    keys[:, 1] = np.asarray(trial_indices).astype(np.uint64)
+    counters = np.asarray(trial_indices).astype(np.uint64).tolist()
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    key_state = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    key = [master_seed & _MASK64, 0]
+    key_state = {"counter": [0, 0, 0, 0], "key": key}
     state = {"bit_generator": "Philox", "state": key_state,
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     u = np.empty((t, n, k_tot), dtype=np.complex128)
     raw = u.view(np.float64).reshape(t, n, 2 * k_tot)
-    coloured = np.empty((min(t, _COLOUR_BLOCK), n, k_tot), dtype=np.complex128)
+    white = np.array_equal(lower, np.eye(n))
+    coloured = None if white else np.empty(
+        (min(t, _COLOUR_BLOCK), n, k_tot), dtype=np.complex128)
     for lo in range(0, t, _COLOUR_BLOCK):
         hi = min(lo + _COLOUR_BLOCK, t)
         for j in range(lo, hi):
-            key_state["key"] = keys[j]
+            key[1] = counters[j]
             bitgen.state = state
             rng.standard_normal(out=raw[j])
         block = u[lo:hi]
         block *= np.sqrt(0.5)  # unit-variance complex entries
-        block[...] = np.matmul(lower, block, out=coloured[:hi - lo])
+        if not white:
+            block[...] = np.matmul(lower, block, out=coloured[:hi - lo])
         if mean is not None:
             block[:, :, :k_p] += mean
     return u[:, :, :k_p], u[:, :, k_p:]

@@ -247,6 +247,42 @@ def test_failing_trial_exits_3_with_its_counter(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (["calibrate", "model.cnr_db=4000"], "bad experiment configuration: cnr_db"),
+    (["cfar-sweep", "--axis", "cnr", "--values", "25,4000"],
+     "bad --values for axis cnr"),
+])
+def test_overflowing_cnr_exits_2(argv, setting, tmp_path, capsys,
+                                 monkeypatch):
+    # 10^400 is beyond the float range: the clutter power cannot be built,
+    # which is a bad setting, not a numerical failure.
+    _forbid_trials(monkeypatch)
+    rc = main([argv[0], "--out-dir", str(tmp_path), *SMALL_MODEL, *SMALL_CAL,
+               *argv[1:]])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {setting}") and "Traceback" not in err
+    assert "4000" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_baseline_statistics_exit_3(tmp_path, capsys):
+    # At noise power 1e-320 the whitened v_R has entries near 1e160, so
+    # v_R† S_S^-1 v_R overflows in every trial; Kelly and the AMF divide by
+    # it, and the run stops at the first trial instead of calibrating on
+    # NaN statistics.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["calibrate", "--out-dir", str(tmp_path), "--seed", "5",
+                   "--detectors", "kelly,amf", "model.noise_power=1e-320",
+                   *SMALL_MODEL, *SMALL_CAL])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: NotPositiveDefinite: "
+                          "v_R† S_S^-1 v_R")
+    assert "counter 0 (stage 0, point 0, offset 0) under master seed 5" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_window_too_small_exits_3(tmp_path, capsys):
     rc = main(["calibrate", "--out-dir", str(tmp_path), "model.k_p=5"])
     assert rc == 3

@@ -507,6 +507,24 @@ def test_unitary_change_of_basis_leaves_statistics_invariant(n, k_p, extra,
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @_FEW
 @given(**_SHAPES)
+def test_lower_triangular_change_of_basis_leaves_statistics_invariant(
+        n, k_p, extra, seed):
+    """z, r, v -> Az, Ar, Av for an invertible A keeps X† S_S^-1 X, so all
+    seven statistics and the chosen pairs stay put.  A is lower triangular,
+    like the inverse covariance factor that whitens the Monte Carlo points,
+    with diagonal moduli in [0.5, 2] and small off-diagonal entries, so it
+    is well conditioned."""
+    rng, z_p, r, steering = _random_stack(n, k_p, extra, seed)
+    diag = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    a = np.diag(diag) + np.tril(_complex(rng, n, n), -1) * (0.3 / n)
+    mapped = SteeringSet(a @ steering.v_r, a @ steering.v_sr, a @ steering.v_s)
+    _assert_same_outcomes(batch_evaluate(a @ z_p, a @ r, mapped, ALL_KINDS),
+                          batch_evaluate(z_p, r, steering, ALL_KINDS))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES)
 def test_training_permutation_leaves_statistics_invariant(n, k_p, extra, seed):
     """S_S sums over the training columns, so their order does not matter."""
     rng, z_p, r, steering = _random_stack(n, k_p, extra, seed)

@@ -223,6 +223,44 @@ def test_chunk_memory_stays_near_its_data_buffer():
     assert peak < 1.75 * data_bytes
 
 
+@pytest.mark.parametrize("sinr_db", [None, 20.0])
+def test_whitened_chunk_matches_coloured_trials(sinr_db):
+    # A chunk draws white trials around the whitened mean and tests them
+    # against the whitened steering vectors.  On the same counters, every
+    # statistic must agree with the coloured trials tested against the
+    # steering vectors themselves, and every pair and iteration count must
+    # be equal.  700 trials span several synthesis and whitening blocks.
+    cfg = ExperimentConfig()
+    cov, steering = cfg.covariance(), cfg.steering()
+    mean = (None if sinr_db is None
+            else mc._h1_mean(cfg, cov, steering, sinr_db))
+    idx = mc._trial_block(mc._STAGE_PD, 0, 700)
+    z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s, cfg.master_seed,
+                              idx)
+    want = batch_evaluate(z_p, r, steering, ALL_KINDS, cfg.cglrt,
+                          cfg.baseline_cell)
+    ((got,),) = mc._per_point(mc._eval_chunk, cfg, mc._STAGE_PD, 700,
+                              [(ALL_KINDS, mean, cov)])
+    for kind in ALL_KINDS:
+        assert got[kind].statistic == pytest.approx(want[kind].statistic,
+                                                    rel=1e-10, abs=0)
+        for name in ("n_hat", "m_hat", "iterations"):
+            a, b = getattr(got[kind], name), getattr(want[kind], name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_tiny_noise_power_leaves_thresholds_alone():
+    # Scaling the covariance by 1e-300 scales the whitened steering vectors
+    # by 1e150 and leaves the white trials as they are; every statistic is
+    # invariant to that, and no step may overflow on the way (warnings are
+    # errors here).
+    tiny = replace(TINY, noise_power=1e-300)
+    base = calibrate_thresholds(TINY, ALL_KINDS)
+    scaled = calibrate_thresholds(tiny, ALL_KINDS)
+    for kind in ALL_KINDS:
+        assert scaled[kind] == pytest.approx(base[kind], rel=1e-9)
+
+
 def test_numerical_failure_names_its_trial_counter(monkeypatch):
     # The failing trial sits in the middle of the second of several chunks;
     # the error names its absolute counter and the block it decodes to.

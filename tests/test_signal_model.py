@@ -13,6 +13,7 @@ from risdet.signal_model import (
     synthesize_batch,
     target_mean_matrix,
     trial_rng,
+    whiten,
 )
 
 
@@ -59,6 +60,13 @@ def test_covariance_white_clutter():
 def test_clutter_power_from_cnr():
     assert clutter_power_from_cnr(25.0) == pytest.approx(10.0 ** 2.5)
     assert clutter_power_from_cnr(0.0, noise_power=2.0) == pytest.approx(2.0)
+    # A clutter power beyond the float range is rejected; one that
+    # underflows to zero is a clutter-free model.
+    with pytest.raises(ValueError, match="beyond the float range"):
+        clutter_power_from_cnr(4000.0)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        clutter_power_from_cnr(100.0, noise_power=1e300)
+    assert clutter_power_from_cnr(-4000.0) == 0.0
 
 
 def test_covariance_case_study_entries():
@@ -179,6 +187,47 @@ def test_synthesis_equals_one_shot_colouring(with_mean):
     # Both blocks are views of the one (T, N, K_P + K_S) buffer.
     assert z_p.base is not None and z_p.base is r.base
     assert z_p.base.shape == (trials, n, k_p + k_s)
+
+
+def test_identity_factor_skips_colouring_bit_for_bit():
+    # At M = I synthesize_batch skips the product; its data must equal the
+    # draws coloured by the identity and shifted by the mean, bit for bit.
+    # 300 trials span two colouring blocks.
+    n, k_p, k_s, seed, trials = 5, 4, 7, 33, 300
+    steering = SteeringSet.from_angles(0.5, -0.4, n)
+    mean = target_mean_matrix(
+        TargetParams(alpha=(0.7, 7.0, 7.0), layout=BinLayout(2, 4, k_p)),
+        steering, k_p)
+    counters = np.arange(5 << 28, (5 << 28) + trials, dtype=np.uint64)
+    z_p, r = synthesize_batch(mean, np.eye(n), k_p, k_s, seed, counters)
+    draws = np.stack([
+        trial_rng(seed, int(c)).standard_normal((n, 2 * (k_p + k_s)))
+        for c in counters]).view(np.complex128) * np.sqrt(0.5)
+    want = np.matmul(np.eye(n, dtype=np.complex128), draws)
+    want[:, :, :k_p] += mean
+    assert np.array_equal(z_p, want[:, :, :k_p])
+    assert np.array_equal(r, want[:, :, k_p:])
+
+
+def test_whiten_maps_mean_and_steering_through_the_factor():
+    n, k_p = 6, 5
+    steering = SteeringSet.from_angles(0.5, -0.4, n)
+    m = build_covariance(CovarianceModel(1.0, 30.0, 0.9, n))
+    mean = target_mean_matrix(
+        TargetParams(alpha=alpha_from_sinr(3.0, m, steering.v_r),
+                     layout=BinLayout(2, 5, k_p)), steering, k_p)
+    lower = np.linalg.cholesky(m)
+    mean_w, steering_w = whiten(m, mean, steering)
+    assert np.allclose(lower @ mean_w, mean, rtol=0, atol=1e-12)
+    for got, v in zip((steering_w.v_r, steering_w.v_sr, steering_w.v_s),
+                      (steering.v_r, steering.v_sr, steering.v_s)):
+        assert np.allclose(lower @ got, v, rtol=0, atol=1e-12)
+    # The whitened v_R carries the SINR's quadratic form v_R† M^-1 v_R.
+    qf = np.vdot(steering.v_r, np.linalg.solve(m, steering.v_r)).real
+    assert np.vdot(steering_w.v_r, steering_w.v_r).real == \
+        pytest.approx(qf, rel=1e-12)
+    no_mean, same = whiten(m, None, steering)
+    assert no_mean is None and np.array_equal(same.v_s, steering_w.v_s)
 
 
 def test_h0_columns_are_zero_mean():
