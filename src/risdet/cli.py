@@ -19,11 +19,18 @@ import dataclasses
 import datetime
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
+# risdet's parallelism is the --threads process pool, and its matrices are a
+# few tens of columns wide, so a BLAS thread pool only costs CPU.  OpenBLAS
+# reads this when numpy loads, which is next; forked workers inherit it.  A
+# value the user has set stands.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the BLAS setting)
 
 from . import __version__
 from .detectors import (
@@ -424,8 +431,7 @@ def _cmd_pd_curve(doc, opts):
     cfg = experiment_config(doc)
     _require_sinr_grid(cfg)
     kinds = _parse_detectors(opts["detectors"])
-    table = calibrate_thresholds(cfg, kinds)
-    curves = pd_curves(kinds, table, cfg)
+    curves = pd_curves(kinds, None, cfg)
     for kind in kinds:
         top = curves[kind][-1]
         print(f"{kind.value:>14s}  P_d({top.x:+.0f} dB) = {top.estimate:.3f}")
@@ -442,8 +448,7 @@ def _cmd_cfar_sweep(doc, opts):
             cfg.covariance(**{"cnr_db" if axis == "cnr" else "rho": v})
     except ValueError as err:
         raise ConfigError(f"bad --values for axis {axis}: {err}") from err
-    table = calibrate_thresholds(cfg, kinds)
-    curves = cfar_sweeps(kinds, table, axis, values, cfg)
+    curves = cfar_sweeps(kinds, None, axis, values, cfg)
     worst = max(abs(p.estimate / cfg.pfa - 1.0)
                 for pts in curves.values() for p in pts)
     print(f"axis={axis}  points={len(values)}  "
@@ -493,8 +498,7 @@ def _cmd_sliding_window(doc, opts):
     if opts["n_bins"] < cfg.k_p:
         raise ConfigError(
             f"n_bins must be >= k_p = {cfg.k_p}, got {opts['n_bins']}")
-    table = calibrate_thresholds(cfg, kinds)
-    curves = sliding_window(kinds, table, cfg, n_bins=opts["n_bins"],
+    curves = sliding_window(kinds, None, cfg, n_bins=opts["n_bins"],
                             sinr_db=opts["sinr"])
     for kind in kinds:
         drop = next((p.x for p in curves[kind] if p.estimate < 0.5), None)

@@ -33,9 +33,12 @@ elementwise arithmetic on such arrays or one batched product:
   (`c_glrt_gain_trace`) run the same step.
 
 A pivot or capacitance determinant that is not positive and finite raises
-NotPositiveDefinite naming the batch positions of the failing trials.  The
-test suite checks the route, statistic by statistic, against the
-explicit-inverse oracles in tests/oracles.py.
+NotPositiveDefinite naming the batch positions of the failing trials.  Those
+checks decide, so the algebra runs with numpy's overflow, invalid-value and
+division warnings off (`_quiet`): an overflowing entry surfaces as one
+named failure, not as warnings followed by it.  The test suite checks the
+route, statistic by statistic, against the explicit-inverse oracles in
+tests/oracles.py.
 
 All det-ratio statistics are computed as exp of log-determinant differences.
 """
@@ -58,6 +61,10 @@ from .signal_model import NotPositiveDefinite, SteeringSet
 # it while genuine ascent bugs produce decreases on the order of the gains
 # themselves.
 MONOTONE_SLACK = 1e-8
+
+# The engine's entry points run their algebra under this: every inf or NaN
+# it can make reaches a pivot that _require_positive checks.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 # Trials per block of the whitening front end of _GramWorkspace: its block
 # buffers stay a few MB whatever the stack length.
@@ -279,7 +286,8 @@ class _GramWorkspace:
         # baseline ingredients), indexed [steering vector, cell]:
         # num[v, c] = |u_v† c|^2, den[v] = u_v† u_v.
         gvc = self.g[k_p:, :k_p]
-        den = np.real(self.g[self.iu, self.iu])[:, None]
+        self.steer_norms = np.real(self.g[self.iu, self.iu])
+        den = self.steer_norms[:, None]
         self.km1_terms = np.abs(gvc) ** 2 / den
         self.alpha_ss = gvc / den
         self.cell_energy = np.real(self.g[range(k_p), range(k_p)])
@@ -322,6 +330,13 @@ def _require_positive(what: str, *pivots: np.ndarray,
             raise NotPositiveDefinite(
                 f"{what} is not positive definite in {pos.size} trial(s), "
                 f"first at batch position {pos[0]}", positions=pos)
+
+
+def _require_steering_norms(through: str, *norms: np.ndarray) -> None:
+    """_require_positive on v† M^-1 v for v = v_R, v_SR, v_S in turn, as
+    many as are given, with M named by `through`."""
+    for name, norm in zip(("v_R", "v_SR", "v_S"), norms):
+        _require_positive(f"{name}† {through}^-1 {name}", norm)
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -454,6 +469,7 @@ def _cyclic_batch(
     return ld_final, iters, update_lds
 
 
+@_quiet
 def c_glrt_gain_trace(
     z_p: np.ndarray,
     r: np.ndarray,
@@ -486,6 +502,7 @@ def c_glrt_gain_trace(
     return gains, update_lds
 
 
+@_quiet
 def bounded_cfar_bounds(
     z_p: np.ndarray, r: np.ndarray, steering: SteeringSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -509,6 +526,7 @@ def bounded_cfar_bounds(
     return det_bound, km1_bound
 
 
+@_quiet
 def batch_evaluate(
     z_p: np.ndarray,
     r: np.ndarray,
@@ -539,8 +557,8 @@ def batch_evaluate(
         c = baseline_cell - 1
         if not 0 <= c < k_p:
             raise ValueError(f"baseline cell {baseline_cell} outside window")
-        den_v = ws.g[ws.iu[0], ws.iu[0]].real
-        _require_positive("v_R† S_S^-1 v_R", den_v)
+        den_v = ws.steer_norms[0]
+        _require_steering_norms("S_S", den_v)
         num = np.abs(ws.g[ws.iu[0], c]) ** 2
         if DetectorKind.AMF in kinds:
             out[DetectorKind.AMF] = BatchResult(statistic=num / den_v)
@@ -574,6 +592,8 @@ def batch_evaluate(
     # km-1 reads only the matched-filter terms against S_S; every other
     # window detector needs the pair workspace.
     need_pair = any(k is not DetectorKind.EP_GLRT_KM_1 for k in window_kinds)
+    if DetectorKind.EP_GLRT_KM_1 in window_kinds:
+        _require_steering_norms("S_S", *ws.steer_norms)
     for n, m in candidate_pairs(k_p):
         if DetectorKind.EP_GLRT_KM_1 in window_kinds:
             val = (ws.km1_terms[0, 0]
@@ -585,9 +605,11 @@ def batch_evaluate(
         h, ld_ex, _ = ws.pair_state(n, m)
 
         if DetectorKind.EP_GLRT_KM_2 in window_kinds:
-            val = (np.abs(h[_UR, _Z1]) ** 2 / h[_UR, _UR].real
-                   + np.abs(h[_USR, _ZN]) ** 2 / h[_USR, _USR].real
-                   + np.abs(h[_US, _ZM]) ** 2 / h[_US, _US].real)
+            norms = [h[s, s].real for s in (_UR, _USR, _US)]
+            _require_steering_norms("S_{n,m}", *norms)
+            val = (np.abs(h[_UR, _Z1]) ** 2 / norms[0]
+                   + np.abs(h[_USR, _ZN]) ** 2 / norms[1]
+                   + np.abs(h[_US, _ZM]) ** 2 / norms[2])
             keep_max(DetectorKind.EP_GLRT_KM_2, val, n, m)
 
         if DetectorKind.EP_GLRT_KA in window_kinds:

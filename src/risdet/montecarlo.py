@@ -5,16 +5,20 @@ clutter parameters, pair-index RMSE, cyclic-ascent convergence traces, and
 the sliding-window study.  Trials are keyed by (master_seed, trial_index)
 counter pairs; each experiment stage and grid point owns a disjoint block of
 trial indices, so every estimate is reproducible bit-for-bit under a fixed
-master seed regardless of chunking or worker scheduling.  Every curve runs
-through one loop (`_sweep`) over a list of (x, mean, cov) points, each
-reduced to an exceedance rate or a pair RMSE.  Calibration, the curves and
-the convergence traces all schedule their (point, chunk) tasks through
-`_per_point`, on one process pool per call when threads > 1.  Each point
-is whitened once by its covariance factor before its chunks run, so a
-chunk draws white trials around the whitened mean and tests them against
-the whitened steering vectors: every statistic is invariant under that
-change of array basis, and no trial is coloured.  A numerical failure in a
-chunk is re-raised naming the counter of its first failing trial.
+master seed regardless of chunking or worker scheduling.  Every run is one
+schedule (`_per_point`): a list of points, each with its own counter block,
+whose chunks go to one process pool when threads > 1.  A curve that is not
+handed its thresholds puts the calibration block first in its own schedule,
+so calibration and curve chunks share the pool with no barrier between
+them.  Chunks are reduced as early as the information allows: a
+calibration chunk to each detector's largest statistics, from which the
+exact threshold merges, and a curve chunk, in the launching process, to
+exceedance counts or integer sums of squared pair errors.  Each point is
+whitened once by its covariance factor before its chunks run, so a chunk
+draws white trials around the whitened mean and tests them against the
+whitened steering vectors: every statistic is invariant under that change
+of array basis, and no trial is coloured.  A numerical failure in a chunk
+is re-raised naming the counter of its first failing trial.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import csv
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -222,27 +226,35 @@ def binomial_stderr(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
-def threshold_from_stats(stats: np.ndarray, pfa: float) -> float:
-    """Empirical threshold: order statistic at 1-based index ceil((1-pfa) T).
+def _threshold_index(pfa: float, trials: int) -> int:
+    """1-based index, in ascending order, of the threshold among `trials`
+    statistics: ceil((1 - pfa) trials).
 
     Matches the exceedance rule "declare when statistic > eta"; the index
     convention rounds toward the conservative (larger) threshold.
     """
+    return math.ceil((1.0 - pfa) * trials)
+
+
+def threshold_from_stats(stats: np.ndarray, pfa: float) -> float:
+    """Empirical threshold: order statistic at 1-based index ceil((1-pfa) T)."""
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must lie in (0, 1)")
     stats = np.asarray(stats, dtype=float)
     if stats.ndim != 1 or stats.size == 0:
         raise ValueError("stats must be a nonempty 1-d array")
-    idx = math.ceil((1.0 - pfa) * stats.size)
-    return float(np.sort(stats)[idx - 1])
+    return float(np.sort(stats)[_threshold_index(pfa, stats.size) - 1])
 
 
-def rmse_from_estimates(
-    n_hat: np.ndarray, m_hat: np.ndarray, true_n: int, true_m: int
-) -> tuple[float, float]:
-    rmse_n = float(np.sqrt(np.mean((np.asarray(n_hat) - true_n) ** 2.0)))
-    rmse_m = float(np.sqrt(np.mean((np.asarray(m_hat) - true_m) ** 2.0)))
-    return rmse_n, rmse_m
+def _largest(stats: np.ndarray, k: int) -> np.ndarray:
+    """The k largest of stats in no set order; all of them if no more."""
+    return stats if stats.size <= k else np.partition(stats, -k)[-k:]
+
+
+def _kth_largest(parts: Iterable[np.ndarray], k: int) -> float:
+    """The k-th largest statistic of a batch cut into parts, from each
+    part's `_largest(part, k)`: the k largest of the batch are among them."""
+    return float(np.sort(np.concatenate(list(parts)))[-k])
 
 
 def _trial_block(stage: int, point: int, count: int) -> np.ndarray:
@@ -299,55 +311,94 @@ def _trace_chunk(cfg: ExperimentConfig, pair: tuple[int, int],
         return c_glrt_gain_trace(z_p, r, steering, pair, cfg.cglrt)
 
 
-def _concat_results(
-    parts: list[dict[DetectorKind, BatchResult]],
-    kinds: tuple[DetectorKind, ...],
-) -> dict[DetectorKind, BatchResult]:
-    """Each kind's chunk results joined field by field; None stays None."""
-    return {kind: BatchResult(**{
-        f.name: None if getattr(parts[0][kind], f.name) is None
-        else np.concatenate([getattr(p[kind], f.name) for p in parts])
-        for f in fields(BatchResult)}) for kind in kinds}
+class _Point(NamedTuple):
+    """One point of a schedule: fn(cfg, key, mean, steering, chunk) runs on
+    every chunk of the `trials` counters of block (stage, index)."""
+
+    fn: Callable
+    stage: int
+    index: int
+    trials: int
+    key: object
+    mean: np.ndarray | None
+    cov: np.ndarray
 
 
-def _per_point(
-    fn: Callable,
-    cfg: ExperimentConfig,
-    stage: int,
-    trials: int,
-    points: Sequence[tuple[object, np.ndarray | None, np.ndarray]],
-) -> Iterator[list]:
-    """Run fn(cfg, key, mean, steering, chunk) on every chunk of every point.
+def _call(fn: Callable, *args):
+    return fn(*args)
 
-    Point j = (key, mean, cov) draws `trials` trials from counter block
-    (stage, j), cut into _CHUNK slices; with cfg.threads > 1 the chunks of
-    all points share one process pool.  Each point is whitened here, once,
-    and fn gets its whitened mean and steering vectors.  Yields each
-    point's chunk outputs in trial order, point by point, so a caller can
-    reduce and drop one point's results before it takes the next.  fn is
-    pickled by name and reaches the synthesis and detectors through this
-    module's globals.
+
+def _per_point(cfg: ExperimentConfig,
+               points: Sequence[_Point]) -> Iterator[Iterator]:
+    """Run every point's fn on every chunk of its counter block.
+
+    Each block is cut into _CHUNK slices, and with cfg.threads > 1 the
+    chunks of all points share one process pool, no wider than the task
+    list.  Each point is whitened here, once, and fn gets its whitened mean
+    and steering vectors.  Yields, point by point, an iterator over that
+    point's chunk outputs in trial order; the caller takes each one to its
+    end before it asks for the next, and can reduce each output as it
+    arrives.  fn is pickled by name and reaches the synthesis and detectors
+    through this module's globals.
     """
-    starts = range(0, trials, _CHUNK)
     steering = cfg.steering()
-    tasks = []
-    for j, (key, mean, cov) in enumerate(points):
-        idx = _trial_block(stage, j, trials)
-        mean_w, steering_w = whiten(cov, mean, steering)
-        tasks += [(cfg, key, mean_w, steering_w, idx[i:i + _CHUNK])
-                  for i in starts]
+    tasks, counts = [], []
+    for p in points:
+        idx = _trial_block(p.stage, p.index, p.trials)
+        mean_w, steering_w = whiten(p.cov, p.mean, steering)
+        chunks = [idx[i:i + _CHUNK] for i in range(0, p.trials, _CHUNK)]
+        tasks += [(p.fn, cfg, p.key, mean_w, steering_w, c) for c in chunks]
+        counts.append(len(chunks))
     pool = (ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks)))
             if cfg.threads > 1 and len(tasks) > 1 else None)
     with pool or contextlib.nullcontext():
-        outs = (itertools.starmap(fn, tasks) if pool is None
-                else pool.map(fn, *zip(*tasks)))
-        for _ in points:
-            yield list(itertools.islice(outs, len(starts)))
+        outs = (itertools.starmap(_call, tasks) if pool is None
+                else pool.map(_call, *zip(*tasks)))
+        for count in counts:
+            yield itertools.islice(outs, count)
 
 
 # ---------------------------------------------------------------------------
 # Calibration
 # ---------------------------------------------------------------------------
+
+def _calibration_chunk(
+    cfg: ExperimentConfig, key: tuple[tuple[DetectorKind, ...], int],
+    mean: None, steering: SteeringSet, indices: np.ndarray,
+) -> tuple[dict[DetectorKind, np.ndarray], int]:
+    """A calibration chunk reduced to what the thresholds need: each kind's
+    `top` largest statistics, and how many c-glrt ascents stopped at h_max."""
+    kinds, top = key
+    res = _eval_chunk(cfg, kinds, mean, steering, indices)
+    hits = (int(np.count_nonzero(
+        res[DetectorKind.C_GLRT].iterations == cfg.cglrt.h_max))
+        if DetectorKind.C_GLRT in res else 0)
+    return {kind: _largest(res[kind].statistic, top) for kind in kinds}, hits
+
+
+def _top_count(cfg: ExperimentConfig) -> int:
+    """k such that each threshold is the k-th largest calibration statistic."""
+    return cfg.trials_cal - _threshold_index(cfg.pfa, cfg.trials_cal) + 1
+
+
+def _calibration(cfg: ExperimentConfig,
+                 kinds: tuple[DetectorKind, ...]) -> _Point:
+    """The calibration block as a schedule point: H0 trials, all kinds
+    sharing each one."""
+    return _Point(_calibration_chunk, _STAGE_CAL, 0, cfg.trials_cal,
+                  (kinds, _top_count(cfg)), None, cfg.covariance())
+
+
+def _threshold_table(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
+                     chunks: Iterable) -> ThresholdTable:
+    """The thresholds merged from the calibration chunks' outputs."""
+    tops, hits = zip(*chunks)
+    return ThresholdTable(
+        thresholds={kind: _kth_largest((t[kind] for t in tops),
+                                       _top_count(cfg)) for kind in kinds},
+        pfa=cfg.pfa, master_seed=cfg.master_seed, trials=cfg.trials_cal,
+        hmax_hits=sum(hits) if DetectorKind.C_GLRT in kinds else None)
+
 
 def calibrate_thresholds(
     cfg: ExperimentConfig,
@@ -355,21 +406,8 @@ def calibrate_thresholds(
 ) -> ThresholdTable:
     """Thresholds at the configured pfa from a shared batch of H0 trials."""
     kinds = tuple(kinds)
-    (parts,) = _per_point(_eval_chunk, cfg, _STAGE_CAL, cfg.trials_cal,
-                          [(kinds, None, cfg.covariance())])
-    res = _concat_results(parts, kinds)
-    thresholds = {
-        kind: threshold_from_stats(res[kind].statistic, cfg.pfa)
-        for kind in kinds
-    }
-    hmax_hits = None
-    if DetectorKind.C_GLRT in res:
-        hmax_hits = int(np.count_nonzero(
-            res[DetectorKind.C_GLRT].iterations == cfg.cglrt.h_max))
-    return ThresholdTable(
-        thresholds=thresholds, pfa=cfg.pfa,
-        master_seed=cfg.master_seed, trials=cfg.trials_cal,
-        hmax_hits=hmax_hits)
+    return _threshold_table(cfg, kinds,
+                            next(_per_point(cfg, [_calibration(cfg, kinds)])))
 
 
 # ---------------------------------------------------------------------------
@@ -382,33 +420,61 @@ def _sweep(
     stage: int,
     trials: int,
     points: Sequence[tuple[float, np.ndarray | None, np.ndarray]],
-    reduce: Callable[[DetectorKind, float, BatchResult], Point],
+    tally: Callable,
+    finish: Callable[[DetectorKind, float, object], Point],
+    table: ThresholdTable | None = None,
+    calibrate: bool = False,
 ) -> dict[DetectorKind, list[Point]]:
     """Evaluate every point (x, mean, cov) on its own trial block.
 
-    Point j draws `trials` trials from counter block (stage, j); all kinds
-    share each trial, and reduce(kind, x, result) turns one kind's results
-    at the point into a curve point.
+    Point j draws `trials` trials from counter block (stage, j), and all
+    kinds share each trial.  tally(table, kind, result) reduces one kind's
+    results on one chunk, as it arrives, to an integer or integer array
+    that adds over the chunks; finish(kind, x, total) turns a point's total
+    into a curve point.  With calibrate, the calibration block leads the
+    same schedule, and tally gets the table merged from it.
     """
+    schedule = [_Point(_eval_chunk, stage, j, trials, kinds, mean, cov)
+                for j, (_, mean, cov) in enumerate(points)]
+    if calibrate:
+        schedule.insert(0, _calibration(cfg, kinds))
+    runs = _per_point(cfg, schedule)
+    if calibrate:
+        table = _threshold_table(cfg, kinds, next(runs))
     out: dict[DetectorKind, list[Point]] = {k: [] for k in kinds}
-    chunks = _per_point(_eval_chunk, cfg, stage, trials,
-                        [(kinds, mean, cov) for _, mean, cov in points])
-    for (x, _, _), parts in zip(points, chunks):
-        res = _concat_results(parts, kinds)
+    for (x, _, _), chunks in zip(points, runs):
+        totals = dict.fromkeys(kinds, 0)
+        for res in chunks:
+            for kind in kinds:
+                totals[kind] = totals[kind] + tally(table, kind, res[kind])
         for kind in kinds:
-            out[kind].append(reduce(kind, float(x), res[kind]))
+            out[kind].append(finish(kind, float(x), totals[kind]))
     return out
 
 
-def _exceedance(table: ThresholdTable, cfg: ExperimentConfig, trials: int):
-    """Reduction to the share of trials above the detector's threshold."""
-    def reduce(kind: DetectorKind, x: float, res: BatchResult) -> CurvePoint:
-        p = float(np.mean(res.statistic > table[kind]))
+def _exceedances(table: ThresholdTable, kind: DetectorKind,
+                 res: BatchResult) -> int:
+    return int(np.count_nonzero(res.statistic > table[kind]))
+
+
+def _exceedance_sweep(
+    kinds: Sequence[DetectorKind],
+    table: ThresholdTable | None,
+    cfg: ExperimentConfig,
+    stage: int,
+    trials: int,
+    points: Sequence[tuple[float, np.ndarray | None, np.ndarray]],
+) -> dict[DetectorKind, list[CurvePoint]]:
+    """The share of each point's trials above the detector's threshold;
+    table None calibrates the thresholds in the same schedule."""
+    def rate(kind: DetectorKind, x: float, count: int) -> CurvePoint:
+        p = count / trials
         return CurvePoint(
             detector=kind.value, x=x, estimate=p,
             stderr=binomial_stderr(p, trials),
             trials=trials, seed=cfg.master_seed)
-    return reduce
+    return _sweep(tuple(kinds), cfg, stage, trials, points, _exceedances,
+                  rate, table, calibrate=table is None)
 
 
 def _h1_mean(cfg: ExperimentConfig, cov: np.ndarray, steering: SteeringSet,
@@ -427,19 +493,21 @@ def _sinr_points(cfg: ExperimentConfig, sinr_grid: Sequence[float] | None):
 
 def pd_curves(
     kinds: Sequence[DetectorKind],
-    table: ThresholdTable,
+    table: ThresholdTable | None,
     cfg: ExperimentConfig,
     sinr_grid: Sequence[float] | None = None,
 ) -> dict[DetectorKind, list[CurvePoint]]:
-    """Detection probability versus SINR; all detectors share each trial."""
-    return _sweep(tuple(kinds), cfg, _STAGE_PD, cfg.trials_pd,
-                  _sinr_points(cfg, sinr_grid),
-                  _exceedance(table, cfg, cfg.trials_pd))
+    """Detection probability versus SINR; all detectors share each trial.
+
+    With table None the thresholds are calibrated in the same schedule.
+    """
+    return _exceedance_sweep(kinds, table, cfg, _STAGE_PD, cfg.trials_pd,
+                             _sinr_points(cfg, sinr_grid))
 
 
 def cfar_sweeps(
     kinds: Sequence[DetectorKind],
-    table: ThresholdTable,
+    table: ThresholdTable | None,
     axis: str,
     values: Sequence[float],
     cfg: ExperimentConfig,
@@ -447,15 +515,16 @@ def cfar_sweeps(
     """Empirical P_fa under clutter parameters away from the calibration point.
 
     axis "cnr" sweeps the clutter-to-noise ratio in dB at the configured rho;
-    axis "rho" sweeps the one-lag correlation at the configured CNR.
+    axis "rho" sweeps the one-lag correlation at the configured CNR.  With
+    table None the thresholds are calibrated in the same schedule.
     """
     if axis not in ("cnr", "rho"):
         raise ValueError('axis must be "cnr" or "rho"')
     stage = _STAGE_CFAR_CNR if axis == "cnr" else _STAGE_CFAR_RHO
     points = [(v, None, cfg.covariance(cnr_db=v) if axis == "cnr"
                else cfg.covariance(rho=v)) for v in values]
-    return _sweep(tuple(kinds), cfg, stage, cfg.trials_cal, points,
-                  _exceedance(table, cfg, cfg.trials_cal))
+    return _exceedance_sweep(kinds, table, cfg, stage, cfg.trials_cal,
+                             points)
 
 
 def require_pair_estimators(
@@ -475,15 +544,21 @@ def rmse_curves(
 ) -> dict[DetectorKind, list[RmsePoint]]:
     """Root mean square error of the maximizing pair versus SINR."""
     kinds = require_pair_estimators(kinds)
+    true_n, true_m = cfg.pair
 
-    def reduce(kind: DetectorKind, sinr: float, res: BatchResult) -> RmsePoint:
-        rmse_n, rmse_m = rmse_from_estimates(res.n_hat, res.m_hat, *cfg.pair)
+    def squared_errors(_, kind: DetectorKind, res: BatchResult) -> np.ndarray:
+        return np.array([np.sum((res.n_hat - true_n) ** 2),
+                         np.sum((res.m_hat - true_m) ** 2)])
+
+    def rmse(kind: DetectorKind, sinr: float, sums: np.ndarray) -> RmsePoint:
         return RmsePoint(
-            detector=kind.value, sinr_db=sinr, rmse_n=rmse_n, rmse_m=rmse_m,
+            detector=kind.value, sinr_db=sinr,
+            rmse_n=math.sqrt(int(sums[0]) / cfg.trials_pd),
+            rmse_m=math.sqrt(int(sums[1]) / cfg.trials_pd),
             trials=cfg.trials_pd, seed=cfg.master_seed)
 
     return _sweep(kinds, cfg, _STAGE_RMSE, cfg.trials_pd,
-                  _sinr_points(cfg, sinr_grid), reduce)
+                  _sinr_points(cfg, sinr_grid), squared_errors, rmse)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +584,11 @@ def convergence_study(
     mean = _h1_mean(cfg, cov, cfg.steering(), sinr_db)
     k_tot = cfg.k_p + cfg.k_s
     traces = []
-    chunks = _per_point(_trace_chunk, cfg, _STAGE_CONV, n_trials,
-                        [(pair, mean, cov) for pair in pairs])
-    for pair, parts in zip(pairs, chunks):
+    runs = _per_point(cfg, [_Point(_trace_chunk, _STAGE_CONV, j, n_trials,
+                                   pair, mean, cov)
+                            for j, pair in enumerate(pairs)])
+    for pair, chunks in zip(pairs, runs):
+        parts = list(chunks)
         gains = np.concatenate([g for g, _ in parts], axis=0)
         update_lds = np.concatenate([lds for _, lds in parts], axis=0)
         step_gain = np.expm1(k_tot * -np.diff(update_lds, axis=1))
@@ -529,7 +606,7 @@ def convergence_study(
 
 def sliding_window(
     kinds: Sequence[DetectorKind],
-    table: ThresholdTable,
+    table: ThresholdTable | None,
     cfg: ExperimentConfig,
     n_bins: int = 20,
     sinr_db: float = 0.0,
@@ -542,7 +619,8 @@ def sliding_window(
     (re-indexed as window cells 1..K_P), so its mean is those columns of
     the one mean, and components outside the window contribute to no
     tested cell.  The x coordinate of each point is the window start
-    position.
+    position.  With table None the thresholds are calibrated in the same
+    schedule.
     """
     if n_bins < cfg.k_p:
         raise ValueError("need n_bins >= k_p")
@@ -554,8 +632,8 @@ def sliding_window(
                               steering, n_bins)
     points = [(position, bins[:, position - 1:position - 1 + cfg.k_p], cov)
               for position in range(1, n_bins - cfg.k_p + 2)]
-    return _sweep(tuple(kinds), cfg, _STAGE_SLIDE, cfg.trials_pd, points,
-                  _exceedance(table, cfg, cfg.trials_pd))
+    return _exceedance_sweep(kinds, table, cfg, _STAGE_SLIDE, cfg.trials_pd,
+                             points)
 
 
 # ---------------------------------------------------------------------------

@@ -267,20 +267,27 @@ def test_overflowing_cnr_exits_2(argv, setting, tmp_path, capsys,
 
 
 def test_non_finite_baseline_statistics_exit_3(tmp_path, capsys):
-    # At noise power 1e-320 the whitened v_R has entries near 1e160, so
-    # v_R† S_S^-1 v_R overflows in every trial; Kelly and the AMF divide by
-    # it, and the run stops at the first trial instead of calibrating on
-    # NaN statistics.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # At noise power 1e-320 the whitened steering vectors have entries near
+    # 1e160, so v† S_S^-1 v overflows in every trial.  Each detector that
+    # divides by such a norm, or by its form through S_{n,m}, checks it, and
+    # the ascent's residual pivots catch the rest: the run stops at the
+    # first trial instead of calibrating on NaN statistics, and prints no
+    # numpy warning on the way (warnings are errors here).
+    for detectors, what in (("kelly,amf", "v_R† S_S^-1 v_R"),
+                            ("ep-glrt-km-1", "v_R† S_S^-1 v_R"),
+                            ("ep-glrt-km-2", "v_R† S_{n,m}^-1 v_R"),
+                            ("c-glrt", "residual capacitance")):
         rc = main(["calibrate", "--out-dir", str(tmp_path), "--seed", "5",
-                   "--detectors", "kelly,amf", "model.noise_power=1e-320",
+                   "--detectors", detectors, "model.noise_power=1e-320",
                    *SMALL_MODEL, *SMALL_CAL])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: NotPositiveDefinite: "
-                          "v_R† S_S^-1 v_R")
-    assert "counter 0 (stage 0, point 0, offset 0) under master seed 5" in err
-    assert list(tmp_path.iterdir()) == []
+        assert rc == 3, detectors
+        out, err = capsys.readouterr()
+        assert err.startswith(f"numerical failure: NotPositiveDefinite: "
+                              f"{what} is not positive definite"), err
+        assert "counter 0 (stage 0, point 0, offset 0) under master seed 5" \
+            in err
+        assert err.count("\n") == 1 and out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_window_too_small_exits_3(tmp_path, capsys):
@@ -510,6 +517,29 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "single bounce = 3" in proc.stdout
     assert proc.stderr == ""  # scenario-check reports on stdout only
+
+
+_BLAS_SCRIPT = """
+import os
+import risdet.cli
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1 1"), ("2", "2 ")])
+def test_cli_runs_blas_on_one_thread(tmp_path, preset, want):
+    # The process pool is risdet's parallelism: importing the CLI starts
+    # OpenBLAS on one thread, so the process holds no thread but its own,
+    # unless the user chose a BLAS thread count, which stands.
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(want)
 
 
 _STARTUP_SCRIPT = """

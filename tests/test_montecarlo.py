@@ -5,6 +5,7 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import risdet.montecarlo as mc
 from risdet.detectors import (
@@ -27,7 +28,6 @@ from risdet.montecarlo import (
     flatten_curves,
     pd_curves,
     rmse_curves,
-    rmse_from_estimates,
     sliding_window,
     threshold_from_stats,
     write_csv,
@@ -142,6 +142,25 @@ def test_calibration_counts_hmax_hits():
     assert calibrate_thresholds(cfg, (DetectorKind.AMF,)).hmax_hits is None
 
 
+def test_merged_thresholds_are_the_order_statistics_of_the_block(
+        monkeypatch):
+    # Calibration chunks return only each kind's largest statistics; the
+    # merged thresholds equal the order statistic of all the block's
+    # statistics, as a full sort picks it, and the h_max count is the
+    # block's.
+    monkeypatch.setattr(mc, "_CHUNK", 97)
+    cfg = replace(TINY, cglrt=CGlrtConfig(h_max=3))
+    table = calibrate_thresholds(cfg, ALL_KINDS)
+    parts = list(next(mc._per_point(cfg, [mc._Point(
+        mc._eval_chunk, mc._STAGE_CAL, 0, cfg.trials_cal, ALL_KINDS, None,
+        cfg.covariance())])))
+    for kind in ALL_KINDS:
+        stats = np.concatenate([p[kind].statistic for p in parts])
+        assert table[kind] == threshold_from_stats(stats, cfg.pfa)
+    iters = np.concatenate([p[DetectorKind.C_GLRT].iterations for p in parts])
+    assert table.hmax_hits == np.count_nonzero(iters == 3) > 0
+
+
 def _convergence(cfg):
     traces = convergence_study(cfg, pairs=[(2, 4), (3, 4)], n_trials=300)
     return [(t.pair, t.mean_gain.tolist(), t.monotone_fraction)
@@ -169,10 +188,11 @@ def test_worker_pool_matches_serial():
     assert _convergence(cfg) == _convergence(serial)
 
 
-def test_pool_has_no_more_workers_than_tasks(monkeypatch):
-    # Under fork every worker starts with the pool, so a pool wider than its
-    # task list starts processes that never run a task.  A thread pool in
-    # its place records the width it is asked for and runs the same tasks.
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """A thread pool in the place of the process pool: it records the width
+    each pool is opened with, in the returned list, and runs the same
+    tasks."""
     widths = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -181,6 +201,12 @@ def test_pool_has_no_more_workers_than_tasks(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    return widths
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch, pool_widths):
+    # Under fork every worker starts with the pool, so a pool wider than its
+    # task list starts processes that never run a task.
     monkeypatch.setattr(mc, "_CHUNK", 1_000)
     kinds = (DetectorKind.KELLY,)
     serial = calibrate_thresholds(TINY, kinds)
@@ -189,7 +215,46 @@ def test_pool_has_no_more_workers_than_tasks(monkeypatch):
     assert calibrate_thresholds(replace(TINY, threads=8), kinds) == serial
     assert pd_curves(kinds, serial, replace(TINY, threads=2)) == \
         pd_curves(kinds, serial, TINY)
-    assert widths == [2, 2]
+    assert pool_widths == [2, 2]
+
+
+@pytest.mark.parametrize("chunk", [4096, 997])
+def test_one_pool_per_run(monkeypatch, pool_widths, chunk):
+    # Handed no table, a sweep puts the calibration block first in its own
+    # schedule: one pool runs calibration and curve chunks with no barrier,
+    # and the curves equal a calibration followed by the sweep, serially.
+    monkeypatch.setattr(mc, "_CHUNK", chunk)
+    kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.C_GLRT,
+             DetectorKind.KELLY)
+    serial = replace(TINY, trials_cal=3_000, trials_pd=1_500)
+    table = calibrate_thresholds(serial, kinds)
+    runs = {
+        "pd": lambda t, cfg: pd_curves(kinds, t, cfg),
+        "cfar": lambda t, cfg: cfar_sweeps(kinds, t, "rho", [0.5, 0.9], cfg),
+        "slide": lambda t, cfg: sliding_window(kinds, t, cfg, n_bins=6),
+    }
+    for name, run in runs.items():
+        pool_widths.clear()
+        assert run(None, replace(serial, threads=2)) == run(table, serial), name
+        assert pool_widths == [2], name
+
+
+@settings(max_examples=60, deadline=None)
+@given(trials=st.integers(1, 400), pfa=st.floats(0.001, 0.999),
+       levels=st.integers(1, 30), cuts=st.lists(st.integers(0, 400)),
+       seed=st.integers(0, 2**32 - 1))
+def test_merged_top_statistics_give_the_exact_threshold(trials, pfa, levels,
+                                                        cuts, seed):
+    # Chunks of any size keep their k largest statistics; merged, those
+    # give the order statistic of the whole batch, ties and all.
+    stats = np.random.default_rng(seed).integers(0, levels, trials) * 0.5
+    bounds = sorted({0, trials, *(c for c in cuts if c < trials)})
+    chunks = [stats[a:b] for a, b in zip(bounds, bounds[1:])]
+    idx = math.ceil((1.0 - pfa) * trials)
+    k = trials - idx + 1
+    merged = mc._kth_largest([mc._largest(c, k) for c in chunks], k)
+    assert merged == np.sort(stats)[idx - 1]
+    assert merged == threshold_from_stats(stats, pfa)
 
 
 def _plant_nan(monkeypatch, counter, block):
@@ -239,8 +304,8 @@ def test_whitened_chunk_matches_coloured_trials(sinr_db):
                               idx)
     want = batch_evaluate(z_p, r, steering, ALL_KINDS, cfg.cglrt,
                           cfg.baseline_cell)
-    ((got,),) = mc._per_point(mc._eval_chunk, cfg, mc._STAGE_PD, 700,
-                              [(ALL_KINDS, mean, cov)])
+    (got,) = next(mc._per_point(cfg, [mc._Point(
+        mc._eval_chunk, mc._STAGE_PD, 0, 700, ALL_KINDS, mean, cov)]))
     for kind in ALL_KINDS:
         assert got[kind].statistic == pytest.approx(want[kind].statistic,
                                                     rel=1e-10, abs=0)
@@ -339,11 +404,26 @@ def test_pd_grows_with_sinr():
     assert pts[1].estimate > pts[0].estimate
 
 
-def test_rmse_helpers():
-    n_hat = np.full(50, 2)
-    m_hat = np.full(50, 4)
-    assert rmse_from_estimates(n_hat, m_hat, 2, 4) == (0.0, 0.0)
-    assert rmse_from_estimates(n_hat + 1, m_hat - 1, 2, 4) == (1.0, 1.0)
+def test_rmse_from_chunk_sums_equals_the_array_formula(monkeypatch):
+    # Each chunk is reduced to integer sums of squared pair errors as it
+    # arrives; the RMSE from those sums equals the formula on all of the
+    # point's trials at once, bit for bit.
+    monkeypatch.setattr(mc, "_CHUNK", 97)
+    kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.A_GLRT)
+    curves = rmse_curves(kinds, TINY, sinr_grid=[-20.0])
+    cov = TINY.covariance()
+    mean = mc._h1_mean(TINY, cov, TINY.steering(), -20.0)
+    parts = list(next(mc._per_point(TINY, [mc._Point(
+        mc._eval_chunk, mc._STAGE_RMSE, 0, TINY.trials_pd, kinds, mean,
+        cov)])))
+    assert len(parts) == 6
+    for kind in kinds:
+        (point,) = curves[kind]
+        for name, true in (("n_hat", 2), ("m_hat", 4)):
+            est = np.concatenate([getattr(p[kind], name) for p in parts])
+            want = float(np.sqrt(np.mean((est - true) ** 2.0)))
+            assert getattr(point, "rmse_" + name[0]) == want
+        assert point.rmse_n > 0.0 and point.rmse_m > 0.0
 
 
 def test_rmse_rejects_single_cell_detectors():
