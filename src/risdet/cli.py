@@ -40,6 +40,7 @@ from .detectors import (
     PROPOSED_KINDS,
 )
 from .geometry import (
+    BinLayout,
     InfeasibleGeometry,
     WindowTooSmall,
     bin_layout,
@@ -51,6 +52,7 @@ from .geometry import (
 )
 from .montecarlo import (
     ALL_KINDS,
+    CounterLayoutError,
     CurvePoint,
     ExperimentConfig,
     PROFILES,
@@ -75,7 +77,7 @@ from .ris_design import (
     received_power,
     tapering_comparison,
 )
-from .signal_model import NotPositiveDefinite
+from .signal_model import NotPositiveDefinite, power_from_db
 
 # The "model" and "experiment" sections hold these ExperimentConfig fields;
 # the defaults of ExperimentConfig and CGlrtConfig fill in DEFAULT_CONFIG.
@@ -167,9 +169,12 @@ def _read_config_file(path: str) -> dict:
 
 def _parse_detectors(text: str) -> tuple[DetectorKind, ...]:
     try:
-        return tuple(DetectorKind.from_name(tok) for tok in str(text).split(","))
+        kinds = tuple(DetectorKind.from_name(tok) for tok in str(text).split(","))
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    if len(set(kinds)) < len(kinds):
+        raise ConfigError(f"a detector is listed twice in {text!r}")
+    return kinds
 
 
 def _detector_list(text) -> str:
@@ -189,7 +194,10 @@ def _pair_list(tokens) -> list[str]:
     pairs = []
     for token in tokens:
         n, m = str(token).split(",")
-        pairs.append(f"{int(n)},{int(m)}")
+        pair = f"{int(n)},{int(m)}"
+        if pair in pairs:
+            raise ValueError(f"pair {pair} is listed twice")
+        pairs.append(pair)
     return pairs
 
 
@@ -248,7 +256,14 @@ def _dbsm(value) -> float:
     return x
 
 
-_NUMBER_TYPES = (_real, _whole, _count, _positive, _dbsm)
+def _sinr_db(value) -> float:
+    """An SINR in dB whose linear power is finite."""
+    x = _real(value)
+    power_from_db("sinr_db", x)
+    return x
+
+
+_NUMBER_TYPES = (_real, _whole, _count, _positive, _dbsm, _sinr_db)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -281,7 +296,7 @@ _WINDOW_DETECTORS = Flag("detectors", _detector_list,
 _PAIR_DETECTORS = dataclasses.replace(
     _WINDOW_DETECTORS, type=_pair_detector_list,
     help="comma-separated list of window detectors")
-_SINR = Flag("sinr", _real, 0.0, "SINR in dB")
+_SINR = Flag("sinr", _sinr_db, 0.0, "SINR in dB")
 
 
 def _resolve_flags(args: argparse.Namespace, recorded: dict) -> dict:
@@ -422,14 +437,8 @@ def _cmd_calibrate(doc, opts):
             rows, opts)
 
 
-def _require_sinr_grid(cfg: ExperimentConfig) -> None:
-    if not cfg.sinr_grid:
-        raise ConfigError("experiment.sinr_grid must hold at least one SINR")
-
-
 def _cmd_pd_curve(doc, opts):
     cfg = experiment_config(doc)
-    _require_sinr_grid(cfg)
     kinds = _parse_detectors(opts["detectors"])
     curves = pd_curves(kinds, None, cfg)
     for kind in kinds:
@@ -459,7 +468,6 @@ def _cmd_cfar_sweep(doc, opts):
 
 def _cmd_rmse(doc, opts):
     cfg = experiment_config(doc)
-    _require_sinr_grid(cfg)
     kinds = _parse_detectors(opts["detectors"])
     curves = rmse_curves(kinds, cfg)
     for kind in kinds:
@@ -473,10 +481,11 @@ def _cmd_convergence(doc, opts):
     cfg = experiment_config(doc)
     tokens = opts["pair"] or [f"{cfg.pair[0]},{cfg.pair[1]}"]
     pairs = [tuple(int(i) for i in token.split(",")) for token in tokens]
-    for n, m in pairs:
-        if not 1 < n < m <= cfg.k_p:
-            raise ConfigError(f"pair {n},{m} must satisfy "
-                              f"1 < n < m <= k_p = {cfg.k_p}")
+    try:
+        for n, m in pairs:
+            BinLayout(n, m, cfg.k_p)
+    except ValueError as err:
+        raise ConfigError(f"bad --pair: {err}") from err
     traces = convergence_study(cfg, pairs, sinr_db=opts["sinr"],
                                n_trials=opts["conv_trials"])
     for trace in traces:
@@ -660,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc, opts = load_run(args)
         artifact = _COMMANDS[args.subcommand][0](doc, opts)
-    except ConfigError as err:
+    except (ConfigError, CounterLayoutError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (NotPositiveDefinite, NonMonotonic, InfeasibleGeometry,

@@ -45,13 +45,13 @@ from .detectors import (
 )
 from .geometry import BinLayout
 from .signal_model import (
-    CovarianceModel,
     NotPositiveDefinite,
     SteeringSet,
     TargetParams,
     alpha_from_sinr,
     build_covariance,
     clutter_power_from_cnr,
+    power_from_db,
     synthesize_batch,
     target_mean_matrix,
     whiten,
@@ -106,25 +106,20 @@ class ExperimentConfig:
                 f"need at least {math.ceil(10.0 / self.pfa)}")
         if self.trials_pd < 1:
             raise ValueError("trials_pd must be >= 1")
-        if self.k_p < 3:
-            raise ValueError("window size k_p must be >= 3")
         if self.k_s < self.n_antennas:
             raise ValueError("need k_s >= n_antennas")
-        n, m = self.pair
-        if not 1 < n < m <= self.k_p:
-            raise ValueError(f"pair {self.pair} must satisfy 1 < n < m <= k_p")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        if self.noise_power <= 0:
-            raise ValueError("noise_power must be positive")
-        try:
-            clutter_power_from_cnr(self.cnr_db, self.noise_power)
-        except ValueError as err:
-            raise ValueError(f"cnr_db: {err}") from None
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not 1 <= self.baseline_cell <= self.k_p:
             raise ValueError("baseline_cell outside the window")
+        if not self.sinr_grid:
+            raise ValueError("sinr_grid must hold at least one SINR")
+        for sinr_db in self.sinr_grid:
+            power_from_db("sinr_db", sinr_db)
+        # The objects handed to the engine check their own settings: the
+        # layout the pair and k_p, the steering vectors n_antennas, and the
+        # covariance noise_power, rho and cnr_db.
+        _ = self.layout, self.steering(), self.covariance()
 
     @property
     def layout(self) -> BinLayout:
@@ -136,14 +131,11 @@ class ExperimentConfig:
 
     def covariance(self, cnr_db: float | None = None,
                    rho: float | None = None) -> np.ndarray:
-        model = CovarianceModel(
-            noise_power=self.noise_power,
-            clutter_power=clutter_power_from_cnr(
-                self.cnr_db if cnr_db is None else cnr_db, self.noise_power),
-            one_lag=self.rho if rho is None else rho,
-            dim=self.n_antennas,
-        )
-        return build_covariance(model)
+        return build_covariance(
+            self.noise_power,
+            clutter_power_from_cnr(self.cnr_db if cnr_db is None else cnr_db,
+                                   self.noise_power),
+            self.rho if rho is None else rho, self.n_antennas)
 
 
 # Trial budgets selected by --profile: desk is the ExperimentConfig
@@ -257,10 +249,17 @@ def _kth_largest(parts: Iterable[np.ndarray], k: int) -> float:
     return float(np.sort(np.concatenate(list(parts)))[-k])
 
 
+class CounterLayoutError(ValueError):
+    """A trial block that does not fit the counter layout."""
+
+
 def _trial_block(stage: int, point: int, count: int) -> np.ndarray:
+    if count > _POINT_STRIDE or point >= _STAGE_STRIDE // _POINT_STRIDE:
+        raise CounterLayoutError(
+            f"stage {stage}, point {point} of {count} trials is outside the "
+            f"counter layout: at most {_POINT_STRIDE} trials per point and "
+            f"{_STAGE_STRIDE // _POINT_STRIDE} points per stage")
     base = stage * _STAGE_STRIDE + point * _POINT_STRIDE
-    if count > _POINT_STRIDE:
-        raise ValueError("trial block exceeds its reserved counter range")
     return np.arange(base, base + count, dtype=np.uint64)
 
 
@@ -400,10 +399,8 @@ def _threshold_table(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
         hmax_hits=sum(hits) if DetectorKind.C_GLRT in kinds else None)
 
 
-def calibrate_thresholds(
-    cfg: ExperimentConfig,
-    kinds: Sequence[DetectorKind] = ALL_KINDS,
-) -> ThresholdTable:
+def calibrate_thresholds(cfg: ExperimentConfig,
+                         kinds: Sequence[DetectorKind]) -> ThresholdTable:
     """Thresholds at the configured pfa from a shared batch of H0 trials."""
     kinds = tuple(kinds)
     return _threshold_table(cfg, kinds,
@@ -432,8 +429,11 @@ def _sweep(
     results on one chunk, as it arrives, to an integer or integer array
     that adds over the chunks; finish(kind, x, total) turns a point's total
     into a curve point.  With calibrate, the calibration block leads the
-    same schedule, and tally gets the table merged from it.
+    same schedule, and tally gets the table merged from it.  A kind listed
+    twice would count each trial twice, so it is an error.
     """
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"a detector is listed twice in {kinds}")
     schedule = [_Point(_eval_chunk, stage, j, trials, kinds, mean, cov)
                 for j, (_, mean, cov) in enumerate(points)]
     if calibrate:
@@ -484,25 +484,20 @@ def _h1_mean(cfg: ExperimentConfig, cov: np.ndarray, steering: SteeringSet,
     return target_mean_matrix(params, steering, cfg.k_p)
 
 
-def _sinr_points(cfg: ExperimentConfig, sinr_grid: Sequence[float] | None):
-    grid = cfg.sinr_grid if sinr_grid is None else sinr_grid
-    cov = cfg.covariance()
-    steering = cfg.steering()
-    return [(sinr, _h1_mean(cfg, cov, steering, sinr), cov) for sinr in grid]
+def _sinr_points(cfg: ExperimentConfig):
+    cov, steering = cfg.covariance(), cfg.steering()
+    return [(sinr, _h1_mean(cfg, cov, steering, sinr), cov)
+            for sinr in cfg.sinr_grid]
 
 
-def pd_curves(
-    kinds: Sequence[DetectorKind],
-    table: ThresholdTable | None,
-    cfg: ExperimentConfig,
-    sinr_grid: Sequence[float] | None = None,
-) -> dict[DetectorKind, list[CurvePoint]]:
-    """Detection probability versus SINR; all detectors share each trial.
+def pd_curves(kinds: Sequence[DetectorKind], table: ThresholdTable | None,
+              cfg: ExperimentConfig) -> dict[DetectorKind, list[CurvePoint]]:
+    """Detection probability versus cfg.sinr_grid; detectors share trials.
 
     With table None the thresholds are calibrated in the same schedule.
     """
     return _exceedance_sweep(kinds, table, cfg, _STAGE_PD, cfg.trials_pd,
-                             _sinr_points(cfg, sinr_grid))
+                             _sinr_points(cfg))
 
 
 def cfar_sweeps(
@@ -537,12 +532,9 @@ def require_pair_estimators(
     return tuple(kinds)
 
 
-def rmse_curves(
-    kinds: Sequence[DetectorKind],
-    cfg: ExperimentConfig,
-    sinr_grid: Sequence[float] | None = None,
-) -> dict[DetectorKind, list[RmsePoint]]:
-    """Root mean square error of the maximizing pair versus SINR."""
+def rmse_curves(kinds: Sequence[DetectorKind],
+                cfg: ExperimentConfig) -> dict[DetectorKind, list[RmsePoint]]:
+    """Root mean square error of the maximizing pair versus cfg.sinr_grid."""
     kinds = require_pair_estimators(kinds)
     true_n, true_m = cfg.pair
 
@@ -558,19 +550,15 @@ def rmse_curves(
             trials=cfg.trials_pd, seed=cfg.master_seed)
 
     return _sweep(kinds, cfg, _STAGE_RMSE, cfg.trials_pd,
-                  _sinr_points(cfg, sinr_grid), squared_errors, rmse)
+                  _sinr_points(cfg), squared_errors, rmse)
 
 
 # ---------------------------------------------------------------------------
 # Cyclic-ascent convergence
 # ---------------------------------------------------------------------------
 
-def convergence_study(
-    cfg: ExperimentConfig,
-    pairs: Sequence[tuple[int, int]] | None = None,
-    sinr_db: float = 0.0,
-    n_trials: int = 1000,
-) -> list[ConvergenceTrace]:
+def convergence_study(cfg: ExperimentConfig, pairs: Sequence[tuple[int, int]],
+                      sinr_db: float, n_trials: int) -> list[ConvergenceTrace]:
     """Mean relative gain of the cyclic ascent per iteration, under H1.
 
     The ascent runs its full iteration budget (no early stop) at each
@@ -579,7 +567,6 @@ def convergence_study(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    pairs = [cfg.pair] if pairs is None else list(pairs)
     cov = cfg.covariance()
     mean = _h1_mean(cfg, cov, cfg.steering(), sinr_db)
     k_tot = cfg.k_p + cfg.k_s
@@ -604,13 +591,9 @@ def convergence_study(
 # Sliding window
 # ---------------------------------------------------------------------------
 
-def sliding_window(
-    kinds: Sequence[DetectorKind],
-    table: ThresholdTable | None,
-    cfg: ExperimentConfig,
-    n_bins: int = 20,
-    sinr_db: float = 0.0,
-) -> dict[DetectorKind, list[CurvePoint]]:
+def sliding_window(kinds: Sequence[DetectorKind], table: ThresholdTable | None,
+                   cfg: ExperimentConfig, n_bins: int,
+                   sinr_db: float) -> dict[DetectorKind, list[CurvePoint]]:
     """Detection probability as a size-K_P window slides over the range bins.
 
     The three echo components sit at the fixed absolute bins 1, n and m of

@@ -62,7 +62,7 @@ def _covariance_factor(m: np.ndarray) -> np.ndarray:
 def steering_vector(theta_deg: float, n: int) -> np.ndarray:
     """Half-wavelength array response, entry k = exp(j pi k sin theta)."""
     if n < 1:
-        raise ValueError("array size must be >= 1")
+        raise ValueError(f"array size must be >= 1, got {n}")
     k = np.arange(n)
     return np.exp(1j * np.pi * k * np.sin(np.radians(theta_deg)))
 
@@ -92,42 +92,39 @@ class SteeringSet:
         return cls(v_r=v_r, v_sr=v_s + v_r, v_s=v_s)
 
 
-@dataclass(frozen=True)
-class CovarianceModel:
-    """White noise plus exponentially correlated clutter."""
-
-    noise_power: float
-    clutter_power: float
-    one_lag: float
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.noise_power <= 0 or self.clutter_power < 0:
-            raise ValueError("powers must be positive (noise) and nonnegative (clutter)")
-        if not 0.0 <= self.one_lag < 1.0:
-            raise ValueError("one-lag correlation must lie in [0, 1)")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+def power_from_db(name: str, db: float, unit: float = 1.0) -> float:
+    """unit 10^(db / 10), the power `db` decibels above `unit`; a ValueError
+    naming the setting `name` unless it is finite."""
+    try:
+        power = unit * 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise ValueError(f"{name} = {db!r} dB above {unit!r} gives a power "
+                         "beyond the float range")
+    return power
 
 
 def clutter_power_from_cnr(cnr_db: float, noise_power: float = 1.0) -> float:
     """sigma_c^2 = sigma_n^2 10^(CNR / 10); ValueError unless it is finite."""
-    try:
-        power = noise_power * 10.0 ** (float(cnr_db) / 10.0)
-    except OverflowError:
-        power = math.inf
-    if not math.isfinite(power):
-        raise ValueError(f"CNR {cnr_db!r} dB at noise power {noise_power!r} "
-                         "gives a clutter power beyond the float range")
-    return power
+    return power_from_db("cnr_db", cnr_db, noise_power)
 
 
-def build_covariance(model: CovarianceModel) -> np.ndarray:
-    """M = sigma_n^2 I + M_c with M_c(i, j) = sigma_c^2 rho^|i-j|."""
-    idx = np.arange(model.dim)
+def build_covariance(noise_power: float, clutter_power: float, rho: float,
+                     dim: int) -> np.ndarray:
+    """M = sigma_n^2 I + M_c with M_c(i, j) = sigma_c^2 rho^|i-j|: white
+    noise plus exponentially correlated clutter."""
+    if not (noise_power > 0 and clutter_power >= 0):
+        raise ValueError("need noise_power > 0 and clutter power >= 0, got "
+                         f"{noise_power!r} and {clutter_power!r}")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim!r}")
+    idx = np.arange(dim)
     lags = np.abs(idx[:, None] - idx[None, :])
-    m = model.clutter_power * model.one_lag ** lags
-    m[idx, idx] += model.noise_power
+    m = clutter_power * rho ** lags
+    m[idx, idx] += noise_power
     return m.astype(np.complex128)
 
 
@@ -149,7 +146,7 @@ def alpha_from_sinr(
     """
     w = np.linalg.solve(_covariance_factor(m), np.asarray(v_r)[:, None])[:, 0]
     qf = np.sum(np.conj(w) * w).real
-    alpha_1 = np.sqrt(10.0 ** (sinr_db / 10.0) / qf)
+    alpha_1 = np.sqrt(power_from_db("sinr_db", sinr_db) / qf)
     return (complex(alpha_1), complex(ratio * alpha_1), complex(ratio * alpha_1))
 
 

@@ -239,7 +239,7 @@ def test_criterion_06_cyclic_convergence(capsys):
     results = {}
     for k_s in (24, 32):
         cfg = replace(_DESK, k_s=k_s)
-        trace = mc.convergence_study(cfg, n_trials=1000)[0]
+        trace = mc.convergence_study(cfg, [cfg.pair], 0.0, 1000)[0]
         results[k_s] = (trace.first_below(1e-5), trace.monotone_fraction)
     elapsed = time.perf_counter() - t0
 
@@ -281,7 +281,7 @@ def test_criterion_07_pair_rmse(capsys):
 def test_criterion_08_sliding_window(capsys):
     t0 = time.perf_counter()
     table = _desk_thresholds()
-    curves = mc.sliding_window(PROPOSED_KINDS, table, _DESK)
+    curves = mc.sliding_window(PROPOSED_KINDS, table, _DESK, 20, 0.0)
     elapsed = time.perf_counter() - t0
 
     pos = np.array([p.x for p in curves[KM_1]])

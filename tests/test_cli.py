@@ -144,6 +144,13 @@ def test_config_file_errors_exit_2(tmp_path):
     ["link-budget", "--sigma-max-dbsm", "3000"],
     ["rmse", "--detectors", "kelly"],
     ["rmse", "--detectors", "ep-glrt-ka,amf"],
+    ["calibrate", "model.n_antennas=0"],
+    ["pd-curve", "--detectors", "amf,amf"],
+    ["rmse", "--detectors", "a-glrt,c-glrt,a-glrt"],
+    ["convergence", "--pair", "2,4", "--pair", "2,4"],
+    ["pd-curve", "experiment.sinr_grid=[5000]"],
+    ["sliding-window", "--sinr", "5000"],
+    ["calibrate", "experiment.sinr_grid=[]"],
 ])
 def test_bad_subcommand_flags_exit_2(argv, tmp_path, capsys, monkeypatch):
     # Each is rejected before any trial runs: no experiment is entered, no
@@ -573,3 +580,27 @@ def test_startup_loads_no_scipy(tmp_path):
     assert (tmp_path / "cal" / "thresholds.csv").exists()
     lines = (tmp_path / "design" / "ris_design.csv").read_text().splitlines()
     assert lines[0] == "side_m,uniform_m2,sinc_m2,lfm_m2" and len(lines) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "experiment.trials_cal=300000000"],
+    ["pd-curve", "experiment.trials_pd=300000000"],
+    ["convergence", "--conv-trials", "300000000"],
+    ["pd-curve", "experiment.sinr_grid=[" + ",".join(["0"] * 4097) + "]"],
+], ids=["trials-cal", "trials-pd", "conv-trials", "4097-points"])
+def test_counter_layout_limits_exit_2_before_any_trial(argv, tmp_path, capsys,
+                                                       monkeypatch):
+    # A point holds at most 2**28 trial counters and a stage 4096 points.
+    # The experiment builds every trial block before its first chunk, so a
+    # block outside the layout exits 2 with one line on stderr, before a
+    # trial is drawn or a file written.
+    def no_trials(*args):
+        raise AssertionError("trial drawn")
+
+    monkeypatch.setattr(mc, "synthesize_batch", no_trials)
+    rc = main([argv[0], "--out-dir", str(tmp_path), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "counter layout" in err and out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -19,7 +19,6 @@ from risdet.detectors import (
 )
 from risdet.geometry import BinLayout
 from risdet.signal_model import (
-    CovarianceModel,
     NotPositiveDefinite,
     SteeringSet,
     TargetParams,
@@ -398,7 +397,7 @@ def test_stack_results_equal_those_of_its_parts():
     # are no multiples of a front-end or colouring block.
     n, k_p, k_s = 8, 6, 12
     steering = make_steering(n)
-    cov = build_covariance(CovarianceModel(1.0, 30.0, 0.9, n))
+    cov = build_covariance(1.0, 30.0, 0.9, n)
     mean = target_mean_matrix(
         TargetParams(alpha=alpha_from_sinr(5.0, cov, steering.v_r),
                      layout=BinLayout(3, 6, k_p)), steering, k_p)
@@ -531,6 +530,58 @@ def test_training_permutation_leaves_statistics_invariant(n, k_p, extra, seed):
     perm = rng.permutation(r.shape[2])
     _assert_same_outcomes(batch_evaluate(z_p, r[:, :, perm], steering, ALL_KINDS),
                           batch_evaluate(z_p, r, steering, ALL_KINDS))
+
+
+def _complex_scale(rng):
+    """A nonzero complex factor: modulus log-uniform in [1e-3, 1e3] and a
+    uniform phase."""
+    return np.exp(rng.uniform(np.log(1e-3), np.log(1e3))
+                  + 2j * np.pi * rng.uniform())
+
+
+def _assert_scale_free(got, want):
+    for kind in ALL_KINDS:
+        assert got[kind].statistic == pytest.approx(want[kind].statistic,
+                                                    rel=1e-10)
+    _assert_same_outcomes(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES)
+def test_joint_data_scaling_leaves_statistics_invariant(n, k_p, extra, seed):
+    """Z_P, R -> c Z_P, c R scales S_S by |c|^2 and every cell by c, which
+    cancels in every statistic."""
+    rng, z_p, r, steering = _random_stack(n, k_p, extra, seed)
+    c = _complex_scale(rng)
+    _assert_scale_free(batch_evaluate(c * z_p, c * r, steering, ALL_KINDS),
+                       batch_evaluate(z_p, r, steering, ALL_KINDS))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES)
+def test_steering_scaling_leaves_statistics_invariant(n, k_p, extra, seed):
+    """Each amplitude absorbs the scale of its own steering vector."""
+    rng, z_p, r, steering = _random_stack(n, k_p, extra, seed)
+    scaled = SteeringSet(_complex_scale(rng) * steering.v_r,
+                         _complex_scale(rng) * steering.v_sr,
+                         _complex_scale(rng) * steering.v_s)
+    _assert_scale_free(batch_evaluate(z_p, r, scaled, ALL_KINDS),
+                       batch_evaluate(z_p, r, steering, ALL_KINDS))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES)
+def test_cfar_bounds_hold_for_every_shape(n, k_p, extra, seed):
+    _, z_p, r, steering = _random_stack(n, k_p, extra, seed, trials=8)
+    det_bound, km1_bound = bounded_cfar_bounds(z_p, r, steering)
+    res = batch_evaluate(z_p, r, steering, PROPOSED_KINDS)
+    slack = 1.0 + 1e-9
+    assert np.all(res[KM_1].statistic <= km1_bound * slack)
+    for kind in (KA, C, A):
+        assert np.all(res[kind].statistic <= det_bound * slack)
 
 
 def test_km_window_only_scaling_is_quadratic(rng):

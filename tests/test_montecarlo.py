@@ -162,7 +162,7 @@ def test_merged_thresholds_are_the_order_statistics_of_the_block(
 
 
 def _convergence(cfg):
-    traces = convergence_study(cfg, pairs=[(2, 4), (3, 4)], n_trials=300)
+    traces = convergence_study(cfg, [(2, 4), (3, 4)], 0.0, 300)
     return [(t.pair, t.mean_gain.tolist(), t.monotone_fraction)
             for t in traces]
 
@@ -231,7 +231,7 @@ def test_one_pool_per_run(monkeypatch, pool_widths, chunk):
     runs = {
         "pd": lambda t, cfg: pd_curves(kinds, t, cfg),
         "cfar": lambda t, cfg: cfar_sweeps(kinds, t, "rho", [0.5, 0.9], cfg),
-        "slide": lambda t, cfg: sliding_window(kinds, t, cfg, n_bins=6),
+        "slide": lambda t, cfg: sliding_window(kinds, t, cfg, 6, 0.0),
     }
     for name, run in runs.items():
         pool_widths.clear()
@@ -342,7 +342,7 @@ def test_numerical_failure_names_its_trial_counter(monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(
             NotPositiveDefinite,
             match=rf"counter {counter} \(stage 5, point 1, offset 42\)"):
-        convergence_study(TINY, pairs=[(2, 4), (3, 4)], n_trials=300)
+        convergence_study(TINY, [(2, 4), (3, 4)], 0.0, 300)
 
 
 def test_calibrated_threshold_self_consistency():
@@ -382,7 +382,8 @@ def test_cfar_sweep_rejects_bad_axis():
 
 def test_pd_overwhelming_signal():
     table = calibrate_thresholds(TINY, PROPOSED_KINDS)
-    curves = pd_curves(PROPOSED_KINDS, table, TINY, sinr_grid=[60.0])
+    curves = pd_curves(PROPOSED_KINDS, table,
+                       replace(TINY, sinr_grid=(60.0,)))
     for kind in PROPOSED_KINDS:
         assert curves[kind][0].estimate >= 0.999
 
@@ -399,8 +400,8 @@ def test_pd_curve_wrapper_matches_full_run():
 
 def test_pd_grows_with_sinr():
     table = calibrate_thresholds(TINY, (DetectorKind.A_GLRT,))
-    pts = pd_curves((DetectorKind.A_GLRT,), table, TINY,
-                    sinr_grid=[-20.0, 20.0])[DetectorKind.A_GLRT]
+    pts = pd_curves((DetectorKind.A_GLRT,), table,
+                    replace(TINY, sinr_grid=(-20.0, 20.0)))[DetectorKind.A_GLRT]
     assert pts[1].estimate > pts[0].estimate
 
 
@@ -410,7 +411,7 @@ def test_rmse_from_chunk_sums_equals_the_array_formula(monkeypatch):
     # point's trials at once, bit for bit.
     monkeypatch.setattr(mc, "_CHUNK", 97)
     kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.A_GLRT)
-    curves = rmse_curves(kinds, TINY, sinr_grid=[-20.0])
+    curves = rmse_curves(kinds, replace(TINY, sinr_grid=(-20.0,)))
     cov = TINY.covariance()
     mean = mc._h1_mean(TINY, cov, TINY.steering(), -20.0)
     parts = list(next(mc._per_point(TINY, [mc._Point(
@@ -432,16 +433,15 @@ def test_rmse_rejects_single_cell_detectors():
 
 
 def test_rmse_curve_shrinks_with_sinr():
-    curves = rmse_curves((DetectorKind.A_GLRT,), TINY,
-                         sinr_grid=[-30.0, 30.0])[DetectorKind.A_GLRT]
+    curves = rmse_curves((DetectorKind.A_GLRT,),
+                         replace(TINY, sinr_grid=(-30.0, 30.0)))[DetectorKind.A_GLRT]
     assert curves[1].rmse_n <= curves[0].rmse_n
     assert curves[1].rmse_n == pytest.approx(0.0, abs=0.2)
     assert curves[1].rmse_m == pytest.approx(0.0, abs=0.2)
 
 
 def test_convergence_trace_shape_and_tail():
-    traces = convergence_study(TINY, pairs=[(2, 4)], sinr_db=0.0,
-                               n_trials=200)
+    traces = convergence_study(TINY, [(2, 4)], 0.0, 200)
     (trace,) = traces
     assert trace.pair == (2, 4)
     assert trace.mean_gain.shape == (TINY.cglrt.h_max,)
@@ -455,14 +455,14 @@ def test_convergence_trace_shape_and_tail():
 
 def test_convergence_single_iteration_budget():
     cfg = replace(TINY, cglrt=CGlrtConfig(h_max=1))
-    (trace,) = convergence_study(cfg, n_trials=50)
+    (trace,) = convergence_study(cfg, [cfg.pair], 0.0, 50)
     assert trace.mean_gain.shape == (1,)
     assert trace.first_below(1e30) == 1
 
 
 def test_convergence_rejects_empty_budget():
     with pytest.raises(ValueError, match="n_trials"):
-        convergence_study(TINY, n_trials=0)
+        convergence_study(TINY, [TINY.pair], 0.0, 0)
 
 
 def test_sliding_window_pure_h0_positions():
@@ -482,7 +482,7 @@ def test_sliding_window_pure_h0_positions():
 def test_sliding_window_requires_enough_bins():
     table = ThresholdTable({DetectorKind.AMF: 1.0}, 0.05, 1, 100)
     with pytest.raises(ValueError):
-        sliding_window((DetectorKind.AMF,), table, TINY, n_bins=3)
+        sliding_window((DetectorKind.AMF,), table, TINY, 3, 0.0)
 
 
 def test_trial_blocks_are_disjoint():
@@ -541,3 +541,52 @@ def test_replace_config():
     # A replaced config is validated again.
     with pytest.raises(ValueError):
         replace(TINY, k_s=2)
+
+
+def test_trial_blocks_stay_inside_the_counter_layout():
+    # A point holds at most _POINT_STRIDE trials and a stage at most
+    # _STAGE_STRIDE // _POINT_STRIDE points; past either limit a block
+    # would reuse the counters of the next point or the next stage.
+    points = mc._STAGE_STRIDE // mc._POINT_STRIDE
+    last = mc._trial_block(mc._STAGE_PD, points - 1, 2)
+    assert int(last[-1]) < mc._trial_block(mc._STAGE_CFAR_CNR, 0, 1)[0]
+    for stage, point, count in ((mc._STAGE_PD, points, 1),
+                                (mc._STAGE_CAL, 0, mc._POINT_STRIDE + 1)):
+        with pytest.raises(mc.CounterLayoutError, match="counter layout"):
+            mc._trial_block(stage, point, count)
+    assert issubclass(mc.CounterLayoutError, ValueError)
+
+
+def test_sweeps_reject_a_repeated_detector(monkeypatch):
+    # A kind listed twice would add each chunk's tally twice.
+    def no_trials(*args):
+        raise AssertionError("trial drawn")
+
+    monkeypatch.setattr(mc, "synthesize_batch", no_trials)
+    table = ThresholdTable({DetectorKind.AMF: 1.0, DetectorKind.A_GLRT: 1.0},
+                           0.05, 1, 100)
+    twice = (DetectorKind.A_GLRT, DetectorKind.AMF, DetectorKind.A_GLRT)
+    with pytest.raises(ValueError, match="listed twice"):
+        pd_curves(twice, table, TINY)
+    with pytest.raises(ValueError, match="listed twice"):
+        pd_curves(twice, None, TINY)
+    with pytest.raises(ValueError, match="listed twice"):
+        rmse_curves((DetectorKind.A_GLRT, DetectorKind.A_GLRT), TINY)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"n_antennas": 0}, "array size"),
+    ({"pair": (3, 7)}, "n < m <= window_size"),
+    ({"k_p": 2}, "n < m <= window_size"),
+    ({"rho": -0.1}, "rho"),
+    ({"noise_power": 0.0}, "noise_power"),
+    ({"cnr_db": 4000.0}, "cnr_db"),
+    ({"sinr_grid": (0.0, 5000.0)}, "sinr_db"),
+    ({"sinr_grid": ()}, "at least one SINR"),
+])
+def test_config_is_checked_by_what_it_builds(bad, match):
+    # The layout, the steering vectors and the covariance hold the rules of
+    # the settings they are built from, and the SINR grid goes through the
+    # dB-to-power rule of the amplitudes; the config builds them.
+    with pytest.raises(ValueError, match=match):
+        replace(TINY, **bad)

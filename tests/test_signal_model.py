@@ -3,12 +3,12 @@ import pytest
 
 from risdet.geometry import BinLayout
 from risdet.signal_model import (
-    CovarianceModel,
     SteeringSet,
     TargetParams,
     alpha_from_sinr,
     build_covariance,
     clutter_power_from_cnr,
+    power_from_db,
     steering_vector,
     synthesize_batch,
     target_mean_matrix,
@@ -45,16 +45,19 @@ def test_steering_set_validation():
 
 
 def test_covariance_model_validation():
-    with pytest.raises(ValueError):
-        CovarianceModel(noise_power=0.0, clutter_power=1.0, one_lag=0.5, dim=4)
-    with pytest.raises(ValueError):
-        CovarianceModel(noise_power=1.0, clutter_power=1.0, one_lag=1.0, dim=4)
+    with pytest.raises(ValueError, match="noise_power"):
+        build_covariance(noise_power=0.0, clutter_power=1.0, rho=0.5, dim=4)
+    with pytest.raises(ValueError, match="clutter power"):
+        build_covariance(noise_power=1.0, clutter_power=-1.0, rho=0.5, dim=4)
+    with pytest.raises(ValueError, match="rho"):
+        build_covariance(noise_power=1.0, clutter_power=1.0, rho=1.0, dim=4)
+    with pytest.raises(ValueError, match="dim"):
+        build_covariance(noise_power=1.0, clutter_power=1.0, rho=0.5, dim=0)
 
 
 def test_covariance_white_clutter():
-    model = CovarianceModel(noise_power=1.0, clutter_power=3.0,
-                            one_lag=0.0, dim=4)
-    assert np.allclose(build_covariance(model), 4.0 * np.eye(4))
+    m = build_covariance(noise_power=1.0, clutter_power=3.0, rho=0.0, dim=4)
+    assert np.allclose(m, 4.0 * np.eye(4))
 
 
 def test_clutter_power_from_cnr():
@@ -72,16 +75,15 @@ def test_clutter_power_from_cnr():
 def test_covariance_case_study_entries():
     sigma_c = clutter_power_from_cnr(25.0)
     assert sigma_c == pytest.approx(316.23, abs=0.01)
-    model = CovarianceModel(noise_power=1.0, clutter_power=sigma_c,
-                            one_lag=0.9, dim=2)
-    m = build_covariance(model)
+    m = build_covariance(noise_power=1.0, clutter_power=sigma_c, rho=0.9,
+                         dim=2)
     assert m[0, 0].real == pytest.approx(317.23, abs=0.01)
     assert m[0, 1].real == pytest.approx(284.6, abs=0.01)
     assert np.allclose(m, m.conj().T)
 
 
 def test_alpha_ratio_is_20_db():
-    m = build_covariance(CovarianceModel(1.0, 10.0, 0.5, 4))
+    m = build_covariance(1.0, 10.0, 0.5, 4)
     a1, a_n, a_m = alpha_from_sinr(-3.0, m, steering_vector(0.5, 4))
     assert abs(a_n) ** 2 / abs(a1) ** 2 == pytest.approx(100.0, rel=1e-12)
     assert a_m == a_n
@@ -95,7 +97,7 @@ def test_alpha_identity_covariance():
 
 def test_alpha_matches_2x2_closed_form():
     sigma_c = clutter_power_from_cnr(25.0)
-    m = build_covariance(CovarianceModel(1.0, sigma_c, 0.9, 2))
+    m = build_covariance(1.0, sigma_c, 0.9, 2)
     v = steering_vector(0.5, 2)
     # Solve M x = v by the 2x2 adjugate and form v† x directly.
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -168,7 +170,7 @@ def test_synthesis_equals_one_shot_colouring(with_mean):
     # whole stack.  701 trials is no multiple of a colouring block.
     n, k_p, k_s, seed, trials = 8, 5, 9, 21, 701
     steering = SteeringSet.from_angles(0.5, -0.4, n)
-    m = build_covariance(CovarianceModel(1.0, 10.0, 0.8, n))
+    m = build_covariance(1.0, 10.0, 0.8, n)
     mean = None
     if with_mean:
         mean = target_mean_matrix(
@@ -212,7 +214,7 @@ def test_identity_factor_skips_colouring_bit_for_bit():
 def test_whiten_maps_mean_and_steering_through_the_factor():
     n, k_p = 6, 5
     steering = SteeringSet.from_angles(0.5, -0.4, n)
-    m = build_covariance(CovarianceModel(1.0, 30.0, 0.9, n))
+    m = build_covariance(1.0, 30.0, 0.9, n)
     mean = target_mean_matrix(
         TargetParams(alpha=alpha_from_sinr(3.0, m, steering.v_r),
                      layout=BinLayout(2, 5, k_p)), steering, k_p)
@@ -233,7 +235,7 @@ def test_whiten_maps_mean_and_steering_through_the_factor():
 def test_h0_columns_are_zero_mean():
     """Statistical check: sample mean of 1e4 draws within 5 sigma of zero."""
     n, k_p, k_s, trials = 4, 3, 8, 10_000
-    m = build_covariance(CovarianceModel(1.0, 5.0, 0.5, n))
+    m = build_covariance(1.0, 5.0, 0.5, n)
     z_p, r = synthesize_batch(None, m, k_p, k_s, 99, np.arange(trials))
     for block in (z_p, r):
         col_mean = block.mean(axis=0)
@@ -245,7 +247,7 @@ def test_h0_columns_are_zero_mean():
 
 def test_h1_dominant_signal_aligns_with_steering():
     steering = SteeringSet.from_angles(0.5, -0.4, 8)
-    m = build_covariance(CovarianceModel(1.0, 10.0, 0.9, 8))
+    m = build_covariance(1.0, 10.0, 0.9, 8)
     alphas = alpha_from_sinr(60.0, m, steering.v_r)
     params = TargetParams(alpha=alphas, layout=BinLayout(3, 6, 6))
     mean = target_mean_matrix(params, steering, 6)
@@ -257,7 +259,7 @@ def test_h1_dominant_signal_aligns_with_steering():
 
 
 def test_synthesize_deterministic():
-    m = build_covariance(CovarianceModel(1.0, 5.0, 0.5, 4))
+    m = build_covariance(1.0, 5.0, 0.5, 4)
     a = synthesize_batch(None, m, 3, 8, 11, np.array([42]))
     b = synthesize_batch(None, m, 3, 8, 11, np.array([42]))
     assert np.array_equal(a[0], b[0])
@@ -266,7 +268,7 @@ def test_synthesize_deterministic():
 
 def test_batch_slices_match_single_trials():
     # Counter keying: a trial's draw does not depend on its batch position.
-    m = build_covariance(CovarianceModel(1.0, 5.0, 0.5, 4))
+    m = build_covariance(1.0, 5.0, 0.5, 4)
     zp_all, r_all = synthesize_batch(None, m, 3, 8, 11,
                                      np.array([3, 5, 9]))
     zp_one, r_one = synthesize_batch(None, m, 3, 8, 11, np.array([5]))
@@ -276,8 +278,19 @@ def test_batch_slices_match_single_trials():
 
 def test_synthesized_covariance_is_roughly_right():
     n, trials = 3, 20_000
-    m = build_covariance(CovarianceModel(1.0, 4.0, 0.7, n))
+    m = build_covariance(1.0, 4.0, 0.7, n)
     z_p, _ = synthesize_batch(None, m, 1, n, 123, np.arange(trials))
     cols = z_p[:, :, 0]
     emp = (cols[:, :, None] * cols[:, None, :].conj()).mean(axis=0)
     assert np.allclose(emp, m, atol=0.12 * np.abs(m).max())
+
+
+def test_db_levels_share_one_rule_that_names_the_setting():
+    # The SINR of alpha_from_sinr and the CNR of clutter_power_from_cnr go
+    # through one dB-to-power rule: a linear power beyond the float range
+    # is a ValueError naming the setting, never an OverflowError.
+    assert power_from_db("level", 30.0, 2.0) == 2000.0
+    with pytest.raises(ValueError, match=r"^sinr_db = 5000\.0 dB"):
+        alpha_from_sinr(5000.0, np.eye(4), np.ones(4))
+    with pytest.raises(ValueError, match=r"^cnr_db = 4000\.0 dB"):
+        clutter_power_from_cnr(4000.0)
