@@ -52,6 +52,7 @@ from .geometry import (
 )
 from .montecarlo import (
     ALL_KINDS,
+    CONFIG_DEFAULTS,
     CounterLayoutError,
     CurvePoint,
     ExperimentConfig,
@@ -65,6 +66,7 @@ from .montecarlo import (
     require_pair_estimators,
     rmse_curves,
     sliding_window,
+    window_starts,
     write_csv,
 )
 from .ris_design import (
@@ -77,7 +79,7 @@ from .ris_design import (
     received_power,
     tapering_comparison,
 )
-from .signal_model import NotPositiveDefinite, power_from_db
+from .signal_model import NotPositiveDefinite
 
 # The "model" and "experiment" sections hold these ExperimentConfig fields;
 # the defaults of ExperimentConfig and CGlrtConfig fill in DEFAULT_CONFIG.
@@ -85,7 +87,7 @@ _MODEL_KEYS = ("n_antennas", "k_p", "k_s", "theta_r_deg", "theta_s_deg",
                "cnr_db", "rho", "noise_power", "alpha_ratio")
 _EXPERIMENT_KEYS = ("pfa", "trials_cal", "trials_pd", "sinr_grid",
                     "master_seed", "threads")
-_DEFAULTS = ExperimentConfig()
+_DEFAULTS = CONFIG_DEFAULTS
 
 DEFAULT_CONFIG = {
     "scenario": {
@@ -256,14 +258,7 @@ def _dbsm(value) -> float:
     return x
 
 
-def _sinr_db(value) -> float:
-    """An SINR in dB whose linear power is finite."""
-    x = _real(value)
-    power_from_db("sinr_db", x)
-    return x
-
-
-_NUMBER_TYPES = (_real, _whole, _count, _positive, _dbsm, _sinr_db)
+_NUMBER_TYPES = (_real, _whole, _count, _positive, _dbsm)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -296,7 +291,7 @@ _WINDOW_DETECTORS = Flag("detectors", _detector_list,
 _PAIR_DETECTORS = dataclasses.replace(
     _WINDOW_DETECTORS, type=_pair_detector_list,
     help="comma-separated list of window detectors")
-_SINR = Flag("sinr", _sinr_db, 0.0, "SINR in dB")
+_SINR = Flag("sinr", _real, 0.0, "SINR in dB")
 
 
 def _resolve_flags(args: argparse.Namespace, recorded: dict) -> dict:
@@ -428,9 +423,9 @@ def _cmd_calibrate(doc, opts):
     table = calibrate_thresholds(cfg, kinds)
     for kind in kinds:
         print(f"{kind.value:>14s}  eta = {table[kind]:.6g}")
-    if table.hmax_hits is not None:
-        print(f"c-glrt: {table.hmax_hits} of {table.trials} trials stopped "
-              f"at h_max = {cfg.cglrt.h_max}")
+    if table.ascents is not None:
+        print(f"c-glrt: {table.hmax_hits} of {table.ascents} ascents run "
+              f"stopped at h_max = {cfg.cglrt.h_max}")
     rows = [(kind.value, table[kind], cfg.pfa, cfg.trials_cal, cfg.master_seed)
             for kind in kinds]
     return ("thresholds.csv", ("detector", "threshold", "pfa", "trials", "seed"),
@@ -486,6 +481,7 @@ def _cmd_convergence(doc, opts):
             BinLayout(n, m, cfg.k_p)
     except ValueError as err:
         raise ConfigError(f"bad --pair: {err}") from err
+    _setting(cfg.amplitudes, "--sinr", opts["sinr"])
     traces = convergence_study(cfg, pairs, sinr_db=opts["sinr"],
                                n_trials=opts["conv_trials"])
     for trace in traces:
@@ -504,9 +500,9 @@ def _cmd_convergence(doc, opts):
 def _cmd_sliding_window(doc, opts):
     cfg = experiment_config(doc)
     kinds = _parse_detectors(opts["detectors"])
-    if opts["n_bins"] < cfg.k_p:
-        raise ConfigError(
-            f"n_bins must be >= k_p = {cfg.k_p}, got {opts['n_bins']}")
+    _setting(lambda n_bins: window_starts(cfg.k_p, n_bins), "--n-bins",
+             opts["n_bins"])
+    _setting(cfg.amplitudes, "--sinr", opts["sinr"])
     curves = sliding_window(kinds, None, cfg, n_bins=opts["n_bins"],
                             sinr_db=opts["sinr"])
     for kind in kinds:

@@ -32,6 +32,20 @@ elementwise arithmetic on such arrays or one batched product:
   the log det after the update.  The early-stop ascent and the traced one
   (`c_glrt_gain_trace`) run the same step.
 
+A caller that keeps only each det-ratio kind's top k statistics, or only
+whether each exceeds its threshold, passes that as a cut.  With V a basis
+of the steering span, U = log det(V† S_{n,m}^-1 V) - log det(V† (S_P +
+S_S)^-1 V) bounds the log statistic of ep-glrt-ka, a-glrt and c-glrt at
+pair (n, m) whatever the amplitudes: eliminating the basis and the window
+cells of one matrix in two orders gives U = ld_num - ld_ex - log det(I_3 +
+S), S the Schur complement of the pair's three cells against V through
+S_{n,m}, and S is at most the residual form T† H T at any amplitudes.  The
+first term reads the steering block of the pair workspace, and the pair
+LDL forms only that block and km-2's entries for every trial; the
+(pair, trial) entries whose bound reaches the cut, less a margin, are then
+evaluated exactly, all pairs in one stack, with the operations of the
+per-pair route, so that every value they produce is the same bit for bit.
+
 A pivot or capacitance determinant that is not positive and finite raises
 NotPositiveDefinite naming the batch positions of the failing trials.  Those
 checks decide, so the algebra runs with numpy's overflow, invalid-value and
@@ -45,7 +59,9 @@ All det-ratio statistics are computed as exp of log-determinant differences.
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,6 +77,13 @@ from .signal_model import NotPositiveDefinite, SteeringSet
 # it while genuine ascent bugs produce decreases on the order of the gains
 # themselves.
 MONOTONE_SLACK = 1e-8
+
+# The bound of a cut needs a basis of the steering span: a whitened steering
+# vector joins it when its residual against the basis so far exceeds
+# _SPAN_OUT of its norm, and lies in the span below _SPAN_IN.  In between,
+# a basis would be too ill-conditioned for the bound's log-determinants, and
+# leaving the vector out would bound nothing, so no entry is pruned.
+_SPAN_IN, _SPAN_OUT = 1e-8, 1e-3
 
 # The engine's entry points run their algebra under this: every inf or NaN
 # it can make reaches a pivot that _require_positive checks.
@@ -161,6 +184,9 @@ class BatchResult:
     n_hat: np.ndarray | None = None
     m_hat: np.ndarray | None = None
     iterations: np.ndarray | None = None
+    # c-glrt: the iterations of the ascent at each (trial, pair), 0 where
+    # none ran; shape (T, pairs).
+    ascents: np.ndarray | None = None
 
 
 def _cholesky(a: np.ndarray, first: int) -> np.ndarray:
@@ -186,8 +212,9 @@ def _cholesky(a: np.ndarray, first: int) -> np.ndarray:
         raise
 
 
-def _ldl_schur(g: np.ndarray, ex: list[int], sel: list[int],
-               what: str) -> tuple[np.ndarray, np.ndarray]:
+def _ldl_schur(g: np.ndarray, ex: list[int], sel: list[int], what: str,
+               upper: list[tuple[int, int]] | None = None,
+               ) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
     """log det(I + G_ex) and the Schur complement
     G_sel - G_sel,ex (I + G_ex)^-1 G_ex,sel of a (K, K, T) Hermitian stack,
     where G_ex = G[ex][:, ex] and so on.
@@ -196,32 +223,69 @@ def _ldl_schur(g: np.ndarray, ex: list[int], sel: list[int],
     len(ex) real pivots of the capacitance I + G_ex must pass
     _require_positive, and eliminating it downdates every upper-triangle
     entry after it by a rank-1 term, which forward-substitutes the G_ex,sel
-    rows and leaves the Schur complement in the sel block.  The lower
-    triangle of the returned (len(sel), len(sel), T) block is the conjugate
-    of the upper.  ex may be empty.
+    rows and leaves the Schur complement in the sel block.  The complement
+    comes back as its upper entries {(i, j): (T,) array}, i <= j indexing
+    sel, the diagonal real; `upper` names the entries to form (default:
+    all), and no other entry of the sel block is downdated.  ex may be
+    empty.
     """
     rows = [*ex, *sel]
     size, n_ex = len(rows), len(ex)
+    if upper is None:
+        upper = [(i, j) for i in range(len(sel)) for j in range(i, len(sel))]
+    keep = {(n_ex + i, n_ex + j) for i, j in upper}
+    used = {n_ex + i for pair in upper for i in pair}
     a = {(i, j): g[rows[i], rows[j]] for i in range(size)
-         for j in range(i, size)}
+         for j in range(i, size)
+         if (i < n_ex and (j < n_ex or j in used)) or (i, j) in keep}
     for i in range(size):
-        a[i, i] = a[i, i].real + (1.0 if i < n_ex else 0.0)
+        if (i, i) in a:
+            a[i, i] = a[i, i].real + (1.0 if i < n_ex else 0.0)
     ld = np.zeros(g.shape[-1])
     for k in range(n_ex):
         d = a[k, k]
         _require_positive(what, d)
         ld += np.log(d)
         for i in range(k + 1, size):
+            if (k, i) not in a:
+                continue
             f = np.conj(a[k, i]) / d
-            a[i, i] = a[i, i] - _abs2(a[k, i]) / d
+            if (i, i) in a:
+                a[i, i] = a[i, i] - _abs2(a[k, i]) / d
+            for j in range(i + 1, size):
+                if (i, j) in a:
+                    a[i, j] = a[i, j] - f * a[k, j]
+    return ld, {(i - n_ex, j - n_ex): a[i, j] for i, j in keep}
+
+
+def _hermitian(blocks: dict[tuple[int, int], np.ndarray],
+               size: int) -> np.ndarray:
+    """The (size, size, T) Hermitian stack whose upper entries are blocks."""
+    t = blocks[0, 0].shape[-1]
+    h = np.empty((size, size, t), dtype=np.complex128)
+    for i in range(size):
+        for j in range(i, size):
+            h[i, j] = blocks[i, j]
+            h[j, i] = np.conj(h[i, j])
+    return h
+
+
+def _logdet(blocks: dict[tuple[int, int], np.ndarray], size: int,
+            what: str) -> np.ndarray:
+    """log det of the Hermitian matrix whose upper entries are blocks, by
+    an elementwise LDL whose pivots must pass _require_positive."""
+    a = dict(blocks)
+    ld = 0.0
+    for k in range(size):
+        d = a[k, k].real
+        _require_positive(what, d)
+        ld = ld + np.log(d)
+        for i in range(k + 1, size):
+            f = np.conj(a[k, i]) / d
+            a[i, i] = a[i, i].real - _abs2(a[k, i]) / d
             for j in range(i + 1, size):
                 a[i, j] = a[i, j] - f * a[k, j]
-    h = np.empty((len(sel), len(sel), g.shape[-1]), dtype=np.complex128)
-    for i in range(len(sel)):
-        for j in range(i, len(sel)):
-            h[i, j] = a[n_ex + i, n_ex + j]
-            h[j, i] = np.conj(h[i, j])
-    return ld, h
+    return ld
 
 
 class _GramWorkspace:
@@ -235,7 +299,8 @@ class _GramWorkspace:
     laid out trial-last, so g[i, j] is a contiguous (T,) array.
     """
 
-    def __init__(self, z_p: np.ndarray, r: np.ndarray, steering: SteeringSet):
+    def __init__(self, z_p: np.ndarray, r: np.ndarray, steering: SteeringSet,
+                 basis: tuple[int, ...] = ()):
         t, n_dim, k_p = z_p.shape
         if r.shape[:2] != (t, n_dim):
             raise ValueError("Z_P and R must share the trial and array dimensions")
@@ -279,9 +344,12 @@ class _GramWorkspace:
             self.g[:, :, lo:hi] = np.matmul(
                 np.conj(np.swapaxes(w_b, 1, 2)), w_b,
                 out=g_st[:hi - lo]).transpose(1, 2, 0)
-        # log det(S_P + S_S) - log det(S_S): numerator of every det ratio
-        self.ld_num_rel, _ = _ldl_schur(self.g, list(range(k_p)), [],
-                                        "numerator capacitance")
+        # log det(S_P + S_S) - log det(S_S): numerator of every det ratio;
+        # and V† (S_P + S_S)^-1 V, V the steering vectors at the positions
+        # `basis` (0 v_R, 1 v_SR, 2 v_S), as upper entries.
+        self.ld_num_rel, self.basis_gram = _ldl_schur(
+            self.g, list(range(k_p)), [k_p + b for b in basis],
+            "numerator capacitance")
         # Cell energies and matched-filter terms against S_S (variant-1 /
         # baseline ingredients), indexed [steering vector, cell]:
         # num[v, c] = |u_v† c|^2, den[v] = u_v† u_v.
@@ -292,6 +360,12 @@ class _GramWorkspace:
         self.alpha_ss = gvc / den
         self.cell_energy = np.real(self.g[range(k_p), range(k_p)])
 
+    def pair_rows(self, n: int, m: int) -> tuple[list[int], list[int]]:
+        """Rows of g outside pair (n, m)'s capacitance, and the six rows
+        sel = [z_1, z_n, z_m, v_R, v_SR, v_S] of its workspace."""
+        ex = [k for k in range(self.k_p) if k not in (0, n - 1, m - 1)]
+        return ex, [0, n - 1, m - 1, *self.iu]
+
     def pair_state(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Quadratic forms through S_{n,m} for the six working vectors.
 
@@ -300,10 +374,9 @@ class _GramWorkspace:
         log det(S_{n,m}) - log det(S_S).  h is laid out (6, 6, T), so
         every entry h[i, j] is a contiguous (T,) array.
         """
-        ex = [k for k in range(self.k_p) if k not in (0, n - 1, m - 1)]
-        sel = [0, n - 1, m - 1, *self.iu]
-        ld_ex, h = _ldl_schur(self.g, ex, sel, "pair capacitance")
-        return h, ld_ex, sel
+        ex, sel = self.pair_rows(n, m)
+        ld_ex, blocks = _ldl_schur(self.g, ex, sel, "pair capacitance")
+        return _hermitian(blocks, len(sel)), ld_ex, sel
 
 
 # Row indices of the pair workspace h, and the (cell, steering) rows of the
@@ -343,11 +416,13 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return x.real * x.real + x.imag * x.imag
 
 
-def _residual_logdet(h: np.ndarray, alphas) -> np.ndarray:
+def _residual_logdet(h: np.ndarray, alphas,
+                     at: np.ndarray | None = None) -> np.ndarray:
     """log det(I_3 + T† H T) for the residual columns at amplitudes alphas.
 
     Elementwise LDL of the 3x3 Hermitian matrix A = I_3 + T† H T on (T,)
-    arrays: three real pivots, each >= 1 in exact arithmetic.
+    arrays: three real pivots, each >= 1 in exact arithmetic.  at maps the
+    stack's positions to batch positions, as in _require_positive.
     """
     def col(k, row):  # (H t_k)[row]
         cell, steer = _COLS[k]
@@ -362,15 +437,16 @@ def _residual_logdet(h: np.ndarray, alphas) -> np.ndarray:
     d1 = 1.0 + entry(1, 1).real - _abs2(a10) / d0
     a21 = entry(2, 1) - a20 * np.conj(a10) / d0
     d2 = 1.0 + entry(2, 2).real - _abs2(a20) / d0 - _abs2(a21) / d1
-    _require_positive("residual capacitance", d0, d1, d2)
+    _require_positive("residual capacitance", d0, d1, d2, at=at)
     return np.log(d0) + np.log(d1) + np.log(d2)
 
 
-def _plugin_start(h: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _plugin_start(h: np.ndarray, at: np.ndarray | None = None,
+                  ) -> tuple[list[np.ndarray], np.ndarray]:
     """Amplitudes h[s, c] / h[s, s] through S_{n,m} and the residual log det
     there: the a-glrt statistic's log det and the cyclic ascent's start."""
     alphas = [h[steer, cell] / h[steer, steer].real for cell, steer in _COLS]
-    return alphas, _residual_logdet(h, alphas)
+    return alphas, _residual_logdet(h, alphas, at)
 
 
 def _ascent_step(h: np.ndarray, alphas: list[np.ndarray], k: int,
@@ -419,6 +495,7 @@ def _cyclic_batch(
     k_tot: int,
     cfg: CGlrtConfig,
     collect_trace: bool = False,
+    at: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Cyclic amplitude ascent for one pair across a stack of trials.
 
@@ -427,7 +504,8 @@ def _cyclic_batch(
     is log det(S_{n,m} + residual scatter) - log det(S_{n,m}) at the final
     amplitudes.  With collect_trace the loop runs all cfg.h_max iterations
     (no early stop) and also records the log det after every coordinate
-    update, which is what the convergence experiment consumes.
+    update, which is what the convergence experiment consumes.  at maps
+    the stack's positions to the batch positions that errors name.
     """
     alphas, ld_prev = list(start[0]), start[1]
     t_len = ld_prev.shape[0]
@@ -443,14 +521,15 @@ def _cyclic_batch(
     iters = np.zeros(t_len, dtype=np.int64)
     active = np.arange(t_len)
     for it in range(1, cfg.h_max + 1):
+        where = active if at is None else at[active]
         for k in range(3):
-            alphas[k], ld_h = _ascent_step(h, alphas, k, active)
+            alphas[k], ld_h = _ascent_step(h, alphas, k, where)
             if collect_trace:
                 update_lds[:, 3 * (it - 1) + k + 1] = ld_h
         gain = np.expm1(k_tot * (ld_prev - ld_h))
         if np.any(gain < -slack):
             raise NonMonotonic("likelihood decreased during cyclic ascent",
-                               positions=active[gain < -slack])
+                               positions=where[gain < -slack])
         # A traced run retires no trial before h_max, so its arrays stay
         # aligned with the trace columns.
         done = np.full(gain.shape, it == cfg.h_max)
@@ -526,6 +605,98 @@ def bounded_cfar_bounds(
     return det_bound, km1_bound
 
 
+def _steering_basis(steering: SteeringSet) -> tuple[int, ...] | None:
+    """Positions (0 v_R, 1 v_SR, 2 v_S) of steering vectors that span the
+    set: v_R, then v_S and v_SR each where it leaves the span of those
+    before it.
+
+    A vector leaves the span when its residual after projection onto it
+    exceeds _SPAN_OUT of its norm and stays inside below _SPAN_IN.  None
+    when one lies between the two, or a norm is not positive and finite:
+    no bound is then taken.
+    """
+    vecs = (steering.v_r, steering.v_sr, steering.v_s)
+    basis, q = [], []
+    for pos in (0, 2, 1):
+        v = np.asarray(vecs[pos], dtype=np.complex128)
+        peak = np.abs(v).max()
+        if not 0.0 < peak < np.inf:
+            return None
+        res = v / peak
+        res = res / np.linalg.norm(res)
+        for _ in range(2):  # Gram-Schmidt, repeated once for accuracy
+            for b in q:
+                res = res - np.vdot(b, res) * b
+        size = np.linalg.norm(res)
+        if size > _SPAN_OUT:
+            basis.append(pos)
+            q.append(res / size)
+        elif size >= _SPAN_IN:
+            return None
+    return tuple(sorted(basis))
+
+
+def _det_ratio(h: np.ndarray, ld_rel: np.ndarray, ka_alphas: list,
+               kinds: list[DetectorKind], cfg: CGlrtConfig, k_tot: int,
+               ceiling: np.ndarray | None = None, at: np.ndarray | None = None,
+               ) -> tuple[dict[DetectorKind, np.ndarray], np.ndarray | None]:
+    """ep-glrt-ka, a-glrt and c-glrt, those of them in kinds, over a
+    (6, 6, S) stack of pair workspaces: exp(ld_rel - ld_res), where ld_rel
+    is log det(S_P + S_S) - log det(S_{n,m}) and ld_res the residual log det
+    at the kind's amplitudes.
+
+    The ascent runs where the a-glrt log statistic ld_rel - ld_res(start)
+    is at most `ceiling` (everywhere when None); elsewhere c-glrt keeps its
+    start, the a-glrt value, with 0 iterations.  at maps the stack's
+    positions to batch positions.  Returns the statistics by kind and the
+    c-glrt iterations (None without c-glrt).
+    """
+    vals, iters = {}, None
+    if DetectorKind.EP_GLRT_KA in kinds:
+        vals[DetectorKind.EP_GLRT_KA] = np.exp(
+            ld_rel - _residual_logdet(h, ka_alphas, at))
+    if DetectorKind.A_GLRT in kinds or DetectorKind.C_GLRT in kinds:
+        start = _plugin_start(h, at)
+    if DetectorKind.A_GLRT in kinds:
+        vals[DetectorKind.A_GLRT] = np.exp(ld_rel - start[1])
+    if DetectorKind.C_GLRT in kinds:
+        if ceiling is None:
+            ld_res, iters, _ = _cyclic_batch(h, start, k_tot, cfg, at=at)
+        else:
+            ld_res = start[1].copy()
+            iters = np.zeros(ld_res.shape, dtype=np.int64)
+            run = np.flatnonzero(ld_rel - start[1] <= ceiling)
+            if run.size:
+                ld_res[run], iters[run], _ = _cyclic_batch(
+                    h[:, :, run], ([a[run] for a in start[0]], start[1][run]),
+                    k_tot, cfg, at=run if at is None else at[run])
+        vals[DetectorKind.C_GLRT] = np.exp(ld_rel - ld_res)
+    return vals, iters
+
+
+def _stacked_det_ratio(ws: _GramWorkspace, pairs: list[tuple[int, int]],
+                       p_idx: np.ndarray, t_idx: np.ndarray,
+                       kinds: list[DetectorKind], cfg: CGlrtConfig,
+                       ceiling: np.ndarray | None = None,
+                       ) -> tuple[dict[DetectorKind, np.ndarray],
+                                  np.ndarray | None]:
+    """_det_ratio at the entries (pairs[p_idx[i]], trial t_idx[i]) in one
+    stack: each entry's Gram rows in its pair's [ex, sel] order, so that
+    one LDL forms every entry's workspace with the operations of
+    pair_state, and every value equals the per-pair one bit for bit."""
+    rows = np.array([[*ex, *sel] for ex, sel in
+                     (ws.pair_rows(n, m) for n, m in pairs)])[p_idx].T
+    g = ws.g[rows[:, None, :], rows[None, :, :], t_idx]
+    n_ex = ws.k_p - 3
+    ld_ex, blocks = _ldl_schur(g, list(range(n_ex)),
+                               list(range(n_ex, n_ex + 6)), "pair capacitance")
+    nm = np.array(pairs)[p_idx]
+    ka_alphas = [ws.alpha_ss[0, 0, t_idx], ws.alpha_ss[1, nm[:, 0] - 1, t_idx],
+                 ws.alpha_ss[2, nm[:, 1] - 1, t_idx]]
+    return _det_ratio(_hermitian(blocks, 6), ws.ld_num_rel[t_idx] - ld_ex,
+                      ka_alphas, kinds, cfg, ws.k_tot, ceiling, at=t_idx)
+
+
 @_quiet
 def batch_evaluate(
     z_p: np.ndarray,
@@ -534,6 +705,7 @@ def batch_evaluate(
     kinds: tuple[DetectorKind, ...] | list[DetectorKind],
     cfg: CGlrtConfig = CGlrtConfig(),
     baseline_cell: int = 1,
+    cut: int | Mapping[DetectorKind, float] | None = None,
 ) -> dict[DetectorKind, BatchResult]:
     """Evaluate detectors over stacked trials.
 
@@ -542,14 +714,24 @@ def batch_evaluate(
         r: training vectors, shape (T, N, K_S).
         kinds: detectors to evaluate; window detectors share all per-pair work.
         baseline_cell: 1-based window cell fed to Kelly/AMF (steering v_R).
+        cut: what the caller keeps of the det-ratio statistics (ep-glrt-ka,
+            a-glrt, c-glrt).  An int k keeps each one's k largest: those
+            are exact, and every other value is below the k-th largest.  A
+            mapping kind -> eta keeps whether each exceeds its eta, which
+            every value tells exactly.  None keeps every value exact.
 
     Returns:
         kind -> BatchResult with (T,) statistic arrays; window detectors also
-        carry the maximizing pair, the cyclic detector its iteration counts.
+        carry the maximizing pair, the cyclic detector its iteration counts
+        at that pair and at every pair (ascents).  With a cut the pair and
+        the counts are those of the pairs evaluated exactly.
     """
     _warn_if_degenerate_steering(steering)
     kinds = tuple(kinds)
-    ws = _GramWorkspace(z_p, r, steering)
+    ratio_kinds = [k for k in kinds if k in DET_RATIO_KINDS]
+    basis = (_steering_basis(steering) if cut is not None and ratio_kinds
+             else None)
+    ws = _GramWorkspace(z_p, r, steering, basis or ())
     t_len, k_p = ws.t, ws.k_p
     out: dict[DetectorKind, BatchResult] = {}
 
@@ -571,13 +753,16 @@ def batch_evaluate(
         return out
 
     # Each window detector's result holds its running maximum over the pairs.
+    pairs = candidate_pairs(k_p)
     for kind in window_kinds:
         out[kind] = BatchResult(
             statistic=np.full(t_len, -np.inf),
             n_hat=np.zeros(t_len, dtype=np.int64),
             m_hat=np.zeros(t_len, dtype=np.int64),
             iterations=(np.zeros(t_len, dtype=np.int64)
-                        if kind is DetectorKind.C_GLRT else None))
+                        if kind is DetectorKind.C_GLRT else None),
+            ascents=(np.zeros((t_len, len(pairs)), dtype=np.int64)
+                     if kind is DetectorKind.C_GLRT else None))
 
     def keep_max(kind: DetectorKind, val: np.ndarray, n: int, m: int,
                  iters: np.ndarray | None = None) -> None:
@@ -589,12 +774,31 @@ def batch_evaluate(
         if iters is not None:
             best.iterations[mask] = iters[mask]
 
+    # The det-ratio statistics of every (pair, trial), -inf where not
+    # evaluated; they are reduced to each trial's maximum after the pairs.
+    ratio_vals = {kind: np.full((len(pairs), t_len), -np.inf)
+                  for kind in ratio_kinds}
+    km_2 = DetectorKind.EP_GLRT_KM_2 in window_kinds
+    if basis is not None:
+        # The bound reads the basis block of each pair workspace, and km-2
+        # its three matched-filter entries and steering norms: the pair
+        # LDL forms no other entry.
+        rows = [_UR + b for b in basis]
+        upper = [(i, j) for a, i in enumerate(rows) for j in rows[a:]]
+        if km_2:
+            upper += [e for e in ((_Z1, _UR), (_ZN, _USR), (_ZM, _US),
+                                  (_UR, _UR), (_USR, _USR), (_US, _US))
+                      if e not in upper]
+        ld_basis = _logdet(ws.basis_gram, len(basis),
+                           "steering Gram through S_S + S_P")
+        bound = np.empty((len(pairs), t_len))
+
     # km-1 reads only the matched-filter terms against S_S; every other
     # window detector needs the pair workspace.
     need_pair = any(k is not DetectorKind.EP_GLRT_KM_1 for k in window_kinds)
     if DetectorKind.EP_GLRT_KM_1 in window_kinds:
         _require_steering_norms("S_S", *ws.steer_norms)
-    for n, m in candidate_pairs(k_p):
+    for p, (n, m) in enumerate(pairs):
         if DetectorKind.EP_GLRT_KM_1 in window_kinds:
             val = (ws.km1_terms[0, 0]
                    + ws.km1_terms[1, n - 1]
@@ -602,33 +806,100 @@ def batch_evaluate(
             keep_max(DetectorKind.EP_GLRT_KM_1, val, n, m)
         if not need_pair:
             continue
-        h, ld_ex, _ = ws.pair_state(n, m)
+        if basis is None:
+            h, ld_ex, _ = ws.pair_state(n, m)
+        else:
+            ld_ex, h = _ldl_schur(ws.g, *ws.pair_rows(n, m),
+                                  "pair capacitance", upper)
+            bound[p] = _logdet(
+                {(a, b): h[rows[a], rows[b]] for a in range(len(rows))
+                 for b in range(a, len(rows))}, len(rows),
+                "steering Gram through S_{n,m}") - ld_basis
 
-        if DetectorKind.EP_GLRT_KM_2 in window_kinds:
+        if km_2:
             norms = [h[s, s].real for s in (_UR, _USR, _US)]
             _require_steering_norms("S_{n,m}", *norms)
-            val = (np.abs(h[_UR, _Z1]) ** 2 / norms[0]
-                   + np.abs(h[_USR, _ZN]) ** 2 / norms[1]
-                   + np.abs(h[_US, _ZM]) ** 2 / norms[2])
+            val = (np.abs(h[_Z1, _UR]) ** 2 / norms[0]
+                   + np.abs(h[_ZN, _USR]) ** 2 / norms[1]
+                   + np.abs(h[_ZM, _US]) ** 2 / norms[2])
             keep_max(DetectorKind.EP_GLRT_KM_2, val, n, m)
 
-        if DetectorKind.EP_GLRT_KA in window_kinds:
+        if basis is None and ratio_kinds:
             alphas = [ws.alpha_ss[0, 0], ws.alpha_ss[1, n - 1],
                       ws.alpha_ss[2, m - 1]]
-            val = np.exp(ws.ld_num_rel - ld_ex - _residual_logdet(h, alphas))
-            keep_max(DetectorKind.EP_GLRT_KA, val, n, m)
+            vals, iters = _det_ratio(h, ws.ld_num_rel - ld_ex, alphas,
+                                     ratio_kinds, cfg, ws.k_tot)
+            for kind, val in vals.items():
+                ratio_vals[kind][p] = val
+            if iters is not None:
+                out[DetectorKind.C_GLRT].ascents[:, p] = iters
 
-        if DetectorKind.A_GLRT in window_kinds or \
-           DetectorKind.C_GLRT in window_kinds:
-            start = _plugin_start(h)
-
-        if DetectorKind.A_GLRT in window_kinds:
-            val = np.exp(ws.ld_num_rel - ld_ex - start[1])
-            keep_max(DetectorKind.A_GLRT, val, n, m)
-
-        if DetectorKind.C_GLRT in window_kinds:
-            ld_res, iters, _ = _cyclic_batch(h, start, ws.k_tot, cfg)
-            val = np.exp(ws.ld_num_rel - ld_ex - ld_res)
-            keep_max(DetectorKind.C_GLRT, val, n, m, iters=iters)
-
+    if basis is not None:
+        _evaluate_above_cut(ws, pairs, bound, cut, ratio_kinds, cfg,
+                            ratio_vals, out.get(DetectorKind.C_GLRT))
+    for p, (n, m) in enumerate(pairs):
+        for kind in ratio_kinds:
+            keep_max(kind, ratio_vals[kind][p], n, m,
+                     out[kind].ascents[:, p] if kind is DetectorKind.C_GLRT
+                     else None)
     return out
+
+
+def _evaluate_above_cut(ws: _GramWorkspace, pairs: list[tuple[int, int]],
+                        bound: np.ndarray,
+                        cut: int | Mapping[DetectorKind, float],
+                        kinds: list[DetectorKind], cfg: CGlrtConfig,
+                        vals: dict[DetectorKind, np.ndarray],
+                        c_glrt: BatchResult | None) -> None:
+    """Fill vals[kind][p, t] exactly at every (pair, trial) whose bound
+    reaches the kind's cut less the trial's margin, and the c-glrt ascents
+    there; every other entry stays -inf, or for c-glrt the a-glrt value
+    where that was formed.
+
+    bound[p, t] is the log bound of pair p on every det-ratio log statistic.
+    A top-k cut is each kind's k-th largest statistic over the 4k trials
+    with the largest bound, each at its pair of largest bound: a lower
+    bound on the k-th largest of the stack.  Under a threshold cut, c-glrt
+    also skips the ascent where a-glrt already exceeds eta by the margin,
+    since the ascent can only raise the statistic.
+    """
+    t_len = ws.t
+    margin = ((cfg.h_max + 1) * MONOTONE_SLACK
+              * np.maximum(1.0, ws.cell_energy.max(axis=0)))
+    done = np.zeros(bound.shape, dtype=bool)
+
+    def fill(p_idx, t_idx, ceiling=None):
+        got, iters = _stacked_det_ratio(ws, pairs, p_idx, t_idx, kinds, cfg,
+                                        ceiling)
+        for kind, val in got.items():
+            vals[kind][p_idx, t_idx] = val
+        if iters is not None:
+            c_glrt.ascents[t_idx, p_idx] = iters
+        done[p_idx, t_idx] = True
+        return got
+
+    if isinstance(cut, Mapping):
+        log_cut = {kind: (math.log(cut[kind]) if cut.get(kind, 0.0) > 0.0
+                          else -np.inf) for kind in kinds}
+    else:
+        if cut < 1:
+            raise ValueError(f"a top-k cut needs k >= 1, got {cut}")
+        log_cut = dict.fromkeys(kinds, -np.inf)
+        if t_len >= cut:
+            t_seed = np.sort(np.argsort(bound.max(axis=0),
+                                        kind="stable")[-4 * cut:])
+            seeds = fill(bound[:, t_seed].argmax(axis=0), t_seed)
+            for kind, val in seeds.items():
+                log_cut[kind] = np.log(np.partition(val, -cut)[-cut])
+    floor = bound + margin
+    todo = ~done & (floor >= min(log_cut.values()))
+    if not todo.any():
+        return
+    p_idx, t_idx = np.nonzero(todo)
+    ceiling = None
+    if DetectorKind.C_GLRT in kinds:
+        c_cut = log_cut[DetectorKind.C_GLRT]
+        above = (c_cut + margin[t_idx]
+                 if isinstance(cut, Mapping) and c_cut > -np.inf else np.inf)
+        ceiling = np.where(floor[p_idx, t_idx] >= c_cut, above, -np.inf)
+    fill(p_idx, t_idx, ceiling)

@@ -9,14 +9,17 @@ master seed regardless of chunking or worker scheduling.  Every run is one
 schedule (`_per_point`): a list of points, each with its own counter block,
 whose chunks go to one process pool when threads > 1.  A curve that is not
 handed its thresholds puts the calibration block first in its own schedule,
-so calibration and curve chunks share the pool with no barrier between
-them.  Chunks are reduced as early as the information allows: a
-calibration chunk to each detector's largest statistics, from which the
-exact threshold merges, and a curve chunk, in the launching process, to
-exceedance counts or integer sums of squared pair errors.  Each point is
-whitened once by its covariance factor before its chunks run, so a chunk
-draws white trials around the whitened mean and tests them against the
-whitened steering vectors: every statistic is invariant under that change
+so calibration and curve chunks share one pool.  Chunks are reduced as
+early as the information allows: a calibration chunk to each detector's
+largest statistics, from which the exact threshold merges, and a curve
+chunk, in the launching process, to exceedance counts or integer sums of
+squared pair errors.  The det-ratio detectors are evaluated under that
+reduction's cut (see `detectors.batch_evaluate`): a calibration chunk
+passes its top k, and an exceedance chunk its thresholds, so a curve
+chunk with a det-ratio detector starts once the calibration merges.  Each
+point is whitened once by its covariance factor before its chunks run, so a
+chunk draws white trials around the whitened mean and tests them against
+the whitened steering vectors: every statistic is invariant under that change
 of array basis, and no trial is coloured.  A numerical failure in a chunk
 is re-raised naming the counter of its first failing trial.
 """
@@ -28,12 +31,14 @@ import csv
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .detectors import (
+    DET_RATIO_KINDS,
     MONOTONE_SLACK,
     BatchResult,
     CGlrtConfig,
@@ -51,7 +56,6 @@ from .signal_model import (
     alpha_from_sinr,
     build_covariance,
     clutter_power_from_cnr,
-    power_from_db,
     synthesize_batch,
     target_mean_matrix,
     whiten,
@@ -114,12 +118,14 @@ class ExperimentConfig:
             raise ValueError("baseline_cell outside the window")
         if not self.sinr_grid:
             raise ValueError("sinr_grid must hold at least one SINR")
-        for sinr_db in self.sinr_grid:
-            power_from_db("sinr_db", sinr_db)
         # The objects handed to the engine check their own settings: the
-        # layout the pair and k_p, the steering vectors n_antennas, and the
-        # covariance noise_power, rho and cnr_db.
-        _ = self.layout, self.steering(), self.covariance()
+        # layout the pair and k_p, the steering vectors n_antennas, the
+        # covariance noise_power, rho and cnr_db, and the amplitudes each
+        # SINR of the grid with alpha_ratio.
+        _ = self.layout, self.steering()
+        cov = self.covariance()
+        for sinr_db in self.sinr_grid:
+            self.amplitudes(sinr_db, cov)
 
     @property
     def layout(self) -> BinLayout:
@@ -128,6 +134,14 @@ class ExperimentConfig:
     def steering(self) -> SteeringSet:
         return SteeringSet.from_angles(
             self.theta_r_deg, self.theta_s_deg, self.n_antennas)
+
+    def amplitudes(self, sinr_db: float, cov: np.ndarray | None = None,
+                   ) -> tuple[complex, complex, complex]:
+        """The echo amplitudes at a direct-path SINR, under cov (default:
+        the configured covariance)."""
+        return alpha_from_sinr(
+            sinr_db, self.covariance() if cov is None else cov,
+            self.steering().v_r, self.alpha_ratio)
 
     def covariance(self, cnr_db: float | None = None,
                    rho: float | None = None) -> np.ndarray:
@@ -138,11 +152,18 @@ class ExperimentConfig:
             self.rho if rho is None else rho, self.n_antennas)
 
 
+# The ExperimentConfig defaults, read from its fields rather than from a
+# built config: a build checks the amplitudes of every SINR of the grid,
+# each through a Cholesky factor, which importing the package need not pay.
+CONFIG_DEFAULTS = SimpleNamespace(**{
+    f.name: f.default if f.default_factory is MISSING else f.default_factory()
+    for f in fields(ExperimentConfig)})
+
 # Trial budgets selected by --profile: desk is the ExperimentConfig
 # defaults, paper is the publication scale.
 _BUDGET_KEYS = ("pfa", "trials_cal", "trials_pd")
 PROFILES = {
-    "desk": {key: getattr(ExperimentConfig(), key) for key in _BUDGET_KEYS},
+    "desk": {key: getattr(CONFIG_DEFAULTS, key) for key in _BUDGET_KEYS},
     "paper": {"pfa": 1e-4, "trials_cal": 1_000_000, "trials_pd": 10_000},
 }
 
@@ -151,8 +172,10 @@ PROFILES = {
 class ThresholdTable:
     """Detection thresholds keyed by detector, with their calibration recipe.
 
-    hmax_hits counts the calibration trials whose cyclic ascent stopped at
-    the iteration cap h_max; None when c-glrt was not calibrated.
+    ascents counts the cyclic ascents that calibration ran, one per (pair,
+    trial) that could reach the chunk's top statistics, and hmax_hits those
+    that stopped at the iteration cap h_max; both None when c-glrt was not
+    calibrated.
     """
 
     thresholds: dict[DetectorKind, float]
@@ -160,6 +183,7 @@ class ThresholdTable:
     master_seed: int
     trials: int
     hmax_hits: int | None = None
+    ascents: int | None = None
 
     def __post_init__(self) -> None:
         for kind, eta in self.thresholds.items():
@@ -293,13 +317,15 @@ def _white_trials(cfg: ExperimentConfig, mean: np.ndarray | None,
                             cfg.master_seed, indices)
 
 
-def _eval_chunk(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
-                mean: np.ndarray | None, steering: SteeringSet,
+def _eval_chunk(cfg: ExperimentConfig, key: tuple, mean: np.ndarray | None,
+                steering: SteeringSet,
                 indices: np.ndarray) -> dict[DetectorKind, BatchResult]:
+    """batch_evaluate of key = (kinds, cut) on the chunk's trials."""
+    kinds, cut = key
     with _naming_trial(cfg, indices):
         z_p, r = _white_trials(cfg, mean, indices)
         return batch_evaluate(z_p, r, steering, kinds, cfg.cglrt,
-                              cfg.baseline_cell)
+                              cfg.baseline_cell, cut=cut)
 
 
 def _trace_chunk(cfg: ExperimentConfig, pair: tuple[int, int],
@@ -312,7 +338,9 @@ def _trace_chunk(cfg: ExperimentConfig, pair: tuple[int, int],
 
 class _Point(NamedTuple):
     """One point of a schedule: fn(cfg, key, mean, steering, chunk) runs on
-    every chunk of the `trials` counters of block (stage, index)."""
+    every chunk of the `trials` counters of block (stage, index).  A key
+    that is a callable stands for key(), which may depend on the outputs
+    of the points before it (see _per_point)."""
 
     fn: Callable
     stage: int
@@ -337,23 +365,38 @@ def _per_point(cfg: ExperimentConfig,
     and steering vectors.  Yields, point by point, an iterator over that
     point's chunk outputs in trial order; the caller takes each one to its
     end before it asks for the next, and can reduce each output as it
-    arrives.  fn is pickled by name and reaches the synthesis and detectors
-    through this module's globals.
+    arrives.  The chunks go to the pool at once, up to the first point with
+    a callable key: that point and those after it go once the caller has
+    taken every output before it, each with its key called then.  Every
+    counter block is checked before any chunk runs.  fn is pickled by name
+    and reaches the synthesis and detectors through this module's globals.
     """
     steering = cfg.steering()
-    tasks, counts = [], []
+    prepared, counts = [], []
     for p in points:
         idx = _trial_block(p.stage, p.index, p.trials)
-        mean_w, steering_w = whiten(p.cov, p.mean, steering)
         chunks = [idx[i:i + _CHUNK] for i in range(0, p.trials, _CHUNK)]
-        tasks += [(p.fn, cfg, p.key, mean_w, steering_w, c) for c in chunks]
+        prepared.append((p, *whiten(p.cov, p.mean, steering), chunks))
         counts.append(len(chunks))
-    pool = (ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks)))
-            if cfg.threads > 1 and len(tasks) > 1 else None)
+    later = next((j for j, p in enumerate(points) if callable(p.key)),
+                 len(points))
+    pool = (ProcessPoolExecutor(max_workers=min(cfg.threads, sum(counts)))
+            if cfg.threads > 1 and sum(counts) > 1 else None)
+
+    def run(part):
+        tasks = []
+        for p, mean_w, steering_w, chunks in part:
+            key = p.key() if callable(p.key) else p.key
+            tasks += [(p.fn, cfg, key, mean_w, steering_w, c) for c in chunks]
+        if pool is None or not tasks:
+            return itertools.starmap(_call, tasks)
+        return pool.map(_call, *zip(*tasks))
+
     with pool or contextlib.nullcontext():
-        outs = (itertools.starmap(_call, tasks) if pool is None
-                else pool.map(_call, *zip(*tasks)))
-        for count in counts:
+        outs = run(prepared[:later])
+        for j, count in enumerate(counts):
+            if j == later:
+                outs = run(prepared[later:])
             yield itertools.islice(outs, count)
 
 
@@ -364,15 +407,17 @@ def _per_point(cfg: ExperimentConfig,
 def _calibration_chunk(
     cfg: ExperimentConfig, key: tuple[tuple[DetectorKind, ...], int],
     mean: None, steering: SteeringSet, indices: np.ndarray,
-) -> tuple[dict[DetectorKind, np.ndarray], int]:
+) -> tuple[dict[DetectorKind, np.ndarray], int, int]:
     """A calibration chunk reduced to what the thresholds need: each kind's
-    `top` largest statistics, and how many c-glrt ascents stopped at h_max."""
+    `top` largest statistics, which the engine evaluates under that cut,
+    and how many c-glrt ascents ran and how many of them stopped at h_max."""
     kinds, top = key
-    res = _eval_chunk(cfg, kinds, mean, steering, indices)
-    hits = (int(np.count_nonzero(
-        res[DetectorKind.C_GLRT].iterations == cfg.cglrt.h_max))
-        if DetectorKind.C_GLRT in res else 0)
-    return {kind: _largest(res[kind].statistic, top) for kind in kinds}, hits
+    res = _eval_chunk(cfg, (kinds, top), mean, steering, indices)
+    ascents = (res[DetectorKind.C_GLRT].ascents if DetectorKind.C_GLRT in res
+               else np.zeros(0))
+    return ({kind: _largest(res[kind].statistic, top) for kind in kinds},
+            int(np.count_nonzero(ascents == cfg.cglrt.h_max)),
+            int(np.count_nonzero(ascents)))
 
 
 def _top_count(cfg: ExperimentConfig) -> int:
@@ -391,12 +436,14 @@ def _calibration(cfg: ExperimentConfig,
 def _threshold_table(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
                      chunks: Iterable) -> ThresholdTable:
     """The thresholds merged from the calibration chunks' outputs."""
-    tops, hits = zip(*chunks)
+    tops, hits, ascents = zip(*chunks)
+    cyclic = DetectorKind.C_GLRT in kinds
     return ThresholdTable(
         thresholds={kind: _kth_largest((t[kind] for t in tops),
                                        _top_count(cfg)) for kind in kinds},
         pfa=cfg.pfa, master_seed=cfg.master_seed, trials=cfg.trials_cal,
-        hmax_hits=sum(hits) if DetectorKind.C_GLRT in kinds else None)
+        hmax_hits=sum(hits) if cyclic else None,
+        ascents=sum(ascents) if cyclic else None)
 
 
 def calibrate_thresholds(cfg: ExperimentConfig,
@@ -421,6 +468,7 @@ def _sweep(
     finish: Callable[[DetectorKind, float, object], Point],
     table: ThresholdTable | None = None,
     calibrate: bool = False,
+    prune: bool = False,
 ) -> dict[DetectorKind, list[Point]]:
     """Evaluate every point (x, mean, cov) on its own trial block.
 
@@ -429,12 +477,21 @@ def _sweep(
     results on one chunk, as it arrives, to an integer or integer array
     that adds over the chunks; finish(kind, x, total) turns a point's total
     into a curve point.  With calibrate, the calibration block leads the
-    same schedule, and tally gets the table merged from it.  A kind listed
-    twice would count each trial twice, so it is an error.
+    same schedule, and tally gets the table merged from it.  With prune,
+    tally reads only whether each statistic exceeds its threshold, so the
+    chunks evaluate the det-ratio kinds under that cut; when calibrate
+    gives the thresholds, the curve chunks start once they are merged.  A
+    kind listed twice would count each trial twice, so it is an error.
     """
     if len(set(kinds)) < len(kinds):
         raise ValueError(f"a detector is listed twice in {kinds}")
-    schedule = [_Point(_eval_chunk, stage, j, trials, kinds, mean, cov)
+    pruned = [k for k in kinds if k in DET_RATIO_KINDS] if prune else []
+
+    def key():
+        return kinds, ({k: table[k] for k in pruned} if pruned else None)
+
+    schedule = [_Point(_eval_chunk, stage, j, trials,
+                       key if calibrate and pruned else key(), mean, cov)
                 for j, (_, mean, cov) in enumerate(points)]
     if calibrate:
         schedule.insert(0, _calibration(cfg, kinds))
@@ -474,13 +531,13 @@ def _exceedance_sweep(
             stderr=binomial_stderr(p, trials),
             trials=trials, seed=cfg.master_seed)
     return _sweep(tuple(kinds), cfg, stage, trials, points, _exceedances,
-                  rate, table, calibrate=table is None)
+                  rate, table, calibrate=table is None, prune=True)
 
 
 def _h1_mean(cfg: ExperimentConfig, cov: np.ndarray, steering: SteeringSet,
              sinr_db: float) -> np.ndarray:
-    alphas = alpha_from_sinr(sinr_db, cov, steering.v_r, cfg.alpha_ratio)
-    params = TargetParams(alpha=alphas, layout=cfg.layout)
+    params = TargetParams(alpha=cfg.amplitudes(sinr_db, cov),
+                          layout=cfg.layout)
     return target_mean_matrix(params, steering, cfg.k_p)
 
 
@@ -591,6 +648,14 @@ def convergence_study(cfg: ExperimentConfig, pairs: Sequence[tuple[int, int]],
 # Sliding window
 # ---------------------------------------------------------------------------
 
+def window_starts(k_p: int, n_bins: int) -> range:
+    """Start positions 1, 2, ... of a size-k_p window sliding over n_bins
+    range bins; a ValueError unless it fits at least once."""
+    if n_bins < k_p:
+        raise ValueError(f"n_bins must be >= k_p = {k_p}, got {n_bins}")
+    return range(1, n_bins - k_p + 2)
+
+
 def sliding_window(kinds: Sequence[DetectorKind], table: ThresholdTable | None,
                    cfg: ExperimentConfig, n_bins: int,
                    sinr_db: float) -> dict[DetectorKind, list[CurvePoint]]:
@@ -605,16 +670,14 @@ def sliding_window(kinds: Sequence[DetectorKind], table: ThresholdTable | None,
     position.  With table None the thresholds are calibrated in the same
     schedule.
     """
-    if n_bins < cfg.k_p:
-        raise ValueError("need n_bins >= k_p")
+    starts = window_starts(cfg.k_p, n_bins)
     cov = cfg.covariance()
-    steering = cfg.steering()
-    alphas = alpha_from_sinr(sinr_db, cov, steering.v_r, cfg.alpha_ratio)
     layout = BinLayout(n=cfg.pair[0], m=cfg.pair[1], window_size=n_bins)
-    bins = target_mean_matrix(TargetParams(alpha=alphas, layout=layout),
-                              steering, n_bins)
+    bins = target_mean_matrix(
+        TargetParams(alpha=cfg.amplitudes(sinr_db, cov), layout=layout),
+        cfg.steering(), n_bins)
     points = [(position, bins[:, position - 1:position - 1 + cfg.k_p], cov)
-              for position in range(1, n_bins - cfg.k_p + 2)]
+              for position in starts]
     return _exceedance_sweep(kinds, table, cfg, _STAGE_SLIDE, cfg.trials_pd,
                              points)
 

@@ -12,6 +12,7 @@ unchanged.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -142,12 +143,19 @@ def alpha_from_sinr(
     """Amplitudes meeting a direct-path SINR of |alpha_1|^2 v_R† M^-1 v_R.
 
     alpha_1 is taken real positive (every implemented statistic is phase
-    invariant); the assisted-path amplitudes are ratio * alpha_1.
+    invariant); the assisted-path amplitudes are ratio * alpha_1.  A
+    ValueError unless every amplitude is finite.
     """
     w = np.linalg.solve(_covariance_factor(m), np.asarray(v_r)[:, None])[:, 0]
-    qf = np.sum(np.conj(w) * w).real
-    alpha_1 = np.sqrt(power_from_db("sinr_db", sinr_db) / qf)
-    return (complex(alpha_1), complex(ratio * alpha_1), complex(ratio * alpha_1))
+    qf = float(np.sum(np.conj(w) * w).real)
+    # Python floats: an overflow gives inf, with no numpy warning.
+    alpha_1 = math.sqrt(power_from_db("sinr_db", sinr_db) / qf)
+    alphas = (complex(alpha_1), complex(ratio * alpha_1),
+              complex(ratio * alpha_1))
+    if not all(cmath.isfinite(a) for a in alphas):
+        raise ValueError(f"sinr_db = {sinr_db!r} dB with alpha_ratio "
+                         f"{ratio!r} gives amplitudes beyond the float range")
+    return alphas
 
 
 def whiten(m: np.ndarray, mean: np.ndarray | None,
@@ -160,11 +168,24 @@ def whiten(m: np.ndarray, mean: np.ndarray | None,
     (AX)† (A S_S A†)^-1 (AX) = X† S_S^-1 X.  With A = L^-1 the disturbance
     is white, so a trial drawn with covariance I around L^-1 mean and tested
     against L^-1 v gives the statistics of the coloured trial.
+
+    Each statistic is also invariant to the scale of each steering vector,
+    so each whitened one is scaled by the power of two 2^-e, e the binary
+    exponent of its norm, which puts the norm in [0.5, 1).  The scaling is
+    exact, and no quadratic form of a steering vector overflows, however
+    small the noise power.
     """
     lower = _covariance_factor(m)
     cols = [steering.v_r, steering.v_sr, steering.v_s]
     w = np.linalg.solve(lower, np.column_stack(
         cols if mean is None else [*cols, mean]))
+    for k in range(3):
+        # The norm from the unit-peak vector, whose squares cannot overflow.
+        peak = np.abs(w[:, k]).max()
+        if 0.0 < peak < math.inf:
+            e = math.frexp(peak * np.linalg.norm(w[:, k] / peak))[1]
+            w.real[:, k] = np.ldexp(w.real[:, k], -e)
+            w.imag[:, k] = np.ldexp(w.imag[:, k], -e)
     return (None if mean is None else w[:, 3:],
             SteeringSet(v_r=w[:, 0], v_sr=w[:, 1], v_s=w[:, 2]))
 

@@ -48,6 +48,20 @@ def residual_cols(zp, vr, vsr, vs, n, m, a1, an, am):
     ], axis=1)
 
 
+def bound_oracle(zp, r, steering_cols, n, m, rank_tol=1e-8):
+    """log det(V† S_{n,m}^-1 V) - log det(V† (S_P + S_S)^-1 V), V an
+    orthonormal basis of the span of the steering vectors: an upper bound
+    on every det-ratio log statistic at pair (n, m), at any amplitudes."""
+    u, sv, _ = np.linalg.svd(np.column_stack(steering_cols),
+                             full_matrices=False)
+    v = u[:, sv > rank_tol * sv[0]]
+
+    def logdet(w):
+        return math.log(det_real(v.conj().T @ inv_oracle(w) @ v))
+
+    return logdet(s_nm_oracle(zp, r, n, m)) - logdet(scatter(r) + scatter(zp))
+
+
 def km_oracle(zp, r, vr, vsr, vs, variant):
     """Known-covariance estimate-and-plug statistic, max over pairs."""
     ss = scatter(r)

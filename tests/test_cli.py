@@ -22,7 +22,7 @@ from risdet.cli import (
     main,
 )
 from risdet.montecarlo import ExperimentConfig
-from risdet.signal_model import synthesize_batch
+from risdet.signal_model import SteeringSet, synthesize_batch, whiten
 
 SMALL_MODEL = ["model.n_antennas=4", "model.k_s=8"]
 SMALL_CAL = ["experiment.pfa=0.05", "experiment.trials_cal=400"]
@@ -273,20 +273,27 @@ def test_overflowing_cnr_exits_2(argv, setting, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_non_finite_baseline_statistics_exit_3(tmp_path, capsys):
-    # At noise power 1e-320 the whitened steering vectors have entries near
-    # 1e160, so v† S_S^-1 v overflows in every trial.  Each detector that
-    # divides by such a norm, or by its form through S_{n,m}, checks it, and
-    # the ascent's residual pivots catch the rest: the run stops at the
-    # first trial instead of calibrating on NaN statistics, and prints no
-    # numpy warning on the way (warnings are errors here).
+def test_non_finite_baseline_statistics_exit_3(tmp_path, capsys,
+                                               monkeypatch):
+    # Whitened steering vectors of norm 2^520 (whitening scales them to
+    # norms below 1, so they are planted here) make v† S_S^-1 v overflow in
+    # every trial.  Each detector that divides by such a norm, or by its
+    # form through S_{n,m}, checks it, and c-glrt's bound checks the pivots
+    # of its steering Gram matrix: the run stops at the first trial instead
+    # of calibrating on NaN statistics, and prints no numpy warning on the
+    # way (warnings are errors here).
+    def huge(m, mean, steering):
+        mean_w, s = whiten(m, mean, steering)
+        return mean_w, SteeringSet(*(2.0 ** 520 * v
+                                     for v in (s.v_r, s.v_sr, s.v_s)))
+
+    monkeypatch.setattr(mc, "whiten", huge)
     for detectors, what in (("kelly,amf", "v_R† S_S^-1 v_R"),
                             ("ep-glrt-km-1", "v_R† S_S^-1 v_R"),
                             ("ep-glrt-km-2", "v_R† S_{n,m}^-1 v_R"),
-                            ("c-glrt", "residual capacitance")):
+                            ("c-glrt", "steering Gram through S_S + S_P")):
         rc = main(["calibrate", "--out-dir", str(tmp_path), "--seed", "5",
-                   "--detectors", detectors, "model.noise_power=1e-320",
-                   *SMALL_MODEL, *SMALL_CAL])
+                   "--detectors", detectors, *SMALL_MODEL, *SMALL_CAL])
         assert rc == 3, detectors
         out, err = capsys.readouterr()
         assert err.startswith(f"numerical failure: NotPositiveDefinite: "
@@ -325,8 +332,14 @@ def test_calibrate_smoke(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "eta =" in out and "wrote" in out
-    assert re.search(r"^c-glrt: \d+ of 400 trials stopped at h_max = 20$",
-                     out, re.MULTILINE)
+    # The counts of the calibration that the run makes: the ascents that
+    # ran, and those of them that stopped at h_max.
+    cfg = experiment_config(apply_overrides(copy.deepcopy(DEFAULT_CONFIG),
+                                            [*SMALL_MODEL, *SMALL_CAL]))
+    table = mc.calibrate_thresholds(cfg, mc.ALL_KINDS)
+    assert f"\nc-glrt: {table.hmax_hits} of {table.ascents} ascents run " \
+        "stopped at h_max = 20\n" in out
+    assert 0 < table.ascents < 400 * 10
     csv_path = tmp_path / "thresholds.csv"
     manifest_path = tmp_path / "calibrate_manifest.json"
     assert csv_path.exists() and manifest_path.exists()
@@ -580,6 +593,57 @@ def test_startup_loads_no_scipy(tmp_path):
     assert (tmp_path / "cal" / "thresholds.csv").exists()
     lines = (tmp_path / "design" / "ris_design.csv").read_text().splitlines()
     assert lines[0] == "side_m,uniform_m2,sinc_m2,lfm_m2" and len(lines) == 4
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["pd-curve", "model.noise_power=1e300", "experiment.sinr_grid=[3000]"],
+     "bad experiment configuration: sinr_db = 3000.0 dB"),
+    (["pd-curve", "model.alpha_ratio=1e308", "experiment.sinr_grid=[10]"],
+     "bad experiment configuration: sinr_db = 10.0 dB with alpha_ratio"),
+    (["convergence", "model.noise_power=1e300", "--sinr", "3000"],
+     "bad --sinr: sinr_db = 3000.0 dB"),
+    (["sliding-window", "model.noise_power=1e300", "--sinr", "3000"],
+     "bad --sinr: sinr_db = 3000.0 dB"),
+    (["sliding-window", "--n-bins", "3"],
+     "bad --n-bins: n_bins must be >= k_p = 6, got 3"),
+], ids=["noise-power", "alpha-ratio", "convergence-sinr", "sliding-sinr",
+        "n-bins"])
+def test_settings_built_by_the_sweep_exit_2_before_any_trial(
+        argv, setting, tmp_path, capsys, monkeypatch):
+    # Amplitudes beyond the float range, and a window longer than the bins
+    # it slides over, are bad settings: the rules that build the amplitudes
+    # and the window starts reject them before a trial is drawn, with one
+    # line on stderr and no numpy warning (warnings are errors here).
+    def no_trials(*args):
+        raise AssertionError("trial drawn")
+
+    monkeypatch.setattr(mc, "synthesize_batch", no_trials)
+    rc = main([argv[0], "--out-dir", str(tmp_path), *SMALL_MODEL, *SMALL_CAL,
+               *argv[1:]])
+    out, err = capsys.readouterr()
+    assert rc == 2, err
+    assert err.startswith(f"error: {setting}") and err.count("\n") == 1
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_subnormal_noise_power_calibrates(tmp_path, capsys):
+    # Every statistic is invariant to the scale of the covariance.  At a
+    # subnormal noise power the whitened steering vectors would have
+    # entries near 1e155, and their quadratic forms would overflow; the
+    # whitening scales each by a power of two, so the run calibrates the
+    # thresholds of noise power 1.
+    cmd = ["calibrate", "--detectors",
+           "ep-glrt-km-1,ep-glrt-km-2,ep-glrt-ka,c-glrt,a-glrt,kelly",
+           *SMALL_MODEL, *SMALL_CAL]
+    etas = []
+    for noise_power in ("1e-310", "1"):
+        out_dir = tmp_path / noise_power
+        assert main([cmd[0], "--out-dir", str(out_dir), *cmd[1:],
+                     f"model.noise_power={noise_power}"]) == 0
+        rows = (out_dir / "thresholds.csv").read_text().splitlines()[1:]
+        etas.append([float(row.split(",")[1]) for row in rows])
+    capsys.readouterr()
+    assert etas[0] == pytest.approx(etas[1], rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

@@ -584,6 +584,99 @@ def test_cfar_bounds_hold_for_every_shape(n, k_p, extra, seed):
         assert np.all(res[kind].statistic <= det_bound * slack)
 
 
+_RANKS = st.sampled_from(("1", "2", "3", "angles"))
+
+
+def _ranked_stack(n, k_p, extra, seed, rank, trials):
+    """A random stack whose steering set has the given rank (at most N): in
+    rank 1 v_SR and v_S, in rank 2 v_SR alone, are random combinations of
+    the others; "angles" is SteeringSet.from_angles, where v_SR = v_R + v_S.
+    Every third trial carries the three echoes at a random pair, at a
+    random strength, so that some det-ratio statistics are large."""
+    rng, z_p, r, steering = _random_stack(n, k_p, extra, seed, trials)
+    v_r, v_sr, v_s = steering.v_r, steering.v_sr, steering.v_s
+    if rank == "angles":
+        steering = SteeringSet.from_angles(*rng.uniform(-30.0, 30.0, 2), n)
+    elif rank == "1":
+        steering = SteeringSet(v_r, _complex_scale(rng) * v_r,
+                               _complex_scale(rng) * v_r)
+    elif rank == "2":
+        steering = SteeringSet(
+            v_r, _complex_scale(rng) * v_r + _complex_scale(rng) * v_s, v_s)
+    pairs = candidate_pairs(k_p)
+    for t in range(0, trials, 3):
+        p, m = pairs[rng.integers(len(pairs))]
+        gain = 10.0 ** rng.uniform(-1.0, 1.0)
+        for cell, v in ((1, steering.v_r), (p, steering.v_sr),
+                        (m, steering.v_s)):
+            z_p[t, :, cell - 1] += (gain * _complex_scale(rng) * v
+                                    / np.abs(v).max())
+    return rng, z_p, r, steering
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES, rank=_RANKS)
+def test_pair_bound_holds_at_every_pair(n, k_p, extra, seed, rank):
+    """At every pair, ka <= U and c-glrt <= U up to the cut's margin, U the
+    Schur bound through an orthonormal basis of the steering span, and
+    c-glrt, which starts from the a-glrt amplitudes and may not lose more
+    than the ascent's slack, stays above a-glrt up to that margin."""
+    _, z_p, r, steering = _ranked_stack(n, k_p, extra, seed, rank, trials=6)
+    cfg = CGlrtConfig()
+    ws = det._GramWorkspace(z_p, r, steering)
+    margin = ((cfg.h_max + 1) * det.MONOTONE_SLACK
+              * np.maximum(1.0, ws.cell_energy.max(axis=0)))
+    cols = (steering.v_r, steering.v_sr, steering.v_s)
+    for p, m in candidate_pairs(k_p):
+        h, ld_ex, _ = ws.pair_state(p, m)
+        alphas = [ws.alpha_ss[0, 0], ws.alpha_ss[1, p - 1],
+                  ws.alpha_ss[2, m - 1]]
+        vals, _ = det._det_ratio(h, ws.ld_num_rel - ld_ex, alphas, [KA, C, A],
+                                 cfg, ws.k_tot)
+        log = {kind: np.log(val) for kind, val in vals.items()}
+        bound = np.array([oracles.bound_oracle(z_p[t], r[t], cols, p, m)
+                          for t in range(len(z_p))])
+        assert np.all(log[KA] <= bound + margin)
+        assert np.all(log[C] <= bound + margin)
+        assert np.all(log[A] - margin <= log[C])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES, rank=_RANKS, top=st.integers(1, 8),
+       level=st.floats(0.0, 1.0))
+def test_cuts_keep_the_top_statistics_and_the_exceedances(
+        n, k_p, extra, seed, rank, top, level):
+    """Under a top-k cut each det-ratio kind's k largest statistics, and
+    under a threshold cut its exceedances, are those of the full
+    evaluation bit for bit; every other detector is untouched, and every
+    ascent that runs is the full evaluation's."""
+    _, z_p, r, steering = _ranked_stack(n, k_p, extra, seed, rank, trials=48)
+    full = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    # A threshold at a statistic itself, and one between two of them.
+    at = {kind: np.quantile(full[kind].statistic, level, method="lower")
+          for kind in det.DET_RATIO_KINDS}
+    between = {kind: np.quantile(full[kind].statistic, level)
+               for kind in det.DET_RATIO_KINDS}
+    for cut in (top, at, between):
+        got = batch_evaluate(z_p, r, steering, ALL_KINDS, cut=cut)
+        for kind in ALL_KINDS:
+            if kind not in det.DET_RATIO_KINDS:
+                for f in fields(BatchResult):
+                    a = getattr(got[kind], f.name)
+                    b = getattr(full[kind], f.name)
+                    assert (a is None and b is None) or np.array_equal(a, b)
+            elif isinstance(cut, int):
+                assert np.array_equal(np.sort(got[kind].statistic)[-top:],
+                                      np.sort(full[kind].statistic)[-top:])
+            else:
+                assert np.array_equal(got[kind].statistic > cut[kind],
+                                      full[kind].statistic > cut[kind])
+        ran = got[C].ascents > 0
+        assert np.array_equal(got[C].ascents[ran], full[C].ascents[ran])
+
+
 def test_km_window_only_scaling_is_quadratic(rng):
     # With the plug matrix pinned by unscaled training data, scaling the
     # tested cells alone drives the variant-1 statistic quadratically.

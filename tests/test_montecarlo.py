@@ -128,37 +128,57 @@ def test_calibration_is_deterministic():
     assert single[DetectorKind.AMF] == a[DetectorKind.AMF]
 
 
+def _cal_chunks(cfg, kinds, cut):
+    """The calibration block's chunks evaluated under `cut`, as calibration
+    draws and whitens them."""
+    return list(next(mc._per_point(cfg, [mc._Point(
+        mc._eval_chunk, mc._STAGE_CAL, 0, cfg.trials_cal, (kinds, cut), None,
+        cfg.covariance())])))
+
+
 def test_calibration_counts_hmax_hits():
-    # A tight cap makes some, but not all, ascents stop at h_max.
+    # A tight cap makes some, but not all, ascents stop at h_max.  The
+    # calibration runs an ascent only at the (trial, pair) entries that can
+    # reach its chunk's top statistics, and counts those ascents and, of
+    # them, the ones that stopped at h_max.
     cfg = replace(TINY, trials_cal=1_000, cglrt=CGlrtConfig(h_max=3))
-    table = calibrate_thresholds(cfg, (DetectorKind.C_GLRT, DetectorKind.AMF))
-    idx = mc._trial_block(mc._STAGE_CAL, 0, cfg.trials_cal)
-    z_p, r = synthesize_batch(None, cfg.covariance(), cfg.k_p, cfg.k_s,
-                              cfg.master_seed, idx)
-    iters = batch_evaluate(z_p, r, cfg.steering(), (DetectorKind.C_GLRT,),
-                           cfg.cglrt)[DetectorKind.C_GLRT].iterations
-    assert table.hmax_hits == int(np.sum(iters == cfg.cglrt.h_max))
-    assert 0 < table.hmax_hits < cfg.trials_cal
-    assert calibrate_thresholds(cfg, (DetectorKind.AMF,)).hmax_hits is None
+    kinds = (DetectorKind.C_GLRT, DetectorKind.AMF)
+    table = calibrate_thresholds(cfg, kinds)
+    (cut,) = _cal_chunks(cfg, kinds, mc._top_count(cfg))
+    (full,) = _cal_chunks(cfg, kinds, None)
+    ran = cut[DetectorKind.C_GLRT].ascents > 0
+    assert table.ascents == np.count_nonzero(ran)
+    assert table.hmax_hits == np.count_nonzero(
+        cut[DetectorKind.C_GLRT].ascents == cfg.cglrt.h_max)
+    # The ascents that ran are those of the full evaluation, and they are
+    # a small share of it.
+    every = full[DetectorKind.C_GLRT].ascents
+    assert every.min() >= 1
+    assert np.array_equal(cut[DetectorKind.C_GLRT].ascents[ran], every[ran])
+    assert 0 < table.hmax_hits < table.ascents < every.size // 2
+    no_cyclic = calibrate_thresholds(cfg, (DetectorKind.AMF,))
+    assert no_cyclic.hmax_hits is None and no_cyclic.ascents is None
 
 
 def test_merged_thresholds_are_the_order_statistics_of_the_block(
         monkeypatch):
     # Calibration chunks return only each kind's largest statistics; the
     # merged thresholds equal the order statistic of all the block's
-    # statistics, as a full sort picks it, and the h_max count is the
-    # block's.
+    # statistics, as a full sort picks it.
     monkeypatch.setattr(mc, "_CHUNK", 97)
     cfg = replace(TINY, cglrt=CGlrtConfig(h_max=3))
     table = calibrate_thresholds(cfg, ALL_KINDS)
     parts = list(next(mc._per_point(cfg, [mc._Point(
-        mc._eval_chunk, mc._STAGE_CAL, 0, cfg.trials_cal, ALL_KINDS, None,
-        cfg.covariance())])))
+        mc._eval_chunk, mc._STAGE_CAL, 0, cfg.trials_cal, (ALL_KINDS, None),
+        None, cfg.covariance())])))
     for kind in ALL_KINDS:
         stats = np.concatenate([p[kind].statistic for p in parts])
         assert table[kind] == threshold_from_stats(stats, cfg.pfa)
-    iters = np.concatenate([p[DetectorKind.C_GLRT].iterations for p in parts])
-    assert table.hmax_hits == np.count_nonzero(iters == 3) > 0
+    # The h_max count is that of the ascents the chunks ran under the cut.
+    ascents = np.concatenate([p[DetectorKind.C_GLRT].ascents for p in
+                              _cal_chunks(cfg, ALL_KINDS, mc._top_count(cfg))])
+    assert table.hmax_hits == np.count_nonzero(ascents == 3) > 0
+    assert table.ascents == np.count_nonzero(ascents)
 
 
 def _convergence(cfg):
@@ -305,7 +325,7 @@ def test_whitened_chunk_matches_coloured_trials(sinr_db):
     want = batch_evaluate(z_p, r, steering, ALL_KINDS, cfg.cglrt,
                           cfg.baseline_cell)
     (got,) = next(mc._per_point(cfg, [mc._Point(
-        mc._eval_chunk, mc._STAGE_PD, 0, 700, ALL_KINDS, mean, cov)]))
+        mc._eval_chunk, mc._STAGE_PD, 0, 700, (ALL_KINDS, None), mean, cov)]))
     for kind in ALL_KINDS:
         assert got[kind].statistic == pytest.approx(want[kind].statistic,
                                                     rel=1e-10, abs=0)
@@ -415,8 +435,8 @@ def test_rmse_from_chunk_sums_equals_the_array_formula(monkeypatch):
     cov = TINY.covariance()
     mean = mc._h1_mean(TINY, cov, TINY.steering(), -20.0)
     parts = list(next(mc._per_point(TINY, [mc._Point(
-        mc._eval_chunk, mc._STAGE_RMSE, 0, TINY.trials_pd, kinds, mean,
-        cov)])))
+        mc._eval_chunk, mc._STAGE_RMSE, 0, TINY.trials_pd, (kinds, None),
+        mean, cov)])))
     assert len(parts) == 6
     for kind in kinds:
         (point,) = curves[kind]
@@ -583,6 +603,8 @@ def test_sweeps_reject_a_repeated_detector(monkeypatch):
     ({"cnr_db": 4000.0}, "cnr_db"),
     ({"sinr_grid": (0.0, 5000.0)}, "sinr_db"),
     ({"sinr_grid": ()}, "at least one SINR"),
+    ({"noise_power": 1e300, "sinr_grid": (3000.0,)}, "amplitudes"),
+    ({"alpha_ratio": 1e308, "sinr_grid": (10.0,)}, "amplitudes"),
 ])
 def test_config_is_checked_by_what_it_builds(bad, match):
     # The layout, the steering vectors and the covariance hold the rules of

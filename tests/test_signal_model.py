@@ -221,13 +221,20 @@ def test_whiten_maps_mean_and_steering_through_the_factor():
     lower = np.linalg.cholesky(m)
     mean_w, steering_w = whiten(m, mean, steering)
     assert np.allclose(lower @ mean_w, mean, rtol=0, atol=1e-12)
+    # Each steering vector is mapped through the factor and scaled by the
+    # power of two that puts its norm in [0.5, 1).
     for got, v in zip((steering_w.v_r, steering_w.v_sr, steering_w.v_s),
                       (steering.v_r, steering.v_sr, steering.v_s)):
-        assert np.allclose(lower @ got, v, rtol=0, atol=1e-12)
-    # The whitened v_R carries the SINR's quadratic form v_R† M^-1 v_R.
+        mapped = np.linalg.solve(lower, v)
+        scale = np.linalg.norm(got) / np.linalg.norm(mapped)
+        assert 0.5 <= np.linalg.norm(got) < 1.0
+        assert scale == pytest.approx(2.0 ** round(np.log2(scale)), rel=1e-12)
+        assert np.allclose(lower @ got, scale * v, rtol=0, atol=1e-12)
+    # The whitened v_R carries the SINR's quadratic form v_R† M^-1 v_R, up
+    # to that scale.
     qf = np.vdot(steering.v_r, np.linalg.solve(m, steering.v_r)).real
-    assert np.vdot(steering_w.v_r, steering_w.v_r).real == \
-        pytest.approx(qf, rel=1e-12)
+    scale = np.linalg.norm(steering_w.v_r) / np.sqrt(qf)
+    assert scale == pytest.approx(2.0 ** round(np.log2(scale)), rel=1e-12)
     no_mean, same = whiten(m, None, steering)
     assert no_mean is None and np.array_equal(same.v_s, steering_w.v_s)
 
