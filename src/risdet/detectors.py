@@ -43,8 +43,9 @@ S_{n,m}, and S is at most the residual form T† H T at any amplitudes.  The
 first term reads the steering block of the pair workspace, and the pair
 LDL forms only that block and km-2's entries for every trial; the
 (pair, trial) entries whose bound reaches the cut, less a margin, are then
-evaluated exactly, all pairs in one stack, with the operations of the
-per-pair route, so that every value they produce is the same bit for bit.
+evaluated exactly, the survivors of all pairs in stacks of at most T
+entries, with the operations of the per-pair route, so that every value
+they produce is the same bit for bit and no stack outgrows a pair's.
 
 A pivot or capacitance determinant that is not positive and finite raises
 NotPositiveDefinite naming the batch positions of the failing trials.  Those
@@ -686,15 +687,19 @@ def _stacked_det_ratio(ws: _GramWorkspace, pairs: list[tuple[int, int]],
     pair_state, and every value equals the per-pair one bit for bit."""
     rows = np.array([[*ex, *sel] for ex, sel in
                      (ws.pair_rows(n, m) for n, m in pairs)])[p_idx].T
-    g = ws.g[rows[:, None, :], rows[None, :, :], t_idx]
     n_ex = ws.k_p - 3
-    ld_ex, blocks = _ldl_schur(g, list(range(n_ex)),
-                               list(range(n_ex, n_ex + 6)), "pair capacitance")
+    # The gathered Gram rows, a temporary of the LDL call, and the LDL's
+    # entries are freed before the ascent, which sets the stack's peak.
+    ld_ex, blocks = _ldl_schur(ws.g[rows[:, None, :], rows[None, :, :], t_idx],
+                               list(range(n_ex)), list(range(n_ex, n_ex + 6)),
+                               "pair capacitance")
+    h = _hermitian(blocks, 6)
+    del blocks
     nm = np.array(pairs)[p_idx]
     ka_alphas = [ws.alpha_ss[0, 0, t_idx], ws.alpha_ss[1, nm[:, 0] - 1, t_idx],
                  ws.alpha_ss[2, nm[:, 1] - 1, t_idx]]
-    return _det_ratio(_hermitian(blocks, 6), ws.ld_num_rel[t_idx] - ld_ex,
-                      ka_alphas, kinds, cfg, ws.k_tot, ceiling, at=t_idx)
+    return _det_ratio(h, ws.ld_num_rel[t_idx] - ld_ex, ka_alphas, kinds, cfg,
+                      ws.k_tot, ceiling, at=t_idx)
 
 
 @_quiet
@@ -902,4 +907,9 @@ def _evaluate_above_cut(ws: _GramWorkspace, pairs: list[tuple[int, int]],
         above = (c_cut + margin[t_idx]
                  if isinstance(cut, Mapping) and c_cut > -np.inf else np.inf)
         ceiling = np.where(floor[p_idx, t_idx] >= c_cut, above, -np.inf)
-    fill(p_idx, t_idx, ceiling)
+    # Stacks of at most t_len entries keep the workspaces at the size of
+    # the per-pair route's, however many entries survive.
+    for s in range(0, p_idx.size, t_len):
+        part = slice(s, s + t_len)
+        fill(p_idx[part], t_idx[part],
+             None if ceiling is None else ceiling[part])

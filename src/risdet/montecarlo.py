@@ -120,12 +120,12 @@ class ExperimentConfig:
             raise ValueError("sinr_grid must hold at least one SINR")
         # The objects handed to the engine check their own settings: the
         # layout the pair and k_p, the steering vectors n_antennas, the
-        # covariance noise_power, rho and cnr_db, and the amplitudes each
-        # SINR of the grid with alpha_ratio.
+        # covariance noise_power, rho and cnr_db, and the amplitudes, built
+        # on that covariance, the SINR grid with alpha_ratio.  The
+        # amplitudes grow with the SINR, so the grid's largest, NaN if any
+        # is, decides whether all are finite.
         _ = self.layout, self.steering()
-        cov = self.covariance()
-        for sinr_db in self.sinr_grid:
-            self.amplitudes(sinr_db, cov)
+        self.amplitudes(float(np.max(np.asarray(self.sinr_grid, dtype=float))))
 
     @property
     def layout(self) -> BinLayout:

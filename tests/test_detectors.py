@@ -677,6 +677,30 @@ def test_cuts_keep_the_top_statistics_and_the_exceedances(
         assert np.array_equal(got[C].ascents[ran], full[C].ascents[ran])
 
 
+def test_survivors_run_in_stacks_of_at_most_the_batch(monkeypatch):
+    """A threshold of 0 keeps every (pair, trial) entry: they run in stacks
+    of at most T entries, so the workspaces stay at the per-pair route's
+    size, and every field equals the uncut evaluation's bit for bit."""
+    _, z_p, r, steering = _ranked_stack(4, 6, 3, 5, "angles", trials=24)
+    full = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    sizes = []
+    stacked = det._stacked_det_ratio
+
+    def spy(ws, pairs, p_idx, *args):
+        sizes.append(p_idx.size)
+        return stacked(ws, pairs, p_idx, *args)
+
+    monkeypatch.setattr(det, "_stacked_det_ratio", spy)
+    got = batch_evaluate(z_p, r, steering, ALL_KINDS,
+                         cut=dict.fromkeys(det.DET_RATIO_KINDS, 0.0))
+    assert sum(sizes) == 24 * len(candidate_pairs(6))
+    assert max(sizes) == 24
+    for kind in ALL_KINDS:
+        for f in fields(BatchResult):
+            a, b = getattr(got[kind], f.name), getattr(full[kind], f.name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
 def test_km_window_only_scaling_is_quadratic(rng):
     # With the plug matrix pinned by unscaled training data, scaling the
     # tested cells alone drives the variant-1 statistic quadratically.
