@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,7 +161,11 @@ def candidate_pairs(k_p: int) -> list[tuple[int, int]]:
 def _warn_if_degenerate_steering(steering: SteeringSet) -> None:
     """Full column rank of [v_R, v_SR, v_S] is assumed by the estimator
     derivations but never needed by the final statistics; flag near-parallel
-    signatures so the user can interpret amplitude estimates with care."""
+    signatures so the user can interpret amplitude estimates with care.
+
+    The warning names the caller of batch_evaluate: the frames between are
+    this function, batch_evaluate and the wrapper of its _quiet decorator.
+    """
     def cos2(a: np.ndarray, b: np.ndarray) -> float:
         # At unit peak first: the Monte Carlo engine passes steering vectors
         # whitened by the covariance factor, whose squares can overflow.
@@ -174,7 +178,7 @@ def _warn_if_degenerate_steering(steering: SteeringSet) -> None:
        cos2(steering.v_sr, steering.v_s) > 1 - 1e-12:
         warnings.warn("v_SR is numerically parallel to v_R or v_S; amplitude "
                       "estimates for the overlapping paths are not separable",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
 
 
 @dataclass
@@ -554,32 +558,49 @@ def c_glrt_gain_trace(
     z_p: np.ndarray,
     r: np.ndarray,
     steering: SteeringSet,
-    pair: tuple[int, int],
+    pairs: tuple[int, int] | Sequence[tuple[int, int]],
     cfg: CGlrtConfig = CGlrtConfig(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-iteration relative gains of the cyclic ascent at a fixed pair.
+) -> tuple[np.ndarray, np.ndarray] | list[tuple[np.ndarray, np.ndarray]]:
+    """Per-iteration relative gains of the cyclic ascent at fixed pairs.
 
-    Runs all cfg.h_max iterations (no early stop) over a stack of trials.
+    Runs all cfg.h_max iterations (no early stop) over a stack of trials,
+    at one pair (n, m) or at each of a sequence of pairs.  All pairs share
+    one whitened Gram workspace, and each is traced from its own pair
+    state, so a pair's trace is the same bit for bit whichever pairs share
+    the call.
 
-    Returns:
+    Returns, for one pair, (gains, update_lds), and for a sequence of
+    pairs, a list of them in pair order:
         gains: (T, h_max) relative likelihood gains per iteration.
         update_lds: (T, 3 h_max + 1) log dets after every coordinate update,
             starting from the initialization.
 
     Raises:
-        ValueError: unless 1 < n < m <= K_P for pair = (n, m).
+        ValueError: unless 1 < n < m <= K_P for every pair (n, m).
+        NotPositiveDefinite, NonMonotonic: a failure in one pair's trace
+            names the pair, and keeps the positions of the failing trials.
     """
-    n, m = pair
-    if not 1 < n < m <= z_p.shape[2]:
-        raise ValueError(
-            f"pair {tuple(pair)} must satisfy 1 < n < m <= K_P = {z_p.shape[2]}")
+    one = len(pairs) > 0 and np.ndim(pairs[0]) == 0
+    pairs = [(int(n), int(m)) for n, m in ([pairs] if one else pairs)]
+    for n, m in pairs:
+        if not 1 < n < m <= z_p.shape[2]:
+            raise ValueError(f"pair {(n, m)} must satisfy "
+                             f"1 < n < m <= K_P = {z_p.shape[2]}")
     ws = _GramWorkspace(z_p, r, steering)
-    h, _, _ = ws.pair_state(n, m)
-    _, _, update_lds = _cyclic_batch(
-        h, _plugin_start(h), ws.k_tot, cfg, collect_trace=True)
-    # The gain of each iteration, as the ascent loop computes it.
-    gains = np.expm1(ws.k_tot * (update_lds[:, :-1:3] - update_lds[:, 3::3]))
-    return gains, update_lds
+    traces = []
+    for n, m in pairs:
+        try:
+            h, _, _ = ws.pair_state(n, m)
+            _, _, update_lds = _cyclic_batch(
+                h, _plugin_start(h), ws.k_tot, cfg, collect_trace=True)
+        except (NotPositiveDefinite, NonMonotonic) as err:
+            raise type(err)(f"{err} at pair {(n, m)}",
+                            positions=err.positions) from err
+        # The gain of each iteration, as the ascent loop computes it.
+        gains = np.expm1(
+            ws.k_tot * (update_lds[:, :-1:3] - update_lds[:, 3::3]))
+        traces.append((gains, update_lds))
+    return traces[0] if one else traces
 
 
 @_quiet
@@ -597,7 +618,10 @@ def bounded_cfar_bounds(
     ld_ex_min = np.full(ws.t, np.inf)
     pair_energy = np.full(ws.t, -np.inf)
     for n, m in pairs:
-        _, ld_ex, _ = ws.pair_state(n, m)
+        # log det of the pair capacitance: its pivots read only the rows of
+        # the cells outside the pair, so no workspace entry is formed.
+        ld_ex, _ = _ldl_schur(ws.g, ws.pair_rows(n, m)[0], [],
+                              "pair capacitance")
         ld_ex_min = np.minimum(ld_ex_min, ld_ex)
         pair_energy = np.maximum(
             pair_energy, ws.cell_energy[n - 1] + ws.cell_energy[m - 1])

@@ -328,12 +328,14 @@ def _eval_chunk(cfg: ExperimentConfig, key: tuple, mean: np.ndarray | None,
                               cfg.baseline_cell, cut=cut)
 
 
-def _trace_chunk(cfg: ExperimentConfig, pair: tuple[int, int],
+def _trace_chunk(cfg: ExperimentConfig, pairs: tuple[tuple[int, int], ...],
                  mean: np.ndarray | None, steering: SteeringSet,
-                 indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 indices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (gains, update_lds) of each of pairs, in pair order, on the
+    chunk's trials."""
     with _naming_trial(cfg, indices):
         z_p, r = _white_trials(cfg, mean, indices)
-        return c_glrt_gain_trace(z_p, r, steering, pair, cfg.cglrt)
+        return c_glrt_gain_trace(z_p, r, steering, pairs, cfg.cglrt)
 
 
 class _Point(NamedTuple):
@@ -620,24 +622,25 @@ def convergence_study(cfg: ExperimentConfig, pairs: Sequence[tuple[int, int]],
 
     The ascent runs its full iteration budget (no early stop) at each
     requested cell pair; the trace averages the per-iteration gains over
-    the trials.
+    the trials.  Every pair is traced on the same trials, counter block
+    (_STAGE_CONV, 0), so each trial is drawn, whitened and factored once,
+    and the traces of two pairs compare them on common data.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    pairs = tuple((int(n), int(m)) for n, m in pairs)
     cov = cfg.covariance()
     mean = _h1_mean(cfg, cov, cfg.steering(), sinr_db)
     k_tot = cfg.k_p + cfg.k_s
+    parts = list(next(_per_point(cfg, [_Point(
+        _trace_chunk, _STAGE_CONV, 0, n_trials, pairs, mean, cov)])))
     traces = []
-    runs = _per_point(cfg, [_Point(_trace_chunk, _STAGE_CONV, j, n_trials,
-                                   pair, mean, cov)
-                            for j, pair in enumerate(pairs)])
-    for pair, chunks in zip(pairs, runs):
-        parts = list(chunks)
-        gains = np.concatenate([g for g, _ in parts], axis=0)
-        update_lds = np.concatenate([lds for _, lds in parts], axis=0)
+    for j, pair in enumerate(pairs):
+        gains = np.concatenate([p[j][0] for p in parts], axis=0)
+        update_lds = np.concatenate([p[j][1] for p in parts], axis=0)
         step_gain = np.expm1(k_tot * -np.diff(update_lds, axis=1))
         traces.append(ConvergenceTrace(
-            pair=(int(pair[0]), int(pair[1])),
+            pair=pair,
             mean_gain=gains.mean(axis=0),
             monotone_fraction=float(np.mean(step_gain >= -MONOTONE_SLACK)),
             trials=n_trials))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -677,6 +678,63 @@ def test_cuts_keep_the_top_statistics_and_the_exceedances(
         assert np.array_equal(got[C].ascents[ran], full[C].ascents[ran])
 
 
+def _near_span(rng, span, away, eps):
+    """A random unit combination of the orthonormal columns span, plus eps
+    times the unit vector away orthogonal to them, at a random complex
+    scale: its residual against the span is eps / sqrt(1 + eps^2) of its
+    norm."""
+    v = span @ _complex(rng, span.shape[1])
+    return _complex_scale(rng) * (v / np.linalg.norm(v) + eps * away)
+
+
+_BELOW, _BAND, _ABOVE = (0.5 * det._SPAN_IN,
+                         math.sqrt(det._SPAN_IN * det._SPAN_OUT),
+                         2.0 * det._SPAN_OUT)
+
+
+@pytest.mark.parametrize("eps_s, eps_sr, basis", [
+    (_BELOW, _BELOW, (0,)),
+    (_ABOVE, _BELOW, (0, 2)),
+    (_BELOW, _ABOVE, (0, 1)),
+    (_ABOVE, _ABOVE, (0, 1, 2)),
+    (_BAND, _ABOVE, None),
+    (_ABOVE, _BAND, None),
+])
+def test_steering_basis_takes_each_vector_outside_the_band(eps_s, eps_sr,
+                                                           basis):
+    """v_S joins the basis of v_R when its residual is above _SPAN_OUT of
+    its norm, then v_SR when its residual against those is; a residual
+    below _SPAN_IN leaves a vector out, and one between the two gives no
+    basis."""
+    rng = np.random.default_rng(19)
+    q, _ = np.linalg.qr(_complex(rng, 4, 4))
+    v_r = _complex_scale(rng) * q[:, 0]
+    v_s = _near_span(rng, q[:, :1], q[:, 1], eps_s)
+    span = q[:, :2] if eps_s > det._SPAN_OUT else q[:, :1]
+    v_sr = _near_span(rng, span, q[:, 2], eps_sr)
+    assert det._steering_basis(SteeringSet(v_r, v_sr, v_s)) == basis
+
+
+def test_steering_set_in_the_band_evaluates_every_cut_exactly():
+    """With v_S between _SPAN_IN and _SPAN_OUT of its norm outside the span
+    of v_R, no bound is taken: every cut evaluates every (pair, trial), and
+    every field equals the uncut evaluation's bit for bit."""
+    rng, z_p, r, _ = _random_stack(4, 5, 3, 23, trials=24)
+    q, _ = np.linalg.qr(_complex(rng, 4, 4))
+    steering = SteeringSet(q[:, 0], _complex(rng, 4),
+                           _near_span(rng, q[:, :1], q[:, 1], _BAND))
+    assert det._steering_basis(steering) is None
+    full = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    median = {kind: np.median(full[kind].statistic)
+              for kind in det.DET_RATIO_KINDS}
+    for cut in (1, 5, median):
+        got = batch_evaluate(z_p, r, steering, ALL_KINDS, cut=cut)
+        for kind in ALL_KINDS:
+            for f in fields(BatchResult):
+                a, b = getattr(got[kind], f.name), getattr(full[kind], f.name)
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+
 def test_survivors_run_in_stacks_of_at_most_the_batch(monkeypatch):
     """A threshold of 0 keeps every (pair, trial) entry: they run in stacks
     of at most T entries, so the workspaces stay at the per-pair route's
@@ -767,6 +825,23 @@ def test_gain_trace_is_monotone(rng):
     assert np.all(np.diff(update_lds, axis=1) <= 1e-10)
 
 
+def test_gain_trace_of_several_pairs_equals_each_pair_alone():
+    """One call at several pairs shares one Gram workspace and returns,
+    in pair order, each pair's single-pair trace bit for bit."""
+    _, z_p, r, steering = _ranked_stack(4, 6, 3, 7, "angles", trials=30)
+    pairs = [(3, 6), (2, 5), (4, 6), (2, 3)]
+    cfg = CGlrtConfig(h_max=8)
+    traces = c_glrt_gain_trace(z_p, r, steering, pairs, cfg)
+    assert len(traces) == len(pairs)
+    for pair, (gains, update_lds) in zip(pairs, traces):
+        want_gains, want_lds = c_glrt_gain_trace(z_p, r, steering, pair, cfg)
+        assert np.array_equal(gains, want_gains)
+        assert np.array_equal(update_lds, want_lds)
+    ((gains, update_lds),) = c_glrt_gain_trace(z_p, r, steering, pairs[1:2],
+                                               cfg)
+    assert np.array_equal(update_lds, traces[1][1])
+
+
 @pytest.mark.parametrize("pair", [(5, 9), (1, 2), (4, 3), (3, 3)])
 def test_gain_trace_rejects_pairs_outside_window(rng, pair):
     # K_P = 6: m = 9 would read a steering column of the Gram matrix as a
@@ -793,6 +868,17 @@ def test_statistics_respect_cfar_bounds(rng):
     assert np.all(res[KM_1].statistic <= km1_bound * slack)
     for kind in (KA, C, A):
         assert np.all(res[kind].statistic <= det_bound * slack)
+
+
+def test_parallel_steering_warning_names_the_caller(rng):
+    # batch_evaluate runs under an np.errstate decorator: the warning must
+    # point past it, at the line that called batch_evaluate.
+    zp, rr, _ = random_case(rng, 4, 4, 8)
+    degenerate = SteeringSet.from_angles(0.5, 0.5, 4)  # v_SR = 2 v_R
+    with pytest.warns(RuntimeWarning, match="v_SR is numerically parallel"
+                      ) as record:
+        batch_evaluate(zp[None], rr[None], degenerate, (KM_1,))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_parallel_steering_warns(rng):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import risdet.detectors as det
 import risdet.montecarlo as mc
 from risdet.detectors import (
     CGlrtConfig,
@@ -356,13 +357,37 @@ def test_numerical_failure_names_its_trial_counter(monkeypatch):
             match=r"counter 130 \(stage 0, point 0, offset 130\) under "
                   r"master seed 31415"):
         calibrate_thresholds(TINY, ALL_KINDS)
-    # A trace chunk of the second pair, with the NaN in the training data.
-    counter = mc._STAGE_CONV * mc._STAGE_STRIDE + mc._POINT_STRIDE + 42
+    # A trace chunk, with the NaN in the training data: every pair is
+    # traced on the trials of block (stage 5, point 0).
+    counter = mc._STAGE_CONV * mc._STAGE_STRIDE + 42
     _plant_nan(monkeypatch, counter, "r")
     with np.errstate(invalid="ignore"), pytest.raises(
             NotPositiveDefinite,
-            match=rf"counter {counter} \(stage 5, point 1, offset 42\)"):
+            match=rf"counter {counter} \(stage 5, point 0, offset 42\)"):
         convergence_study(TINY, [(2, 4), (3, 4)], 0.0, 300)
+
+
+def test_trace_failure_names_its_pair_and_trial_counter(monkeypatch):
+    # Both pairs share each trial, so the counter alone does not say which
+    # pair failed.  A NaN planted in the second pair's workspace at trial
+    # 42 fails that pair's ascent; the error names the pair and the counter.
+    traced, calls = det._cyclic_batch, []
+
+    def planted(h, *args, **kwargs):
+        calls.append(h.shape)
+        if len(calls) == 2:
+            h = h.copy()
+            h[det._Z1, det._Z1, 42] = np.nan
+        return traced(h, *args, **kwargs)
+
+    monkeypatch.setattr(det, "_cyclic_batch", planted)
+    counter = mc._STAGE_CONV * mc._STAGE_STRIDE + 42
+    with pytest.raises(
+            NotPositiveDefinite,
+            match=rf"^ascent capacitance .* at pair \(3, 4\); first failing "
+                  rf"trial: counter {counter} \(stage 5, point 0, offset 42\)"):
+        convergence_study(TINY, [(2, 4), (3, 4)], 0.0, 300)
+    assert len(calls) == 2
 
 
 def test_calibrated_threshold_self_consistency():
