@@ -47,6 +47,12 @@ evaluated exactly, the survivors of all pairs in stacks of at most T
 entries, with the operations of the per-pair route, so that every value
 they produce is the same bit for bit and no stack outgrows a pair's.
 
+Both routes fill one (pairs, T) table per window detector, -inf where a
+cut left an entry out, and a (T, pairs) table of c-glrt iterations; each
+trial's first maximum over the pairs gives its statistic and pair.  An
+uncut call keeps the per-pair route: the survivor stacks would cost it a
+second pair LDL for km-2's entries and a gather of every entry's rows.
+
 A pivot or capacitance determinant that is not positive and finite raises
 NotPositiveDefinite naming the batch positions of the failing trials.  Those
 checks decide, so the algebra runs with numpy's overflow, invalid-value and
@@ -315,6 +321,7 @@ class _GramWorkspace:
             raise ValueError("window must hold at least 3 cells")
         self.t, self.k_p = t, k_p
         self.k_tot = k_p + r.shape[2]
+        self.pairs = np.array(candidate_pairs(k_p))  # (pairs, 2): (n, m)
         self.iu = (k_p, k_p + 1, k_p + 2)
         steer = np.stack([steering.v_r, steering.v_sr, steering.v_s], axis=1)
         # The front end runs over blocks of at most _GRAM_BLOCK trials,
@@ -614,19 +621,14 @@ def bounded_cfar_bounds(
     detector never exceeds z_1† S_S^-1 z_1 + max pair sum of cell energies.
     """
     ws = _GramWorkspace(z_p, r, steering)
-    pairs = candidate_pairs(ws.k_p)
-    ld_ex_min = np.full(ws.t, np.inf)
-    pair_energy = np.full(ws.t, -np.inf)
-    for n, m in pairs:
-        # log det of the pair capacitance: its pivots read only the rows of
-        # the cells outside the pair, so no workspace entry is formed.
-        ld_ex, _ = _ldl_schur(ws.g, ws.pair_rows(n, m)[0], [],
-                              "pair capacitance")
-        ld_ex_min = np.minimum(ld_ex_min, ld_ex)
-        pair_energy = np.maximum(
-            pair_energy, ws.cell_energy[n - 1] + ws.cell_energy[m - 1])
-    det_bound = np.exp(ws.ld_num_rel - ld_ex_min)
-    km1_bound = ws.cell_energy[0] + pair_energy
+    # log det of each pair capacitance: its pivots read only the rows of
+    # the cells outside the pair, so no workspace entry is formed.
+    ld_ex = [_ldl_schur(ws.g, ws.pair_rows(n, m)[0], [], "pair capacitance")[0]
+             for n, m in ws.pairs]
+    n, m = ws.pairs.T
+    det_bound = np.exp(ws.ld_num_rel - np.min(ld_ex, axis=0))
+    km1_bound = ws.cell_energy[0] + np.max(
+        ws.cell_energy[n - 1] + ws.cell_energy[m - 1], axis=0)
     return det_bound, km1_bound
 
 
@@ -661,32 +663,39 @@ def _steering_basis(steering: SteeringSet) -> tuple[int, ...] | None:
     return tuple(sorted(basis))
 
 
-def _det_ratio(h: np.ndarray, ld_rel: np.ndarray, ka_alphas: list,
-               kinds: list[DetectorKind], cfg: CGlrtConfig, k_tot: int,
-               ceiling: np.ndarray | None = None, at: np.ndarray | None = None,
-               ) -> tuple[dict[DetectorKind, np.ndarray], np.ndarray | None]:
-    """ep-glrt-ka, a-glrt and c-glrt, those of them in kinds, over a
-    (6, 6, S) stack of pair workspaces: exp(ld_rel - ld_res), where ld_rel
-    is log det(S_P + S_S) - log det(S_{n,m}) and ld_res the residual log det
-    at the kind's amplitudes.
+def _det_ratio(ws: _GramWorkspace, h: np.ndarray, ld_ex: np.ndarray,
+               p: int | np.ndarray, t: slice | np.ndarray,
+               kinds: list[DetectorKind], cfg: CGlrtConfig,
+               vals: dict[DetectorKind, np.ndarray], ascents: np.ndarray,
+               ceiling: np.ndarray | None = None) -> None:
+    """ep-glrt-ka, a-glrt and c-glrt, those of them in kinds, at the
+    entries (pair p, trial t) of a (6, 6, S) stack h of pair workspaces,
+    into vals[kind][p, t] and the c-glrt iterations into ascents[t, p]: p
+    is one pair index and t = slice(None), every trial, or p and t are (S,)
+    arrays, the batch positions that errors name.  Each statistic is
+    exp(ld_rel - ld_res): ld_rel = log det(S_P + S_S) - log det(S_{n,m}),
+    from ld_ex = log det(S_{n,m}) - log det(S_S), and ld_res the residual
+    log det at the kind's amplitudes.
 
     The ascent runs where the a-glrt log statistic ld_rel - ld_res(start)
     is at most `ceiling` (everywhere when None); elsewhere c-glrt keeps its
-    start, the a-glrt value, with 0 iterations.  at maps the stack's
-    positions to batch positions.  Returns the statistics by kind and the
-    c-glrt iterations (None without c-glrt).
+    start, the a-glrt value, with 0 iterations.
     """
-    vals, iters = {}, None
+    n, m = ws.pairs[p].T
+    at = None if isinstance(t, slice) else t
+    ld_rel = ws.ld_num_rel[t] - ld_ex
     if DetectorKind.EP_GLRT_KA in kinds:
-        vals[DetectorKind.EP_GLRT_KA] = np.exp(
-            ld_rel - _residual_logdet(h, ka_alphas, at))
+        alphas = [ws.alpha_ss[0, 0, t], ws.alpha_ss[1, n - 1, t],
+                  ws.alpha_ss[2, m - 1, t]]
+        vals[DetectorKind.EP_GLRT_KA][p, t] = np.exp(
+            ld_rel - _residual_logdet(h, alphas, at))
     if DetectorKind.A_GLRT in kinds or DetectorKind.C_GLRT in kinds:
         start = _plugin_start(h, at)
     if DetectorKind.A_GLRT in kinds:
-        vals[DetectorKind.A_GLRT] = np.exp(ld_rel - start[1])
+        vals[DetectorKind.A_GLRT][p, t] = np.exp(ld_rel - start[1])
     if DetectorKind.C_GLRT in kinds:
         if ceiling is None:
-            ld_res, iters, _ = _cyclic_batch(h, start, k_tot, cfg, at=at)
+            ld_res, iters, _ = _cyclic_batch(h, start, ws.k_tot, cfg, at=at)
         else:
             ld_res = start[1].copy()
             iters = np.zeros(ld_res.shape, dtype=np.int64)
@@ -694,36 +703,31 @@ def _det_ratio(h: np.ndarray, ld_rel: np.ndarray, ka_alphas: list,
             if run.size:
                 ld_res[run], iters[run], _ = _cyclic_batch(
                     h[:, :, run], ([a[run] for a in start[0]], start[1][run]),
-                    k_tot, cfg, at=run if at is None else at[run])
-        vals[DetectorKind.C_GLRT] = np.exp(ld_rel - ld_res)
-    return vals, iters
+                    ws.k_tot, cfg, at=run if at is None else at[run])
+        vals[DetectorKind.C_GLRT][p, t] = np.exp(ld_rel - ld_res)
+        ascents[t, p] = iters
 
 
-def _stacked_det_ratio(ws: _GramWorkspace, pairs: list[tuple[int, int]],
-                       p_idx: np.ndarray, t_idx: np.ndarray,
+def _stacked_det_ratio(ws: _GramWorkspace, p: np.ndarray, t: np.ndarray,
                        kinds: list[DetectorKind], cfg: CGlrtConfig,
-                       ceiling: np.ndarray | None = None,
-                       ) -> tuple[dict[DetectorKind, np.ndarray],
-                                  np.ndarray | None]:
-    """_det_ratio at the entries (pairs[p_idx[i]], trial t_idx[i]) in one
-    stack: each entry's Gram rows in its pair's [ex, sel] order, so that
-    one LDL forms every entry's workspace with the operations of
-    pair_state, and every value equals the per-pair one bit for bit."""
+                       vals: dict[DetectorKind, np.ndarray],
+                       ascents: np.ndarray,
+                       ceiling: np.ndarray | None = None) -> None:
+    """_det_ratio at the entries (pair p[i], trial t[i]) in one stack: each
+    entry's Gram rows in its pair's [ex, sel] order, so that one LDL forms
+    every entry's workspace with the operations of pair_state, and every
+    value equals the per-pair one bit for bit."""
     rows = np.array([[*ex, *sel] for ex, sel in
-                     (ws.pair_rows(n, m) for n, m in pairs)])[p_idx].T
+                     (ws.pair_rows(n, m) for n, m in ws.pairs)])[p].T
     n_ex = ws.k_p - 3
     # The gathered Gram rows, a temporary of the LDL call, and the LDL's
     # entries are freed before the ascent, which sets the stack's peak.
-    ld_ex, blocks = _ldl_schur(ws.g[rows[:, None, :], rows[None, :, :], t_idx],
+    ld_ex, blocks = _ldl_schur(ws.g[rows[:, None, :], rows[None, :, :], t],
                                list(range(n_ex)), list(range(n_ex, n_ex + 6)),
                                "pair capacitance")
     h = _hermitian(blocks, 6)
     del blocks
-    nm = np.array(pairs)[p_idx]
-    ka_alphas = [ws.alpha_ss[0, 0, t_idx], ws.alpha_ss[1, nm[:, 0] - 1, t_idx],
-                 ws.alpha_ss[2, nm[:, 1] - 1, t_idx]]
-    return _det_ratio(h, ws.ld_num_rel[t_idx] - ld_ex, ka_alphas, kinds, cfg,
-                      ws.k_tot, ceiling, at=t_idx)
+    _det_ratio(ws, h, ld_ex, p, t, kinds, cfg, vals, ascents, ceiling)
 
 
 @_quiet
@@ -781,33 +785,21 @@ def batch_evaluate(
     if not window_kinds:
         return out
 
-    # Each window detector's result holds its running maximum over the pairs.
-    pairs = candidate_pairs(k_p)
-    for kind in window_kinds:
-        out[kind] = BatchResult(
-            statistic=np.full(t_len, -np.inf),
-            n_hat=np.zeros(t_len, dtype=np.int64),
-            m_hat=np.zeros(t_len, dtype=np.int64),
-            iterations=(np.zeros(t_len, dtype=np.int64)
-                        if kind is DetectorKind.C_GLRT else None),
-            ascents=(np.zeros((t_len, len(pairs)), dtype=np.int64)
-                     if kind is DetectorKind.C_GLRT else None))
+    # Each window detector's statistic at every (pair, trial), -inf where a
+    # cut left it unevaluated, and the c-glrt iterations at every (trial,
+    # pair), 0 where no ascent ran.
+    n_pairs = len(ws.pairs)
+    vals = {kind: np.full((n_pairs, t_len), -np.inf) for kind in window_kinds}
+    ascents = np.zeros((t_len, n_pairs), dtype=np.int64)
+    if DetectorKind.EP_GLRT_KM_1 in window_kinds:
+        _require_steering_norms("S_S", *ws.steer_norms)
+        n, m = ws.pairs.T
+        vals[DetectorKind.EP_GLRT_KM_1] = (ws.km1_terms[0, 0]
+                                           + ws.km1_terms[1, n - 1]
+                                           + ws.km1_terms[2, m - 1])
 
-    def keep_max(kind: DetectorKind, val: np.ndarray, n: int, m: int,
-                 iters: np.ndarray | None = None) -> None:
-        best = out[kind]
-        mask = val > best.statistic
-        best.statistic[mask] = val[mask]
-        best.n_hat[mask] = n
-        best.m_hat[mask] = m
-        if iters is not None:
-            best.iterations[mask] = iters[mask]
-
-    # The det-ratio statistics of every (pair, trial), -inf where not
-    # evaluated; they are reduced to each trial's maximum after the pairs.
-    ratio_vals = {kind: np.full((len(pairs), t_len), -np.inf)
-                  for kind in ratio_kinds}
     km_2 = DetectorKind.EP_GLRT_KM_2 in window_kinds
+    upper = None  # the pair LDL forms every workspace entry
     if basis is not None:
         # The bound reads the basis block of each pair workspace, and km-2
         # its three matched-filter entries and steering norms: the pair
@@ -820,66 +812,57 @@ def batch_evaluate(
                       if e not in upper]
         ld_basis = _logdet(ws.basis_gram, len(basis),
                            "steering Gram through S_S + S_P")
-        bound = np.empty((len(pairs), t_len))
+        bound = np.empty((n_pairs, t_len))
 
-    # km-1 reads only the matched-filter terms against S_S; every other
-    # window detector needs the pair workspace.
-    need_pair = any(k is not DetectorKind.EP_GLRT_KM_1 for k in window_kinds)
-    if DetectorKind.EP_GLRT_KM_1 in window_kinds:
-        _require_steering_norms("S_S", *ws.steer_norms)
-    for p, (n, m) in enumerate(pairs):
-        if DetectorKind.EP_GLRT_KM_1 in window_kinds:
-            val = (ws.km1_terms[0, 0]
-                   + ws.km1_terms[1, n - 1]
-                   + ws.km1_terms[2, m - 1])
-            keep_max(DetectorKind.EP_GLRT_KM_1, val, n, m)
-        if not need_pair:
-            continue
-        if basis is None:
-            h, ld_ex, _ = ws.pair_state(n, m)
-        else:
-            ld_ex, h = _ldl_schur(ws.g, *ws.pair_rows(n, m),
-                                  "pair capacitance", upper)
+    # km-1 reads only the matched-filter terms against S_S: alone, it needs
+    # no pair workspace.
+    for p, (n, m) in enumerate(ws.pairs if km_2 or ratio_kinds else ()):
+        ld_ex, h = _ldl_schur(ws.g, *ws.pair_rows(n, m), "pair capacitance",
+                              upper)
+        if basis is not None:
             bound[p] = _logdet(
                 {(a, b): h[rows[a], rows[b]] for a in range(len(rows))
                  for b in range(a, len(rows))}, len(rows),
                 "steering Gram through S_{n,m}") - ld_basis
-
         if km_2:
             norms = [h[s, s].real for s in (_UR, _USR, _US)]
             _require_steering_norms("S_{n,m}", *norms)
-            val = (np.abs(h[_Z1, _UR]) ** 2 / norms[0]
-                   + np.abs(h[_ZN, _USR]) ** 2 / norms[1]
-                   + np.abs(h[_ZM, _US]) ** 2 / norms[2])
-            keep_max(DetectorKind.EP_GLRT_KM_2, val, n, m)
-
+            vals[DetectorKind.EP_GLRT_KM_2][p] = (
+                np.abs(h[_Z1, _UR]) ** 2 / norms[0]
+                + np.abs(h[_ZN, _USR]) ** 2 / norms[1]
+                + np.abs(h[_ZM, _US]) ** 2 / norms[2])
         if basis is None and ratio_kinds:
-            alphas = [ws.alpha_ss[0, 0], ws.alpha_ss[1, n - 1],
-                      ws.alpha_ss[2, m - 1]]
-            vals, iters = _det_ratio(h, ws.ld_num_rel - ld_ex, alphas,
-                                     ratio_kinds, cfg, ws.k_tot)
-            for kind, val in vals.items():
-                ratio_vals[kind][p] = val
-            if iters is not None:
-                out[DetectorKind.C_GLRT].ascents[:, p] = iters
-
+            _det_ratio(ws, _hermitian(h, 6), ld_ex, p, slice(None),
+                       ratio_kinds, cfg, vals, ascents)
     if basis is not None:
-        _evaluate_above_cut(ws, pairs, bound, cut, ratio_kinds, cfg,
-                            ratio_vals, out.get(DetectorKind.C_GLRT))
-    for p, (n, m) in enumerate(pairs):
-        for kind in ratio_kinds:
-            keep_max(kind, ratio_vals[kind][p], n, m,
-                     out[kind].ascents[:, p] if kind is DetectorKind.C_GLRT
-                     else None)
+        _evaluate_above_cut(ws, bound, cut, ratio_kinds, cfg, vals, ascents)
+
+    for kind in window_kinds:
+        out[kind] = _first_max(kind, vals[kind], ascents, ws.pairs)
     return out
 
 
-def _evaluate_above_cut(ws: _GramWorkspace, pairs: list[tuple[int, int]],
-                        bound: np.ndarray,
+def _first_max(kind: DetectorKind, vals: np.ndarray, ascents: np.ndarray,
+               pairs: np.ndarray) -> BatchResult:
+    """A window kind's result from its (pairs, T) statistics: each trial's
+    first maximum over the pairs, in candidate_pairs order, and its pair;
+    for c-glrt also the iterations there and the (T, pairs) ascents.  A
+    trial with no evaluated pair (all -inf) keeps -inf at pair (0, 0)."""
+    trials = np.arange(vals.shape[1])
+    best = vals.argmax(axis=0)
+    stat = vals[best, trials]
+    n_hat, m_hat = np.where(stat > -np.inf, pairs[best].T, 0)
+    if kind is not DetectorKind.C_GLRT:
+        return BatchResult(stat, n_hat, m_hat)
+    # An unevaluated entry ran no ascent: its iterations read 0.
+    return BatchResult(stat, n_hat, m_hat, ascents[trials, best], ascents)
+
+
+def _evaluate_above_cut(ws: _GramWorkspace, bound: np.ndarray,
                         cut: int | Mapping[DetectorKind, float],
                         kinds: list[DetectorKind], cfg: CGlrtConfig,
                         vals: dict[DetectorKind, np.ndarray],
-                        c_glrt: BatchResult | None) -> None:
+                        ascents: np.ndarray) -> None:
     """Fill vals[kind][p, t] exactly at every (pair, trial) whose bound
     reaches the kind's cut less the trial's margin, and the c-glrt ascents
     there; every other entry stays -inf, or for c-glrt the a-glrt value
@@ -895,18 +878,6 @@ def _evaluate_above_cut(ws: _GramWorkspace, pairs: list[tuple[int, int]],
     t_len = ws.t
     margin = ((cfg.h_max + 1) * MONOTONE_SLACK
               * np.maximum(1.0, ws.cell_energy.max(axis=0)))
-    done = np.zeros(bound.shape, dtype=bool)
-
-    def fill(p_idx, t_idx, ceiling=None):
-        got, iters = _stacked_det_ratio(ws, pairs, p_idx, t_idx, kinds, cfg,
-                                        ceiling)
-        for kind, val in got.items():
-            vals[kind][p_idx, t_idx] = val
-        if iters is not None:
-            c_glrt.ascents[t_idx, p_idx] = iters
-        done[p_idx, t_idx] = True
-        return got
-
     if isinstance(cut, Mapping):
         log_cut = {kind: (math.log(cut[kind]) if cut.get(kind, 0.0) > 0.0
                           else -np.inf) for kind in kinds}
@@ -917,11 +888,14 @@ def _evaluate_above_cut(ws: _GramWorkspace, pairs: list[tuple[int, int]],
         if t_len >= cut:
             t_seed = np.sort(np.argsort(bound.max(axis=0),
                                         kind="stable")[-4 * cut:])
-            seeds = fill(bound[:, t_seed].argmax(axis=0), t_seed)
-            for kind, val in seeds.items():
-                log_cut[kind] = np.log(np.partition(val, -cut)[-cut])
+            p_seed = bound[:, t_seed].argmax(axis=0)
+            _stacked_det_ratio(ws, p_seed, t_seed, kinds, cfg, vals, ascents)
+            for kind in kinds:
+                log_cut[kind] = np.log(np.partition(
+                    vals[kind][p_seed, t_seed], -cut)[-cut])
     floor = bound + margin
-    todo = ~done & (floor >= min(log_cut.values()))
+    # An evaluated statistic is an exp, never -inf.
+    todo = (vals[kinds[0]] == -np.inf) & (floor >= min(log_cut.values()))
     if not todo.any():
         return
     p_idx, t_idx = np.nonzero(todo)
@@ -935,5 +909,5 @@ def _evaluate_above_cut(ws: _GramWorkspace, pairs: list[tuple[int, int]],
     # the per-pair route's, however many entries survive.
     for s in range(0, p_idx.size, t_len):
         part = slice(s, s + t_len)
-        fill(p_idx[part], t_idx[part],
-             None if ceiling is None else ceiling[part])
+        _stacked_det_ratio(ws, p_idx[part], t_idx[part], kinds, cfg, vals,
+                           ascents, None if ceiling is None else ceiling[part])

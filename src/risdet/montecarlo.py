@@ -135,13 +135,11 @@ class ExperimentConfig:
         return SteeringSet.from_angles(
             self.theta_r_deg, self.theta_s_deg, self.n_antennas)
 
-    def amplitudes(self, sinr_db: float, cov: np.ndarray | None = None,
-                   ) -> tuple[complex, complex, complex]:
-        """The echo amplitudes at a direct-path SINR, under cov (default:
-        the configured covariance)."""
-        return alpha_from_sinr(
-            sinr_db, self.covariance() if cov is None else cov,
-            self.steering().v_r, self.alpha_ratio)
+    def amplitudes(self, sinr_db: float) -> tuple[complex, complex, complex]:
+        """The echo amplitudes at a direct-path SINR, under the configured
+        covariance."""
+        return alpha_from_sinr(sinr_db, self.covariance(),
+                               self.steering().v_r, self.alpha_ratio)
 
     def covariance(self, cnr_db: float | None = None,
                    rho: float | None = None) -> np.ndarray:
@@ -170,7 +168,7 @@ PROFILES = {
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Detection thresholds keyed by detector, with their calibration recipe.
+    """Detection thresholds keyed by detector.
 
     ascents counts the cyclic ascents that calibration ran, one per (pair,
     trial) that could reach the chunk's top statistics, and hmax_hits those
@@ -179,9 +177,6 @@ class ThresholdTable:
     """
 
     thresholds: dict[DetectorKind, float]
-    pfa: float
-    master_seed: int
-    trials: int
     hmax_hits: int | None = None
     ascents: int | None = None
 
@@ -443,7 +438,6 @@ def _threshold_table(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
     return ThresholdTable(
         thresholds={kind: _kth_largest((t[kind] for t in tops),
                                        _top_count(cfg)) for kind in kinds},
-        pfa=cfg.pfa, master_seed=cfg.master_seed, trials=cfg.trials_cal,
         hmax_hits=sum(hits) if cyclic else None,
         ascents=sum(ascents) if cyclic else None)
 
@@ -536,17 +530,14 @@ def _exceedance_sweep(
                   rate, table, calibrate=table is None, prune=True)
 
 
-def _h1_mean(cfg: ExperimentConfig, cov: np.ndarray, steering: SteeringSet,
-             sinr_db: float) -> np.ndarray:
-    params = TargetParams(alpha=cfg.amplitudes(sinr_db, cov),
-                          layout=cfg.layout)
-    return target_mean_matrix(params, steering, cfg.k_p)
+def _h1_mean(cfg: ExperimentConfig, sinr_db: float) -> np.ndarray:
+    params = TargetParams(alpha=cfg.amplitudes(sinr_db), layout=cfg.layout)
+    return target_mean_matrix(params, cfg.steering(), cfg.k_p)
 
 
 def _sinr_points(cfg: ExperimentConfig):
-    cov, steering = cfg.covariance(), cfg.steering()
-    return [(sinr, _h1_mean(cfg, cov, steering, sinr), cov)
-            for sinr in cfg.sinr_grid]
+    cov = cfg.covariance()
+    return [(sinr, _h1_mean(cfg, sinr), cov) for sinr in cfg.sinr_grid]
 
 
 def pd_curves(kinds: Sequence[DetectorKind], table: ThresholdTable | None,
@@ -630,7 +621,7 @@ def convergence_study(cfg: ExperimentConfig, pairs: Sequence[tuple[int, int]],
         raise ValueError("n_trials must be >= 1")
     pairs = tuple((int(n), int(m)) for n, m in pairs)
     cov = cfg.covariance()
-    mean = _h1_mean(cfg, cov, cfg.steering(), sinr_db)
+    mean = _h1_mean(cfg, sinr_db)
     k_tot = cfg.k_p + cfg.k_s
     parts = list(next(_per_point(cfg, [_Point(
         _trace_chunk, _STAGE_CONV, 0, n_trials, pairs, mean, cov)])))
@@ -677,7 +668,7 @@ def sliding_window(kinds: Sequence[DetectorKind], table: ThresholdTable | None,
     cov = cfg.covariance()
     layout = BinLayout(n=cfg.pair[0], m=cfg.pair[1], window_size=n_bins)
     bins = target_mean_matrix(
-        TargetParams(alpha=cfg.amplitudes(sinr_db, cov), layout=layout),
+        TargetParams(alpha=cfg.amplitudes(sinr_db), layout=layout),
         cfg.steering(), n_bins)
     points = [(position, bins[:, position - 1:position - 1 + cfg.k_p], cov)
               for position in starts]

@@ -629,13 +629,14 @@ def test_pair_bound_holds_at_every_pair(n, k_p, extra, seed, rank):
     margin = ((cfg.h_max + 1) * det.MONOTONE_SLACK
               * np.maximum(1.0, ws.cell_energy.max(axis=0)))
     cols = (steering.v_r, steering.v_sr, steering.v_s)
-    for p, m in candidate_pairs(k_p):
+    vals = {kind: np.full((len(ws.pairs), ws.t), -np.inf)
+            for kind in (KA, C, A)}
+    ascents = np.zeros((ws.t, len(ws.pairs)), dtype=np.int64)
+    for i, (p, m) in enumerate(candidate_pairs(k_p)):
         h, ld_ex, _ = ws.pair_state(p, m)
-        alphas = [ws.alpha_ss[0, 0], ws.alpha_ss[1, p - 1],
-                  ws.alpha_ss[2, m - 1]]
-        vals, _ = det._det_ratio(h, ws.ld_num_rel - ld_ex, alphas, [KA, C, A],
-                                 cfg, ws.k_tot)
-        log = {kind: np.log(val) for kind, val in vals.items()}
+        det._det_ratio(ws, h, ld_ex, i, slice(None), [KA, C, A], cfg, vals,
+                       ascents)
+        log = {kind: np.log(val[i]) for kind, val in vals.items()}
         bound = np.array([oracles.bound_oracle(z_p[t], r[t], cols, p, m)
                           for t in range(len(z_p))])
         assert np.all(log[KA] <= bound + margin)
@@ -744,9 +745,9 @@ def test_survivors_run_in_stacks_of_at_most_the_batch(monkeypatch):
     sizes = []
     stacked = det._stacked_det_ratio
 
-    def spy(ws, pairs, p_idx, *args):
+    def spy(ws, p_idx, *args):
         sizes.append(p_idx.size)
-        return stacked(ws, pairs, p_idx, *args)
+        return stacked(ws, p_idx, *args)
 
     monkeypatch.setattr(det, "_stacked_det_ratio", spy)
     got = batch_evaluate(z_p, r, steering, ALL_KINDS,
@@ -757,6 +758,48 @@ def test_survivors_run_in_stacks_of_at_most_the_batch(monkeypatch):
         for f in fields(BatchResult):
             a, b = getattr(got[kind], f.name), getattr(full[kind], f.name)
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_first_maximum_takes_the_first_of_tied_pairs():
+    """Each trial reports its largest statistic over the pairs; of tied
+    pairs, the first in candidate_pairs order gives the pair and c-glrt's
+    iterations, and a trial with no evaluated pair keeps -inf at pair
+    (0, 0) with 0 iterations."""
+    pairs = np.array(candidate_pairs(4))  # (2, 3), (2, 4), (3, 4)
+    vals = np.array([[1.0, 5.0, -np.inf, 2.0],
+                     [3.0, 5.0, -np.inf, -np.inf],
+                     [3.0, 4.0, -np.inf, 2.0]])
+    ascents = np.array([[1, 2, 3], [4, 5, 6], [0, 0, 0], [7, 0, 8]])
+    for kind in PROPOSED_KINDS:
+        got = det._first_max(kind, vals, ascents, pairs)
+        assert got.statistic.tolist() == [3.0, 5.0, -np.inf, 2.0]
+        assert got.n_hat.tolist() == [2, 2, 0, 2]
+        assert got.m_hat.tolist() == [4, 3, 0, 3]
+        if kind is C:
+            assert got.iterations.tolist() == [2, 4, 0, 7]
+            assert got.ascents is ascents
+        else:
+            assert got.iterations is None and got.ascents is None
+
+
+def test_trials_pruned_at_every_pair_report_no_pair():
+    """Under a top-1 cut, a trial whose every (pair, trial) entry was
+    pruned reports -inf at pair (0, 0) for each det-ratio kind, and c-glrt
+    0 iterations there and at every pair; every other trial reports a
+    pair."""
+    _, z_p, r, steering = _ranked_stack(4, 6, 3, 5, "angles", trials=48)
+    got = batch_evaluate(z_p, r, steering, ALL_KINDS, cut=1)
+    pruned = got[KA].statistic == -np.inf
+    assert 0 < np.count_nonzero(pruned) < 48
+    for kind in det.DET_RATIO_KINDS:
+        res = got[kind]
+        assert np.array_equal(res.statistic == -np.inf, pruned)
+        assert np.all(res.n_hat[pruned] == 0)
+        assert np.all(res.m_hat[pruned] == 0)
+        assert np.all(res.n_hat[~pruned] > 1)
+        assert np.all(res.m_hat[~pruned] > 2)
+    assert np.all(got[C].iterations[pruned] == 0)
+    assert np.all(got[C].ascents[pruned] == 0)
 
 
 def test_km_window_only_scaling_is_quadratic(rng):

@@ -107,11 +107,10 @@ def test_config_covariance_and_steering():
 
 
 def test_threshold_table_accessors():
-    table = ThresholdTable({DetectorKind.AMF: 2.5}, pfa=0.1,
-                           master_seed=1, trials=100)
+    table = ThresholdTable({DetectorKind.AMF: 2.5})
     assert table[DetectorKind.AMF] == 2.5
     with pytest.raises(ValueError):
-        ThresholdTable({DetectorKind.AMF: float("inf")}, 0.1, 1, 100)
+        ThresholdTable({DetectorKind.AMF: float("inf")})
 
 
 def test_curve_point_validation():
@@ -123,7 +122,6 @@ def test_calibration_is_deterministic():
     a = calibrate_thresholds(TINY, (DetectorKind.A_GLRT, DetectorKind.AMF))
     b = calibrate_thresholds(TINY, (DetectorKind.A_GLRT, DetectorKind.AMF))
     assert a.thresholds == b.thresholds
-    assert a.pfa == TINY.pfa and a.trials == TINY.trials_cal
     # A single-detector calibration equals that detector inside a larger one.
     single = calibrate_thresholds(TINY, (DetectorKind.AMF,))
     assert single[DetectorKind.AMF] == a[DetectorKind.AMF]
@@ -319,7 +317,7 @@ def test_whitened_chunk_matches_coloured_trials(sinr_db):
     cfg = ExperimentConfig()
     cov, steering = cfg.covariance(), cfg.steering()
     mean = (None if sinr_db is None
-            else mc._h1_mean(cfg, cov, steering, sinr_db))
+            else mc._h1_mean(cfg, sinr_db))
     idx = mc._trial_block(mc._STAGE_PD, 0, 700)
     z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s, cfg.master_seed,
                               idx)
@@ -420,7 +418,7 @@ def test_cfar_single_point_equals_plain_reestimate():
 
 
 def test_cfar_sweep_rejects_bad_axis():
-    table = ThresholdTable({DetectorKind.AMF: 1.0}, 0.05, 1, 100)
+    table = ThresholdTable({DetectorKind.AMF: 1.0})
     with pytest.raises(ValueError):
         cfar_sweeps((DetectorKind.AMF,), table, "cnr_db", [0.0], TINY)
 
@@ -458,7 +456,7 @@ def test_rmse_from_chunk_sums_equals_the_array_formula(monkeypatch):
     kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.A_GLRT)
     curves = rmse_curves(kinds, replace(TINY, sinr_grid=(-20.0,)))
     cov = TINY.covariance()
-    mean = mc._h1_mean(TINY, cov, TINY.steering(), -20.0)
+    mean = mc._h1_mean(TINY, -20.0)
     parts = list(next(mc._per_point(TINY, [mc._Point(
         mc._eval_chunk, mc._STAGE_RMSE, 0, TINY.trials_pd, (kinds, None),
         mean, cov)])))
@@ -525,7 +523,7 @@ def test_sliding_window_pure_h0_positions():
 
 
 def test_sliding_window_requires_enough_bins():
-    table = ThresholdTable({DetectorKind.AMF: 1.0}, 0.05, 1, 100)
+    table = ThresholdTable({DetectorKind.AMF: 1.0})
     with pytest.raises(ValueError):
         sliding_window((DetectorKind.AMF,), table, TINY, 3, 0.0)
 
@@ -608,8 +606,7 @@ def test_sweeps_reject_a_repeated_detector(monkeypatch):
         raise AssertionError("trial drawn")
 
     monkeypatch.setattr(mc, "synthesize_batch", no_trials)
-    table = ThresholdTable({DetectorKind.AMF: 1.0, DetectorKind.A_GLRT: 1.0},
-                           0.05, 1, 100)
+    table = ThresholdTable({DetectorKind.AMF: 1.0, DetectorKind.A_GLRT: 1.0})
     twice = (DetectorKind.A_GLRT, DetectorKind.AMF, DetectorKind.A_GLRT)
     with pytest.raises(ValueError, match="listed twice"):
         pd_curves(twice, table, TINY)
