@@ -268,9 +268,9 @@ class Flag:
     type turns the option's text, or the value a run manifest recorded for
     it, into the value the manifest records, and raises ValueError on a bad
     one.  A number flag (type in _NUMBER_TYPES) reads its text as a float
-    first, so only a manifest record can be a bool or a string.  A None
-    default leaves the value to the subcommand; its help then says what the
-    subcommand uses.
+    first, so only a manifest record can be a bool or a string; a bad value
+    is echoed as it was given.  A None default leaves the value to the
+    subcommand; its help then says what the subcommand uses.
     """
 
     name: str
@@ -299,9 +299,9 @@ def _resolve_flags(args: argparse.Namespace, recorded: dict) -> dict:
     record, else its default; the result is what the new manifest records."""
     opts = {}
     for flag in _COMMANDS[args.subcommand][2]:
-        raw = getattr(args, flag.name)
+        given = raw = getattr(args, flag.name)
         if raw is None:
-            raw = recorded.get(flag.name, flag.default)
+            given = raw = recorded.get(flag.name, flag.default)
         elif flag.type in _NUMBER_TYPES:
             with contextlib.suppress(ValueError):
                 raw = float(raw)
@@ -310,7 +310,7 @@ def _resolve_flags(args: argparse.Namespace, recorded: dict) -> dict:
                                else flag.type(raw))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad --{flag.name.replace('_', '-')} "
-                              f"{raw!r}: {err}") from err
+                              f"{given!r}: {err}") from err
     return opts
 
 

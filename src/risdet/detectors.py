@@ -905,9 +905,11 @@ def _evaluate_above_cut(ws: _GramWorkspace, bound: np.ndarray,
         above = (c_cut + margin[t_idx]
                  if isinstance(cut, Mapping) and c_cut > -np.inf else np.inf)
         ceiling = np.where(floor[p_idx, t_idx] >= c_cut, above, -np.inf)
-    # Stacks of at most t_len entries keep the workspaces at the size of
-    # the per-pair route's, however many entries survive.
-    for s in range(0, p_idx.size, t_len):
-        part = slice(s, s + t_len)
+    # Stacks of at most half the trials keep the workspaces below the
+    # per-pair route's, however many entries survive: a stack also gathers
+    # its Gram rows and copies its workspace for the ascent.
+    size = max(1, t_len // 2)
+    for s in range(0, p_idx.size, size):
+        part = slice(s, s + size)
         _stacked_det_ratio(ws, p_idx[part], t_idx[part], kinds, cfg, vals,
                            ascents, None if ceiling is None else ceiling[part])

@@ -3,25 +3,28 @@
 Threshold calibration, detection-probability curves, CFAR sweeps over the
 clutter parameters, pair-index RMSE, cyclic-ascent convergence traces, and
 the sliding-window study.  Trials are keyed by (master_seed, trial_index)
-counter pairs; each experiment stage and grid point owns a disjoint block of
-trial indices, so every estimate is reproducible bit-for-bit under a fixed
-master seed regardless of chunking or worker scheduling.  Every run is one
-schedule (`_per_point`): a list of points, each with its own counter block,
-whose chunks go to one process pool when threads > 1.  A curve that is not
-handed its thresholds puts the calibration block first in its own schedule,
-so calibration and curve chunks share one pool.  Chunks are reduced as
-early as the information allows: a calibration chunk to each detector's
-largest statistics, from which the exact threshold merges, and a curve
-chunk, in the launching process, to exceedance counts or integer sums of
-squared pair errors.  The det-ratio detectors are evaluated under that
-reduction's cut (see `detectors.batch_evaluate`): a calibration chunk
-passes its top k, and an exceedance chunk its thresholds, so a curve
-chunk with a det-ratio detector starts once the calibration merges.  Each
-point is whitened once by its covariance factor before its chunks run, so a
-chunk draws white trials around the whitened mean and tests them against
-the whitened steering vectors: every statistic is invariant under that change
+counter pairs; each experiment stage owns a disjoint block of trial
+indices, so every estimate is reproducible bit-for-bit under a fixed master
+seed regardless of chunking or worker scheduling.  Every run is one
+schedule (`_per_block`): a list of counter blocks whose chunks go to one
+process pool when threads > 1.  Every point of a sweep tests the trials of
+its stage's one block, as the detectors of a run and the pairs of a
+convergence study share each trial: a chunk draws its trials once and
+tests them at every point.  A curve that is not handed its thresholds puts
+the calibration block first in its own schedule, so calibration and curve
+chunks share one pool, and the curve chunks start once the thresholds
+merge.  Each chunk is reduced in the worker as far as the information
+allows: a calibration chunk to each detector's largest statistics, from
+which the exact threshold merges, and a curve chunk to each point's
+exceedance counts or integer sums of squared pair errors.  The det-ratio
+detectors are evaluated under that reduction's cut (see
+`detectors.batch_evaluate`): a calibration chunk passes its top k, and an
+exceedance chunk its thresholds.  Each point is whitened once by its
+covariance factor before the chunks run, so a chunk draws white trials,
+adds each point's whitened mean and tests them against that point's
+whitened steering vectors: every statistic is invariant under that change
 of array basis, and no trial is coloured.  A numerical failure in a chunk
-is re-raised naming the counter of its first failing trial.
+is re-raised naming its point and the counter of its first failing trial.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import contextlib
 import csv
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -66,10 +69,12 @@ ALL_KINDS = tuple(DetectorKind)
 # Trials processed per batch call; bounds peak memory at a few tens of MB.
 _CHUNK = 4096
 
-# Each (stage, grid point) pair owns a disjoint counter block, so data drawn
-# for calibration never overlap data drawn for any curve point.
+# Each stage owns one counter block, so data drawn for calibration never
+# overlap data drawn for a curve, and every point of a curve tests the same
+# trials.  A block's counters are listed whole before its first chunk runs,
+# which bounds its size well below the stride.
 _STAGE_STRIDE = 1 << 40
-_POINT_STRIDE = 1 << 28
+_BLOCK_TRIALS = 1 << 28
 _STAGE_CAL = 0
 _STAGE_PD = 1
 _STAGE_CFAR_CNR = 2
@@ -272,13 +277,12 @@ class CounterLayoutError(ValueError):
     """A trial block that does not fit the counter layout."""
 
 
-def _trial_block(stage: int, point: int, count: int) -> np.ndarray:
-    if count > _POINT_STRIDE or point >= _STAGE_STRIDE // _POINT_STRIDE:
+def _trial_block(stage: int, count: int) -> np.ndarray:
+    if count > _BLOCK_TRIALS:
         raise CounterLayoutError(
-            f"stage {stage}, point {point} of {count} trials is outside the "
-            f"counter layout: at most {_POINT_STRIDE} trials per point and "
-            f"{_STAGE_STRIDE // _POINT_STRIDE} points per stage")
-    base = stage * _STAGE_STRIDE + point * _POINT_STRIDE
+            f"stage {stage} block of {count} trials is outside the counter "
+            f"layout: at most {_BLOCK_TRIALS} trials per stage")
+    base = stage * _STAGE_STRIDE
     return np.arange(base, base + count, dtype=np.uint64)
 
 
@@ -287,8 +291,8 @@ def _naming_trial(cfg: ExperimentConfig, indices: np.ndarray) -> Iterator[None]:
     """Re-raise a numerical failure of the chunk `indices` with the counter
     of its first failing trial, so that trial_rng can replay it.
 
-    The counter is decoded into its (stage, point, offset) block; a failure
-    that names no trial (a bad covariance, say) passes unchanged.
+    The counter is decoded into its (stage, offset) block; a failure that
+    names no trial (a bad covariance, say) passes unchanged.
     """
     try:
         yield
@@ -296,12 +300,10 @@ def _naming_trial(cfg: ExperimentConfig, indices: np.ndarray) -> Iterator[None]:
         if err.positions is None:
             raise
         counter = int(indices[int(err.positions[0])])
-        stage, rest = divmod(counter, _STAGE_STRIDE)
-        point, offset = divmod(rest, _POINT_STRIDE)
+        stage, offset = divmod(counter, _STAGE_STRIDE)
         raise type(err)(
             f"{err}; first failing trial: counter {counter} (stage {stage}, "
-            f"point {point}, offset {offset}) under master seed "
-            f"{cfg.master_seed}") from err
+            f"offset {offset}) under master seed {cfg.master_seed}") from err
 
 
 def _white_trials(cfg: ExperimentConfig, mean: np.ndarray | None,
@@ -312,79 +314,126 @@ def _white_trials(cfg: ExperimentConfig, mean: np.ndarray | None,
                             cfg.master_seed, indices)
 
 
-def _eval_chunk(cfg: ExperimentConfig, key: tuple, mean: np.ndarray | None,
-                steering: SteeringSet,
-                indices: np.ndarray) -> dict[DetectorKind, BatchResult]:
-    """batch_evaluate of key = (kinds, cut) on the chunk's trials."""
-    kinds, cut = key
+def _evaluations(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
+                 cut, points: Sequence[tuple], indices: np.ndarray,
+                 reduce: Callable[[dict[DetectorKind, BatchResult]], object],
+                 ) -> list:
+    """reduce of batch_evaluate of kinds under cut at each whitened point
+    (label, mean, steering), in order, on the chunk's trials; each point's
+    results are reduced, and dropped, before the next point is evaluated.
+
+    The trials are drawn once, white and with zero mean.  A white copy is
+    kept of each window cell that some point's mean reaches, and for each
+    point the drawn window is rewritten as that copy plus the point's mean,
+    so a point gets the values it would get drawn around its mean alone.
+    The other cells stay as drawn, which adding a zero mean would not
+    change.  A numerical failure names the point by its label (a point
+    labelled None is the only one of its block), and the counter of its
+    first failing trial.
+    """
+    out = []
     with _naming_trial(cfg, indices):
-        z_p, r = _white_trials(cfg, mean, indices)
-        return batch_evaluate(z_p, r, steering, kinds, cfg.cglrt,
-                              cfg.baseline_cell, cut=cut)
+        z_p, r = _white_trials(cfg, None, indices)
+        means = [mean for _, mean, _ in points if mean is not None]
+        cells = np.flatnonzero(np.any(means, axis=(0, 1))) if means else []
+        white = z_p[:, :, cells]
+        for label, mean, steering in points:
+            for i, c in enumerate(cells):
+                np.add(white[:, :, i], 0.0 if mean is None else mean[:, c],
+                       out=z_p[:, :, c])
+            try:
+                res = batch_evaluate(z_p, r, steering, kinds, cfg.cglrt,
+                                     cfg.baseline_cell, cut=cut)
+            except (NotPositiveDefinite, NonMonotonic) as err:
+                if label is None:
+                    raise
+                raise type(err)(f"{err} at {label}",
+                                positions=err.positions) from err
+            out.append(reduce(res))
+            del res
+    return out
 
 
 def _trace_chunk(cfg: ExperimentConfig, pairs: tuple[tuple[int, int], ...],
-                 mean: np.ndarray | None, steering: SteeringSet,
+                 points: Sequence[tuple],
                  indices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (gains, update_lds) of each of pairs, in pair order, on the
-    chunk's trials."""
+    chunk's trials at the block's one point."""
+    ((_, mean, steering),) = points
     with _naming_trial(cfg, indices):
         z_p, r = _white_trials(cfg, mean, indices)
         return c_glrt_gain_trace(z_p, r, steering, pairs, cfg.cglrt)
 
 
-class _Point(NamedTuple):
-    """One point of a schedule: fn(cfg, key, mean, steering, chunk) runs on
-    every chunk of the `trials` counters of block (stage, index).  A key
-    that is a callable stands for key(), which may depend on the outputs
-    of the points before it (see _per_point)."""
+class _Block(NamedTuple):
+    """One counter block of a schedule: fn(cfg, key, points, chunk) runs on
+    every chunk of the `trials` counters of block `stage`, and tests those
+    trials at each of points, given as (label, mean, cov) and handed to fn
+    whitened, as (label, mean, steering).  A key that is a callable stands
+    for key(), which may depend on the outputs of the blocks before it (see
+    _per_block)."""
 
     fn: Callable
     stage: int
-    index: int
     trials: int
     key: object
-    mean: np.ndarray | None
-    cov: np.ndarray
+    points: tuple
 
 
 def _call(fn: Callable, *args):
     return fn(*args)
 
 
-def _per_point(cfg: ExperimentConfig,
-               points: Sequence[_Point]) -> Iterator[Iterator]:
-    """Run every point's fn on every chunk of its counter block.
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported on first use (PEP 562): its module
+    # pulls in multiprocessing, socket, subprocess and some 30 others,
+    # which a run on one process never needs.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-    Each block is cut into _CHUNK slices, and with cfg.threads > 1 the
-    chunks of all points share one process pool, no wider than the task
-    list.  Each point is whitened here, once, and fn gets its whitened mean
-    and steering vectors.  Yields, point by point, an iterator over that
-    point's chunk outputs in trial order; the caller takes each one to its
-    end before it asks for the next, and can reduce each output as it
-    arrives.  The chunks go to the pool at once, up to the first point with
-    a callable key: that point and those after it go once the caller has
-    taken every output before it, each with its key called then.  Every
-    counter block is checked before any chunk runs.  fn is pickled by name
-    and reaches the synthesis and detectors through this module's globals.
+
+def _per_block(cfg: ExperimentConfig,
+               blocks: Sequence[_Block]) -> Iterator[Iterator]:
+    """Run every block's fn on every chunk of its counter block.
+
+    Each block is cut into chunks of min(_CHUNK, ceil(trials / threads))
+    trials, so a small block still gives every worker a chunk, and with
+    cfg.threads > 1 the chunks of all blocks share one process pool, no
+    wider than the task list.  Each point of a block is whitened here,
+    once.  Yields, block by block, an iterator over that block's chunk
+    outputs in trial order; the caller takes each one to its end before it
+    asks for the next, and can reduce each output as it arrives.  The
+    chunks go to the pool at once, up to the first block with a callable
+    key: that block and those after it go once the caller has taken every
+    output before it, each with its key called then.  Every counter block
+    is checked before any chunk runs.  fn is pickled by name and reaches
+    the synthesis and detectors through this module's globals, and the
+    pool class is read from the module when the pool opens, so a class set
+    there replaces it.
     """
     steering = cfg.steering()
     prepared, counts = [], []
-    for p in points:
-        idx = _trial_block(p.stage, p.index, p.trials)
-        chunks = [idx[i:i + _CHUNK] for i in range(0, p.trials, _CHUNK)]
-        prepared.append((p, *whiten(p.cov, p.mean, steering), chunks))
+    for b in blocks:
+        idx = _trial_block(b.stage, b.trials)
+        size = min(_CHUNK, -(-b.trials // cfg.threads))
+        chunks = [idx[i:i + size] for i in range(0, b.trials, size)]
+        points = tuple((label, *whiten(cov, mean, steering))
+                       for label, mean, cov in b.points)
+        prepared.append((b, points, chunks))
         counts.append(len(chunks))
-    later = next((j for j, p in enumerate(points) if callable(p.key)),
-                 len(points))
-    pool = (ProcessPoolExecutor(max_workers=min(cfg.threads, sum(counts)))
+    later = next((j for j, b in enumerate(blocks) if callable(b.key)),
+                 len(blocks))
+    pool = (sys.modules[__name__].ProcessPoolExecutor(
+                max_workers=min(cfg.threads, sum(counts)))
             if cfg.threads > 1 and sum(counts) > 1 else None)
 
     def run(part):
         tasks = []
-        for p, mean_w, steering_w, chunks in part:
-            key = p.key() if callable(p.key) else p.key
-            tasks += [(p.fn, cfg, key, mean_w, steering_w, c) for c in chunks]
+        for b, points, chunks in part:
+            key = b.key() if callable(b.key) else b.key
+            tasks += [(b.fn, cfg, key, points, c) for c in chunks]
         if pool is None or not tasks:
             return itertools.starmap(_call, tasks)
         return pool.map(_call, *zip(*tasks))
@@ -403,18 +452,22 @@ def _per_point(cfg: ExperimentConfig,
 
 def _calibration_chunk(
     cfg: ExperimentConfig, key: tuple[tuple[DetectorKind, ...], int],
-    mean: None, steering: SteeringSet, indices: np.ndarray,
+    points: Sequence[tuple], indices: np.ndarray,
 ) -> tuple[dict[DetectorKind, np.ndarray], int, int]:
     """A calibration chunk reduced to what the thresholds need: each kind's
     `top` largest statistics, which the engine evaluates under that cut,
     and how many c-glrt ascents ran and how many of them stopped at h_max."""
     kinds, top = key
-    res = _eval_chunk(cfg, (kinds, top), mean, steering, indices)
-    ascents = (res[DetectorKind.C_GLRT].ascents if DetectorKind.C_GLRT in res
-               else np.zeros(0))
-    return ({kind: _largest(res[kind].statistic, top) for kind in kinds},
-            int(np.count_nonzero(ascents == cfg.cglrt.h_max)),
-            int(np.count_nonzero(ascents)))
+
+    def reduce(res):
+        ascents = (res[DetectorKind.C_GLRT].ascents
+                   if DetectorKind.C_GLRT in res else np.zeros(0))
+        return ({kind: _largest(res[kind].statistic, top) for kind in kinds},
+                int(np.count_nonzero(ascents == cfg.cglrt.h_max)),
+                int(np.count_nonzero(ascents)))
+
+    (out,) = _evaluations(cfg, kinds, top, points, indices, reduce)
+    return out
 
 
 def _top_count(cfg: ExperimentConfig) -> int:
@@ -423,11 +476,11 @@ def _top_count(cfg: ExperimentConfig) -> int:
 
 
 def _calibration(cfg: ExperimentConfig,
-                 kinds: tuple[DetectorKind, ...]) -> _Point:
-    """The calibration block as a schedule point: H0 trials, all kinds
-    sharing each one."""
-    return _Point(_calibration_chunk, _STAGE_CAL, 0, cfg.trials_cal,
-                  (kinds, _top_count(cfg)), None, cfg.covariance())
+                 kinds: tuple[DetectorKind, ...]) -> _Block:
+    """The calibration block of a schedule: H0 trials, all kinds sharing
+    each one."""
+    return _Block(_calibration_chunk, _STAGE_CAL, cfg.trials_cal,
+                  (kinds, _top_count(cfg)), ((None, None, cfg.covariance()),))
 
 
 def _threshold_table(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
@@ -447,12 +500,24 @@ def calibrate_thresholds(cfg: ExperimentConfig,
     """Thresholds at the configured pfa from a shared batch of H0 trials."""
     kinds = tuple(kinds)
     return _threshold_table(cfg, kinds,
-                            next(_per_point(cfg, [_calibration(cfg, kinds)])))
+                            next(_per_block(cfg, [_calibration(cfg, kinds)])))
 
 
 # ---------------------------------------------------------------------------
 # Curves: one sweep loop over (x, mean, cov) points
 # ---------------------------------------------------------------------------
+
+def _sweep_chunk(cfg: ExperimentConfig, key: tuple, points: Sequence[tuple],
+                 indices: np.ndarray) -> list[dict[DetectorKind, object]]:
+    """Each point's tallies on the chunk's trials, in point order: key =
+    (kinds, cut, tally, table), and tally(cfg, table, kind, result) reduces
+    one kind's result to an integer or integer array."""
+    kinds, cut, tally, table = key
+    return _evaluations(
+        cfg, kinds, cut, points, indices,
+        lambda res: {kind: tally(cfg, table, kind, res[kind])
+                     for kind in kinds})
+
 
 def _sweep(
     kinds: tuple[DetectorKind, ...],
@@ -460,54 +525,68 @@ def _sweep(
     stage: int,
     trials: int,
     points: Sequence[tuple[float, np.ndarray | None, np.ndarray]],
+    label: str,
     tally: Callable,
     finish: Callable[[DetectorKind, float, object], Point],
     table: ThresholdTable | None = None,
     calibrate: bool = False,
     prune: bool = False,
 ) -> dict[DetectorKind, list[Point]]:
-    """Evaluate every point (x, mean, cov) on its own trial block.
+    """Evaluate every point (x, mean, cov) on one shared trial block.
 
-    Point j draws `trials` trials from counter block (stage, j), and all
-    kinds share each trial.  tally(table, kind, result) reduces one kind's
-    results on one chunk, as it arrives, to an integer or integer array
-    that adds over the chunks; finish(kind, x, total) turns a point's total
-    into a curve point.  With calibrate, the calibration block leads the
-    same schedule, and tally gets the table merged from it.  With prune,
-    tally reads only whether each statistic exceeds its threshold, so the
-    chunks evaluate the det-ratio kinds under that cut; when calibrate
-    gives the thresholds, the curve chunks start once they are merged.  A
-    kind listed twice would count each trial twice, so it is an error.
+    Every point tests the `trials` trials of counter block `stage`, and all
+    kinds share each trial: a chunk draws its trials once and tests them at
+    every point (see _evaluations), so the points compare on common data.
+    label.format(x) names a point in a numerical failure.  tally(cfg,
+    table, kind, result) reduces one kind's results at one point on one
+    chunk, in the worker, to an integer or integer array that adds over the
+    chunks, so a chunk returns a few numbers per point however many points
+    there are; finish(kind, x, total) turns a point's total into a curve
+    point.  With calibrate, the calibration block leads the same schedule,
+    and the sweep's chunks start once its thresholds merge, with the merged
+    table.  With prune, tally reads only whether each statistic exceeds its
+    threshold, so the chunks evaluate the det-ratio kinds under that cut.
+    A kind listed twice would count each trial twice, so it is an error.
     """
     if len(set(kinds)) < len(kinds):
         raise ValueError(f"a detector is listed twice in {kinds}")
     pruned = [k for k in kinds if k in DET_RATIO_KINDS] if prune else []
 
     def key():
-        return kinds, ({k: table[k] for k in pruned} if pruned else None)
+        return (kinds, ({k: table[k] for k in pruned} if pruned else None),
+                tally, table)
 
-    schedule = [_Point(_eval_chunk, stage, j, trials,
-                       key if calibrate and pruned else key(), mean, cov)
-                for j, (_, mean, cov) in enumerate(points)]
+    schedule = [_Block(_sweep_chunk, stage, trials,
+                       key if calibrate else key(),
+                       tuple((label.format(x), mean, cov)
+                             for x, mean, cov in points))]
     if calibrate:
         schedule.insert(0, _calibration(cfg, kinds))
-    runs = _per_point(cfg, schedule)
+    runs = _per_block(cfg, schedule)
     if calibrate:
         table = _threshold_table(cfg, kinds, next(runs))
-    out: dict[DetectorKind, list[Point]] = {k: [] for k in kinds}
-    for (x, _, _), chunks in zip(points, runs):
-        totals = dict.fromkeys(kinds, 0)
-        for res in chunks:
+    totals = [dict.fromkeys(kinds, 0) for _ in points]
+    for chunk in next(runs):
+        for total, tallies in zip(totals, chunk):
             for kind in kinds:
-                totals[kind] = totals[kind] + tally(table, kind, res[kind])
-        for kind in kinds:
-            out[kind].append(finish(kind, float(x), totals[kind]))
-    return out
+                total[kind] = total[kind] + tallies[kind]
+    return {kind: [finish(kind, float(x), total[kind])
+                   for (x, _, _), total in zip(points, totals)]
+            for kind in kinds}
 
 
-def _exceedances(table: ThresholdTable, kind: DetectorKind,
-                 res: BatchResult) -> int:
+def _exceedances(cfg: ExperimentConfig, table: ThresholdTable,
+                 kind: DetectorKind, res: BatchResult) -> int:
     return int(np.count_nonzero(res.statistic > table[kind]))
+
+
+def _squared_errors(cfg: ExperimentConfig, table: None, kind: DetectorKind,
+                    res: BatchResult) -> np.ndarray:
+    """The sums of squared errors of the estimated pair (n, m) against
+    cfg.pair."""
+    true_n, true_m = cfg.pair
+    return np.array([np.sum((res.n_hat - true_n) ** 2),
+                     np.sum((res.m_hat - true_m) ** 2)])
 
 
 def _exceedance_sweep(
@@ -517,6 +596,7 @@ def _exceedance_sweep(
     stage: int,
     trials: int,
     points: Sequence[tuple[float, np.ndarray | None, np.ndarray]],
+    label: str,
 ) -> dict[DetectorKind, list[CurvePoint]]:
     """The share of each point's trials above the detector's threshold;
     table None calibrates the thresholds in the same schedule."""
@@ -526,8 +606,9 @@ def _exceedance_sweep(
             detector=kind.value, x=x, estimate=p,
             stderr=binomial_stderr(p, trials),
             trials=trials, seed=cfg.master_seed)
-    return _sweep(tuple(kinds), cfg, stage, trials, points, _exceedances,
-                  rate, table, calibrate=table is None, prune=True)
+    return _sweep(tuple(kinds), cfg, stage, trials, points, label,
+                  _exceedances, rate, table, calibrate=table is None,
+                  prune=True)
 
 
 def _h1_mean(cfg: ExperimentConfig, sinr_db: float) -> np.ndarray:
@@ -547,7 +628,7 @@ def pd_curves(kinds: Sequence[DetectorKind], table: ThresholdTable | None,
     With table None the thresholds are calibrated in the same schedule.
     """
     return _exceedance_sweep(kinds, table, cfg, _STAGE_PD, cfg.trials_pd,
-                             _sinr_points(cfg))
+                             _sinr_points(cfg), "SINR {:g} dB")
 
 
 def cfar_sweeps(
@@ -569,7 +650,8 @@ def cfar_sweeps(
     points = [(v, None, cfg.covariance(cnr_db=v) if axis == "cnr"
                else cfg.covariance(rho=v)) for v in values]
     return _exceedance_sweep(kinds, table, cfg, stage, cfg.trials_cal,
-                             points)
+                             points, "CNR {:g} dB" if axis == "cnr"
+                             else "rho {:g}")
 
 
 def require_pair_estimators(
@@ -586,11 +668,6 @@ def rmse_curves(kinds: Sequence[DetectorKind],
                 cfg: ExperimentConfig) -> dict[DetectorKind, list[RmsePoint]]:
     """Root mean square error of the maximizing pair versus cfg.sinr_grid."""
     kinds = require_pair_estimators(kinds)
-    true_n, true_m = cfg.pair
-
-    def squared_errors(_, kind: DetectorKind, res: BatchResult) -> np.ndarray:
-        return np.array([np.sum((res.n_hat - true_n) ** 2),
-                         np.sum((res.m_hat - true_m) ** 2)])
 
     def rmse(kind: DetectorKind, sinr: float, sums: np.ndarray) -> RmsePoint:
         return RmsePoint(
@@ -600,7 +677,7 @@ def rmse_curves(kinds: Sequence[DetectorKind],
             trials=cfg.trials_pd, seed=cfg.master_seed)
 
     return _sweep(kinds, cfg, _STAGE_RMSE, cfg.trials_pd,
-                  _sinr_points(cfg), squared_errors, rmse)
+                  _sinr_points(cfg), "SINR {:g} dB", _squared_errors, rmse)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +700,8 @@ def convergence_study(cfg: ExperimentConfig, pairs: Sequence[tuple[int, int]],
     cov = cfg.covariance()
     mean = _h1_mean(cfg, sinr_db)
     k_tot = cfg.k_p + cfg.k_s
-    parts = list(next(_per_point(cfg, [_Point(
-        _trace_chunk, _STAGE_CONV, 0, n_trials, pairs, mean, cov)])))
+    parts = list(next(_per_block(cfg, [_Block(
+        _trace_chunk, _STAGE_CONV, n_trials, pairs, ((None, mean, cov),))])))
     traces = []
     for j, pair in enumerate(pairs):
         gains = np.concatenate([p[j][0] for p in parts], axis=0)
@@ -673,7 +750,7 @@ def sliding_window(kinds: Sequence[DetectorKind], table: ThresholdTable | None,
     points = [(position, bins[:, position - 1:position - 1 + cfg.k_p], cov)
               for position in starts]
     return _exceedance_sweep(kinds, table, cfg, _STAGE_SLIDE, cfg.trials_pd,
-                             points)
+                             points, "window start {}")
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,24 @@ def test_largest_seed_is_accepted(tmp_path):
     assert manifest["master_seed"] == seed
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["convergence", "--conv-trials", "0"], "bad --conv-trials '0': "),
+    (["convergence", "--conv-trials", "00"], "bad --conv-trials '00': "),
+    (["ris-design", "--l-points", "0"], "bad --l-points '0': "),
+    (["sliding-window", "--n-bins", "8.50"],
+     "bad --n-bins '8.50': 8.5 is not an integer"),
+], ids=["conv-trials-0", "conv-trials-00", "l-points-0", "n-bins-8.50"])
+def test_bad_number_flags_echo_their_token(argv, message, tmp_path, capsys,
+                                           monkeypatch):
+    # A number flag's text is read as a float, but the message quotes the
+    # text as it was given.
+    _forbid_trials(monkeypatch)
+    rc = main([argv[0], "--out-dir", str(tmp_path), *argv[1:]])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {message}") and out == ""
+
+
 def test_collinear_geometry_exits_3(capsys):
     rc = main(["scenario-check", "scenario.radar_pos=[-100,0]",
                "scenario.target_pos=[50,0]"])
@@ -250,7 +268,31 @@ def test_failing_trial_exits_3_with_its_counter(tmp_path, capsys,
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: NotPositiveDefinite: ")
-    assert "counter 7 (stage 0, point 0, offset 7) under master seed 5" in err
+    assert "counter 7 (stage 0, offset 7) under master seed 5" in err
+    assert list(tmp_path.iterdir()) == []
+    # Every point of a sweep tests the same trials, so the error names the
+    # point as well: here trial 7 fails at the second SINR only.
+    evaluate, calls = mc.batch_evaluate, []
+
+    def planted_at_point(z_p, *args, **kwargs):
+        calls.append(len(z_p))
+        if len(calls) == 3:  # the calibration chunk, then one per point
+            z_p = z_p.copy()
+            z_p[7, 0, 0] = np.nan
+        return evaluate(z_p, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "synthesize_batch", synthesize_batch)
+    monkeypatch.setattr(mc, "batch_evaluate", planted_at_point)
+    with np.errstate(invalid="ignore"):
+        rc = main(["pd-curve", "--out-dir", str(tmp_path), "--seed", "5",
+                   *SMALL_MODEL, *SMALL_CAL, "experiment.trials_pd=50",
+                   "experiment.sinr_grid=[-5,5,15]"])
+    assert rc == 3 and calls == [400, 50, 50]
+    counter = mc._STAGE_PD * mc._STAGE_STRIDE + 7
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: NotPositiveDefinite: ")
+    assert (f" at SINR 5 dB; first failing trial: counter {counter} "
+            f"(stage 1, offset 7) under master seed 5") in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -298,7 +340,7 @@ def test_non_finite_baseline_statistics_exit_3(tmp_path, capsys,
         out, err = capsys.readouterr()
         assert err.startswith(f"numerical failure: NotPositiveDefinite: "
                               f"{what} is not positive definite"), err
-        assert "counter 0 (stage 0, point 0, offset 0) under master seed 5" \
+        assert "counter 0 (stage 0, offset 0) under master seed 5" \
             in err
         assert err.count("\n") == 1 and out == ""
         assert list(tmp_path.iterdir()) == []
@@ -595,6 +637,40 @@ def test_startup_loads_no_scipy(tmp_path):
     assert lines[0] == "side_m,uniform_m2,sinc_m2,lfm_m2" and len(lines) == 4
 
 
+_POOL_SCRIPT = """
+import sys
+from risdet.cli import main
+
+def pool_modules():
+    return sorted(m for m in ("multiprocessing", "concurrent.futures.process")
+                  if m in sys.modules)
+
+small = ["model.n_antennas=4", "model.k_s=8", "experiment.trials_cal=1000",
+         "experiment.pfa=0.05"]
+assert main(["scenario-check"]) == 0
+assert main(["calibrate", "--out-dir", "one", "--threads", "1", *small]) == 0
+print("one process:", pool_modules())
+assert main(["calibrate", "--out-dir", "two", "--threads", "2", *small]) == 0
+print("two processes:", pool_modules())
+"""
+
+
+def test_runs_on_one_process_load_no_pool_machinery(tmp_path):
+    # The process pool's module pulls in multiprocessing and some 30 other
+    # modules, so a fresh process imports it only when a run opens a pool:
+    # here a calibration of two chunks on two workers, which writes the
+    # thresholds of the run on one process.
+    proc = subprocess.run([sys.executable, "-c", _POOL_SCRIPT],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "one process: []" in proc.stdout
+    assert ("two processes: ['concurrent.futures.process', "
+            "'multiprocessing']") in proc.stdout
+    one, two = (tmp_path / d / "thresholds.csv" for d in ("one", "two"))
+    assert one.read_bytes() == two.read_bytes()
+
+
 @pytest.mark.parametrize("argv, setting", [
     (["pd-curve", "model.noise_power=1e300", "experiment.sinr_grid=[3000]"],
      "bad experiment configuration: sinr_db = 3000.0 dB"),
@@ -650,12 +726,11 @@ def test_subnormal_noise_power_calibrates(tmp_path, capsys):
     ["calibrate", "experiment.trials_cal=300000000"],
     ["pd-curve", "experiment.trials_pd=300000000"],
     ["convergence", "--conv-trials", "300000000"],
-    ["pd-curve", "experiment.sinr_grid=[" + ",".join(["0"] * 4097) + "]"],
-], ids=["trials-cal", "trials-pd", "conv-trials", "4097-points"])
+], ids=["trials-cal", "trials-pd", "conv-trials"])
 def test_counter_layout_limits_exit_2_before_any_trial(argv, tmp_path, capsys,
                                                        monkeypatch):
-    # A point holds at most 2**28 trial counters and a stage 4096 points.
-    # The experiment builds every trial block before its first chunk, so a
+    # A stage's one block holds at most 2**28 trial counters.  The
+    # experiment builds every trial block before its first chunk, so a
     # block outside the layout exits 2 with one line on stderr, before a
     # trial is drawn or a file written.
     def no_trials(*args):

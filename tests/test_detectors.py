@@ -738,8 +738,9 @@ def test_steering_set_in_the_band_evaluates_every_cut_exactly():
 
 def test_survivors_run_in_stacks_of_at_most_the_batch(monkeypatch):
     """A threshold of 0 keeps every (pair, trial) entry: they run in stacks
-    of at most T entries, so the workspaces stay at the per-pair route's
-    size, and every field equals the uncut evaluation's bit for bit."""
+    of at most T/2 entries, so the workspaces stay below the per-pair
+    route's size, and every field equals the uncut evaluation's bit for
+    bit."""
     _, z_p, r, steering = _ranked_stack(4, 6, 3, 5, "angles", trials=24)
     full = batch_evaluate(z_p, r, steering, ALL_KINDS)
     sizes = []
@@ -753,7 +754,7 @@ def test_survivors_run_in_stacks_of_at_most_the_batch(monkeypatch):
     got = batch_evaluate(z_p, r, steering, ALL_KINDS,
                          cut=dict.fromkeys(det.DET_RATIO_KINDS, 0.0))
     assert sum(sizes) == 24 * len(candidate_pairs(6))
-    assert max(sizes) == 24
+    assert max(sizes) == 12
     for kind in ALL_KINDS:
         for f in fields(BatchResult):
             a, b = getattr(got[kind], f.name), getattr(full[kind], f.name)

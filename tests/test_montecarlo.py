@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import risdet.detectors as det
 import risdet.montecarlo as mc
 from risdet.detectors import (
+    DET_RATIO_KINDS,
     CGlrtConfig,
     DetectorKind,
     PROPOSED_KINDS,
@@ -33,7 +34,7 @@ from risdet.montecarlo import (
     threshold_from_stats,
     write_csv,
 )
-from risdet.signal_model import NotPositiveDefinite, synthesize_batch
+from risdet.signal_model import NotPositiveDefinite, synthesize_batch, whiten
 
 # Small-array configuration used throughout: fast but statistically useful.
 TINY = ExperimentConfig(
@@ -127,12 +128,23 @@ def test_calibration_is_deterministic():
     assert single[DetectorKind.AMF] == a[DetectorKind.AMF]
 
 
+def _eval_chunk(cfg, key, points, indices):
+    """batch_evaluate of key = (kinds, cut) at each point, on one chunk."""
+    return mc._evaluations(cfg, *key, points, indices, lambda res: res)
+
+
+def _chunks(cfg, stage, trials, kinds, cut, mean, cov):
+    """The chunks of block `stage`, drawn, cut and whitened as a run does,
+    each evaluated under `cut` at the one point (mean, cov)."""
+    return [res for (res,) in next(mc._per_block(cfg, [mc._Block(
+        _eval_chunk, stage, trials, (kinds, cut), ((None, mean, cov),))]))]
+
+
 def _cal_chunks(cfg, kinds, cut):
     """The calibration block's chunks evaluated under `cut`, as calibration
     draws and whitens them."""
-    return list(next(mc._per_point(cfg, [mc._Point(
-        mc._eval_chunk, mc._STAGE_CAL, 0, cfg.trials_cal, (kinds, cut), None,
-        cfg.covariance())])))
+    return _chunks(cfg, mc._STAGE_CAL, cfg.trials_cal, kinds, cut, None,
+                   cfg.covariance())
 
 
 def test_calibration_counts_hmax_hits():
@@ -167,9 +179,7 @@ def test_merged_thresholds_are_the_order_statistics_of_the_block(
     monkeypatch.setattr(mc, "_CHUNK", 97)
     cfg = replace(TINY, cglrt=CGlrtConfig(h_max=3))
     table = calibrate_thresholds(cfg, ALL_KINDS)
-    parts = list(next(mc._per_point(cfg, [mc._Point(
-        mc._eval_chunk, mc._STAGE_CAL, 0, cfg.trials_cal, (ALL_KINDS, None),
-        None, cfg.covariance())])))
+    parts = _cal_chunks(cfg, ALL_KINDS, None)
     for kind in ALL_KINDS:
         stats = np.concatenate([p[kind].statistic for p in parts])
         assert table[kind] == threshold_from_stats(stats, cfg.pfa)
@@ -202,7 +212,8 @@ def test_worker_pool_matches_serial():
     kinds = (DetectorKind.A_GLRT,)
     table = calibrate_thresholds(serial, kinds)
     assert calibrate_thresholds(cfg, kinds).thresholds == table.thresholds
-    # Three single-chunk points: the pool runs one task per point.
+    # One 500-trial curve block on two workers: two chunks, each tested
+    # at the three points.
     assert pd_curves(kinds, table, cfg) == pd_curves(kinds, table, serial)
     assert _convergence(cfg) == _convergence(serial)
 
@@ -225,16 +236,21 @@ def pool_widths(monkeypatch):
 
 def test_pool_has_no_more_workers_than_tasks(monkeypatch, pool_widths):
     # Under fork every worker starts with the pool, so a pool wider than its
-    # task list starts processes that never run a task.
+    # task list starts processes that never run a task.  A block is cut
+    # into chunks of at most ceil(trials / threads) trials.
     monkeypatch.setattr(mc, "_CHUNK", 1_000)
     kinds = (DetectorKind.KELLY,)
     serial = calibrate_thresholds(TINY, kinds)
-    # Two chunks of one point on eight workers; then three single-chunk
-    # points on two workers.
+    few = replace(TINY, trials_pd=3)
+    # Eight chunks of 250 calibration trials on eight workers; then three
+    # one-trial chunks of the curve on eight workers, and two chunks of 250
+    # on two.
     assert calibrate_thresholds(replace(TINY, threads=8), kinds) == serial
+    assert pd_curves(kinds, serial, replace(few, threads=8)) == \
+        pd_curves(kinds, serial, few)
     assert pd_curves(kinds, serial, replace(TINY, threads=2)) == \
         pd_curves(kinds, serial, TINY)
-    assert pool_widths == [2, 2]
+    assert pool_widths == [8, 3, 2]
 
 
 @pytest.mark.parametrize("chunk", [4096, 997])
@@ -293,7 +309,7 @@ def test_chunk_memory_stays_near_its_data_buffer():
     # in blocks of trials, so drawing and evaluating the chunk with every
     # detector peaks under 1.75 times that buffer.
     cfg = ExperimentConfig()
-    idx = mc._trial_block(mc._STAGE_CAL, 0, mc._CHUNK)
+    idx = mc._trial_block(mc._STAGE_CAL, mc._CHUNK)
     data_bytes = idx.size * cfg.n_antennas * (cfg.k_p + cfg.k_s) * 16
     tracemalloc.start()
     try:
@@ -304,6 +320,35 @@ def test_chunk_memory_stays_near_its_data_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 1.75 * data_bytes
+
+
+def test_sweep_chunk_memory_stays_near_its_data_buffer():
+    # One chunk of the default model tested at the 25 SINRs of its grid
+    # with every detector, under the thresholds, as pd-curve tests it.  The
+    # chunk draws its trials once, keeps a white copy of the window cells
+    # the means reach and rewrites those cells for each point, and each
+    # point's results are reduced before the next point runs, so the chunk
+    # peaks under the bound of a chunk tested at one point.
+    cfg = ExperimentConfig()
+    table = calibrate_thresholds(replace(cfg, pfa=0.01, trials_cal=1_000),
+                                 ALL_KINDS)
+    steering = cfg.steering()
+    points = tuple(
+        (f"SINR {s:g} dB",
+         *whiten(cfg.covariance(), mc._h1_mean(cfg, s), steering))
+        for s in cfg.sinr_grid)
+    key = (ALL_KINDS, {k: table[k] for k in DET_RATIO_KINDS},
+           mc._exceedances, table)
+    idx = mc._trial_block(mc._STAGE_PD, mc._CHUNK)
+    data_bytes = idx.size * cfg.n_antennas * (cfg.k_p + cfg.k_s) * 16
+    tracemalloc.start()
+    try:
+        counts = mc._sweep_chunk(cfg, key, points, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 25 and counts[-1][DetectorKind.KELLY] > 4_000
     assert peak < 1.75 * data_bytes
 
 
@@ -318,13 +363,12 @@ def test_whitened_chunk_matches_coloured_trials(sinr_db):
     cov, steering = cfg.covariance(), cfg.steering()
     mean = (None if sinr_db is None
             else mc._h1_mean(cfg, sinr_db))
-    idx = mc._trial_block(mc._STAGE_PD, 0, 700)
+    idx = mc._trial_block(mc._STAGE_PD, 700)
     z_p, r = synthesize_batch(mean, cov, cfg.k_p, cfg.k_s, cfg.master_seed,
                               idx)
     want = batch_evaluate(z_p, r, steering, ALL_KINDS, cfg.cglrt,
                           cfg.baseline_cell)
-    (got,) = next(mc._per_point(cfg, [mc._Point(
-        mc._eval_chunk, mc._STAGE_PD, 0, 700, (ALL_KINDS, None), mean, cov)]))
+    (got,) = _chunks(cfg, mc._STAGE_PD, 700, ALL_KINDS, None, mean, cov)
     for kind in ALL_KINDS:
         assert got[kind].statistic == pytest.approx(want[kind].statistic,
                                                     rel=1e-10, abs=0)
@@ -352,16 +396,16 @@ def test_numerical_failure_names_its_trial_counter(monkeypatch):
     _plant_nan(monkeypatch, 130, "z_p")
     with np.errstate(invalid="ignore"), pytest.raises(
             NotPositiveDefinite,
-            match=r"counter 130 \(stage 0, point 0, offset 130\) under "
+            match=r"counter 130 \(stage 0, offset 130\) under "
                   r"master seed 31415"):
         calibrate_thresholds(TINY, ALL_KINDS)
     # A trace chunk, with the NaN in the training data: every pair is
-    # traced on the trials of block (stage 5, point 0).
+    # traced on the trials of block stage 5.
     counter = mc._STAGE_CONV * mc._STAGE_STRIDE + 42
     _plant_nan(monkeypatch, counter, "r")
     with np.errstate(invalid="ignore"), pytest.raises(
             NotPositiveDefinite,
-            match=rf"counter {counter} \(stage 5, point 0, offset 42\)"):
+            match=rf"counter {counter} \(stage 5, offset 42\)"):
         convergence_study(TINY, [(2, 4), (3, 4)], 0.0, 300)
 
 
@@ -383,7 +427,7 @@ def test_trace_failure_names_its_pair_and_trial_counter(monkeypatch):
     with pytest.raises(
             NotPositiveDefinite,
             match=rf"^ascent capacitance .* at pair \(3, 4\); first failing "
-                  rf"trial: counter {counter} \(stage 5, point 0, offset 42\)"):
+                  rf"trial: counter {counter} \(stage 5, offset 42\)"):
         convergence_study(TINY, [(2, 4), (3, 4)], 0.0, 300)
     assert len(calls) == 2
 
@@ -407,7 +451,7 @@ def test_cfar_single_point_equals_plain_reestimate():
     curves = cfar_sweeps(kinds, table, "cnr", [TINY.cnr_db], TINY)
     (point,) = curves[kinds[0]]
     # Re-run the same trial block by hand and count exceedances directly.
-    idx = mc._trial_block(mc._STAGE_CFAR_CNR, 0, TINY.trials_cal)
+    idx = mc._trial_block(mc._STAGE_CFAR_CNR, TINY.trials_cal)
     z_p, r = synthesize_batch(None, TINY.covariance(), TINY.k_p, TINY.k_s,
                               TINY.master_seed, idx)
     stat = batch_evaluate(z_p, r, TINY.steering(), kinds)[kinds[0]].statistic
@@ -457,9 +501,8 @@ def test_rmse_from_chunk_sums_equals_the_array_formula(monkeypatch):
     curves = rmse_curves(kinds, replace(TINY, sinr_grid=(-20.0,)))
     cov = TINY.covariance()
     mean = mc._h1_mean(TINY, -20.0)
-    parts = list(next(mc._per_point(TINY, [mc._Point(
-        mc._eval_chunk, mc._STAGE_RMSE, 0, TINY.trials_pd, (kinds, None),
-        mean, cov)])))
+    parts = _chunks(TINY, mc._STAGE_RMSE, TINY.trials_pd, kinds, None, mean,
+                    cov)
     assert len(parts) == 6
     for kind in kinds:
         (point,) = curves[kind]
@@ -522,6 +565,47 @@ def test_sliding_window_pure_h0_positions():
                 assert cfg.pfa / 2 <= p.estimate <= 2 * cfg.pfa
 
 
+def test_a_point_reads_the_same_alone_and_inside_a_grid(monkeypatch):
+    # Every point of a sweep tests the trials of its stage's one block,
+    # drawn once per chunk, and each point rewrites the window cells from
+    # the white draws: a point's row does not depend on the points around
+    # it, nor on the chunking.
+    kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.A_GLRT,
+             DetectorKind.C_GLRT, DetectorKind.KELLY)
+    table = calibrate_thresholds(TINY, kinds)
+    sinrs, values = (-10.0, 0.0, 10.0), (0.2, 0.5, 0.9)
+    sweeps = {
+        "pd": lambda xs: pd_curves(kinds, table,
+                                   replace(TINY, sinr_grid=tuple(xs))),
+        "rmse": lambda xs: rmse_curves(kinds[:3],
+                                       replace(TINY, sinr_grid=tuple(xs))),
+        "cfar": lambda xs: cfar_sweeps(kinds, table, "rho", xs, TINY),
+    }
+    for name, run in sweeps.items():
+        xs = values if name == "cfar" else sinrs
+        monkeypatch.setattr(mc, "_CHUNK", 97)
+        grid = run(xs)
+        monkeypatch.setattr(mc, "_CHUNK", 4096)
+        for j, x in enumerate(xs):
+            alone = run([x])
+            for kind in alone:
+                assert alone[kind] == [grid[kind][j]], (name, x)
+    # The sliding window over 10 bins, and each start alone.
+    monkeypatch.setattr(mc, "_CHUNK", 97)
+    grid = sliding_window(kinds, table, TINY, 10, 0.0)
+    monkeypatch.setattr(mc, "_CHUNK", 4096)
+    for start in (1, 4, 7):
+        monkeypatch.setattr(mc, "window_starts", lambda k_p, n_bins: [start])
+        alone = sliding_window(kinds, table, TINY, 10, 0.0)
+        for kind in kinds:
+            assert alone[kind] == [grid[kind][start - 1]], start
+    # Starts 5 to 7 hold no target component: the same data at the same
+    # thresholds, so the same rows.
+    for kind in kinds:
+        assert [p.estimate for p in grid[kind][4:]] == \
+            [grid[kind][4].estimate] * 3
+
+
 def test_sliding_window_requires_enough_bins():
     table = ThresholdTable({DetectorKind.AMF: 1.0})
     with pytest.raises(ValueError):
@@ -531,13 +615,11 @@ def test_sliding_window_requires_enough_bins():
 def test_trial_blocks_are_disjoint():
     seen = set()
     for stage in range(7):
-        for point in (0, 1, 5):
-            block = mc._trial_block(stage, point, 1_000)
-            ids = set(block.tolist())
-            assert not ids & seen
-            seen |= ids
+        ids = set(mc._trial_block(stage, 1_000).tolist())
+        assert not ids & seen
+        seen |= ids
     with pytest.raises(ValueError):
-        mc._trial_block(0, 0, mc._POINT_STRIDE + 1)
+        mc._trial_block(0, mc._BLOCK_TRIALS + 1)
 
 
 def test_curve_csv_bytes_deterministic(tmp_path):
@@ -587,16 +669,14 @@ def test_replace_config():
 
 
 def test_trial_blocks_stay_inside_the_counter_layout():
-    # A point holds at most _POINT_STRIDE trials and a stage at most
-    # _STAGE_STRIDE // _POINT_STRIDE points; past either limit a block
-    # would reuse the counters of the next point or the next stage.
-    points = mc._STAGE_STRIDE // mc._POINT_STRIDE
-    last = mc._trial_block(mc._STAGE_PD, points - 1, 2)
-    assert int(last[-1]) < mc._trial_block(mc._STAGE_CFAR_CNR, 0, 1)[0]
-    for stage, point, count in ((mc._STAGE_PD, points, 1),
-                                (mc._STAGE_CAL, 0, mc._POINT_STRIDE + 1)):
+    # A stage's one block holds at most _BLOCK_TRIALS counters, so its
+    # last counter stays below the first of the next stage; a larger block
+    # is refused before its counters are listed.
+    last = mc._STAGE_PD * mc._STAGE_STRIDE + mc._BLOCK_TRIALS - 1
+    assert last < mc._trial_block(mc._STAGE_CFAR_CNR, 1)[0]
+    for stage in (mc._STAGE_CAL, mc._STAGE_PD):
         with pytest.raises(mc.CounterLayoutError, match="counter layout"):
-            mc._trial_block(stage, point, count)
+            mc._trial_block(stage, mc._BLOCK_TRIALS + 1)
     assert issubclass(mc.CounterLayoutError, ValueError)
 
 
