@@ -229,6 +229,13 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _cell_pair(value) -> tuple[int, int]:
+    """A cell pair (n, m): a list of two integers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{value!r} is not a list of two cell indices")
+    return _whole(value[0]), _whole(value[1])
+
+
 def _seed(value) -> int:
     """A master seed: an integer in [0, 2**64), one word of the Philox key."""
     seed = _whole(value)
@@ -366,7 +373,7 @@ def _link_budget(sc: dict) -> LinkBudget:
 def _derive_pair(doc: dict) -> tuple[int, int]:
     explicit = doc["model"]["pair"]
     if explicit is not None:
-        return tuple(_setting(_whole, "model.pair", i) for i in explicit)
+        return _setting(_cell_pair, "model.pair", explicit)
     k_p = _setting(_whole, "model.k_p", doc["model"]["k_p"])
     geom = scenario_from_config(doc["scenario"])
     delays = compute_delays(*path_distances(geom))

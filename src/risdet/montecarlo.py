@@ -6,25 +6,27 @@ the sliding-window study.  Trials are keyed by (master_seed, trial_index)
 counter pairs; each experiment stage owns a disjoint block of trial
 indices, so every estimate is reproducible bit-for-bit under a fixed master
 seed regardless of chunking or worker scheduling.  Every run is one
-schedule (`_per_block`): a list of counter blocks whose chunks go to one
-process pool when threads > 1.  Every point of a sweep tests the trials of
-its stage's one block, as the detectors of a run and the pairs of a
-convergence study share each trial: a chunk draws its trials once and
-tests them at every point.  A curve that is not handed its thresholds puts
-the calibration block first in its own schedule, so calibration and curve
-chunks share one pool, and the curve chunks start once the thresholds
-merge.  Each chunk is reduced in the worker as far as the information
-allows: a calibration chunk to each detector's largest statistics, from
-which the exact threshold merges, and a curve chunk to each point's
-exceedance counts or integer sums of squared pair errors.  The det-ratio
-detectors are evaluated under that reduction's cut (see
+schedule (`_schedule`): before any chunk runs, it checks every counter
+block, whitens every point, cuts each block into chunks (ranges of
+counters, which a worker turns into the chunk's counters) and, when
+threads > 1, opens the run's one process pool.  The run then runs each
+block with the key it holds at that moment: a curve that is not handed its
+thresholds runs the calibration block, merges the thresholds, and runs its
+curve block with them in the same pool.  Every point of a sweep tests the
+trials of its stage's one block, as the detectors of a run and the pairs
+of a convergence study share each trial: a chunk draws its trials once and
+tests them at every point.  Each chunk is reduced in the worker as far as
+the information allows: a calibration chunk to each detector's largest
+statistics, from which the exact threshold merges, and a curve chunk to
+each point's exceedance counts or integer sums of squared pair errors.  The
+det-ratio detectors are evaluated under that reduction's cut (see
 `detectors.batch_evaluate`): a calibration chunk passes its top k, and an
-exceedance chunk its thresholds.  Each point is whitened once by its
-covariance factor before the chunks run, so a chunk draws white trials,
-adds each point's whitened mean and tests them against that point's
-whitened steering vectors: every statistic is invariant under that change
-of array basis, and no trial is coloured.  A numerical failure in a chunk
-is re-raised naming its point and the counter of its first failing trial.
+exceedance chunk its thresholds.  Each point is whitened by its covariance
+factor, so a chunk draws white trials, adds each point's whitened mean and
+tests them against that point's whitened steering vectors: every statistic
+is invariant under that change of array basis, and no trial is coloured.
+A numerical failure in a chunk is re-raised naming its point and the
+counter of its first failing trial.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
@@ -71,8 +74,8 @@ _CHUNK = 4096
 
 # Each stage owns one counter block, so data drawn for calibration never
 # overlap data drawn for a curve, and every point of a curve tests the same
-# trials.  A block's counters are listed whole before its first chunk runs,
-# which bounds its size well below the stride.
+# trials.  Every chunk of a block is submitted at once, one task each,
+# which bounds a block's size well below the stride.
 _STAGE_STRIDE = 1 << 40
 _BLOCK_TRIALS = 1 << 28
 _STAGE_CAL = 0
@@ -134,7 +137,8 @@ class ExperimentConfig:
 
     @property
     def layout(self) -> BinLayout:
-        return BinLayout(n=self.pair[0], m=self.pair[1], window_size=self.k_p)
+        n, m = self.pair
+        return BinLayout(n=n, m=m, window_size=self.k_p)
 
     def steering(self) -> SteeringSet:
         return SteeringSet.from_angles(
@@ -277,17 +281,17 @@ class CounterLayoutError(ValueError):
     """A trial block that does not fit the counter layout."""
 
 
-def _trial_block(stage: int, count: int) -> np.ndarray:
+def _trial_block(stage: int, count: int) -> range:
     if count > _BLOCK_TRIALS:
         raise CounterLayoutError(
             f"stage {stage} block of {count} trials is outside the counter "
             f"layout: at most {_BLOCK_TRIALS} trials per stage")
     base = stage * _STAGE_STRIDE
-    return np.arange(base, base + count, dtype=np.uint64)
+    return range(base, base + count)
 
 
 @contextlib.contextmanager
-def _naming_trial(cfg: ExperimentConfig, indices: np.ndarray) -> Iterator[None]:
+def _naming_trial(cfg: ExperimentConfig, indices: range) -> Iterator[None]:
     """Re-raise a numerical failure of the chunk `indices` with the counter
     of its first failing trial, so that trial_rng can replay it.
 
@@ -307,15 +311,16 @@ def _naming_trial(cfg: ExperimentConfig, indices: np.ndarray) -> Iterator[None]:
 
 
 def _white_trials(cfg: ExperimentConfig, mean: np.ndarray | None,
-                  indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk's trials in the whitened frame: covariance I around the
-    whitened mean, so synthesis colours nothing."""
+                  indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """The trials of the chunk's counters in the whitened frame: covariance
+    I around the whitened mean, so synthesis colours nothing."""
+    counters = np.arange(indices.start, indices.stop, dtype=np.uint64)
     return synthesize_batch(mean, np.eye(cfg.n_antennas), cfg.k_p, cfg.k_s,
-                            cfg.master_seed, indices)
+                            cfg.master_seed, counters)
 
 
 def _evaluations(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
-                 cut, points: Sequence[tuple], indices: np.ndarray,
+                 cut, points: Sequence[tuple], indices: range,
                  reduce: Callable[[dict[DetectorKind, BatchResult]], object],
                  ) -> list:
     """reduce of batch_evaluate of kinds under cut at each whitened point
@@ -356,7 +361,7 @@ def _evaluations(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
 
 def _trace_chunk(cfg: ExperimentConfig, pairs: tuple[tuple[int, int], ...],
                  points: Sequence[tuple],
-                 indices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+                 indices: range) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (gains, update_lds) of each of pairs, in pair order, on the
     chunk's trials at the block's one point."""
     ((_, mean, steering),) = points
@@ -369,19 +374,12 @@ class _Block(NamedTuple):
     """One counter block of a schedule: fn(cfg, key, points, chunk) runs on
     every chunk of the `trials` counters of block `stage`, and tests those
     trials at each of points, given as (label, mean, cov) and handed to fn
-    whitened, as (label, mean, steering).  A key that is a callable stands
-    for key(), which may depend on the outputs of the blocks before it (see
-    _per_block)."""
+    whitened, as (label, mean, steering)."""
 
     fn: Callable
     stage: int
     trials: int
-    key: object
     points: tuple
-
-
-def _call(fn: Callable, *args):
-    return fn(*args)
 
 
 def __getattr__(name: str):
@@ -394,56 +392,48 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _per_block(cfg: ExperimentConfig,
-               blocks: Sequence[_Block]) -> Iterator[Iterator]:
-    """Run every block's fn on every chunk of its counter block.
+@contextlib.contextmanager
+def _schedule(cfg: ExperimentConfig, blocks: Sequence[_Block],
+              ) -> Iterator[tuple[Callable[[object], Iterator], ...]]:
+    """A run's blocks, ready to run: yields one runner per block, and
+    runner(key) runs the block's fn with that key on every chunk of the
+    block, and returns an iterator over the chunk outputs in trial order.
 
-    Each block is cut into chunks of min(_CHUNK, ceil(trials / threads))
-    trials, so a small block still gives every worker a chunk, and with
-    cfg.threads > 1 the chunks of all blocks share one process pool, no
-    wider than the task list.  Each point of a block is whitened here,
-    once.  Yields, block by block, an iterator over that block's chunk
-    outputs in trial order; the caller takes each one to its end before it
-    asks for the next, and can reduce each output as it arrives.  The
-    chunks go to the pool at once, up to the first block with a callable
-    key: that block and those after it go once the caller has taken every
-    output before it, each with its key called then.  Every counter block
-    is checked before any chunk runs.  fn is pickled by name and reaches
-    the synthesis and detectors through this module's globals, and the
-    pool class is read from the module when the pool opens, so a class set
-    there replaces it.
+    Before it yields, every counter block is checked and every point
+    whitened, once.  Each block is cut into chunks of min(_CHUNK,
+    ceil(trials / threads)) trials, so a small block still gives every
+    worker a chunk; a chunk is a range of counters.  With cfg.threads > 1
+    every block's chunks go to one process pool, no wider than the task
+    list or the machine's CPU count, which stays open until the schedule
+    closes.  A runner submits every chunk of its block at once, so the
+    caller can take a block's outputs, reduce them and key the next block
+    with the result.  fn is pickled by name and reaches the synthesis and
+    detectors through this module's globals, and the pool class is read
+    from the module when the pool opens, so a class set there replaces it.
     """
     steering = cfg.steering()
-    prepared, counts = [], []
+    prepared = []
     for b in blocks:
-        idx = _trial_block(b.stage, b.trials)
+        counters = _trial_block(b.stage, b.trials)
         size = min(_CHUNK, -(-b.trials // cfg.threads))
-        chunks = [idx[i:i + size] for i in range(0, b.trials, size)]
         points = tuple((label, *whiten(cov, mean, steering))
                        for label, mean, cov in b.points)
-        prepared.append((b, points, chunks))
-        counts.append(len(chunks))
-    later = next((j for j, b in enumerate(blocks) if callable(b.key)),
-                 len(blocks))
-    pool = (sys.modules[__name__].ProcessPoolExecutor(
-                max_workers=min(cfg.threads, sum(counts)))
-            if cfg.threads > 1 and sum(counts) > 1 else None)
+        prepared.append((b.fn, points, [counters[i:i + size]
+                                        for i in range(0, b.trials, size)]))
+    width = min(cfg.threads, sum(len(chunks) for *_, chunks in prepared),
+                os.cpu_count() or 1)
+    pool = (sys.modules[__name__].ProcessPoolExecutor(max_workers=width)
+            if width > 1 else None)
 
-    def run(part):
-        tasks = []
-        for b, points, chunks in part:
-            key = b.key() if callable(b.key) else b.key
-            tasks += [(b.fn, cfg, key, points, c) for c in chunks]
-        if pool is None or not tasks:
-            return itertools.starmap(_call, tasks)
-        return pool.map(_call, *zip(*tasks))
+    def runner(fn, points, chunks):
+        def run(key):
+            args = (itertools.repeat(cfg), itertools.repeat(key),
+                    itertools.repeat(points), chunks)
+            return (map if pool is None else pool.map)(fn, *args)
+        return run
 
     with pool or contextlib.nullcontext():
-        outs = run(prepared[:later])
-        for j, count in enumerate(counts):
-            if j == later:
-                outs = run(prepared[later:])
-            yield itertools.islice(outs, count)
+        yield tuple(runner(*p) for p in prepared)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +442,7 @@ def _per_block(cfg: ExperimentConfig,
 
 def _calibration_chunk(
     cfg: ExperimentConfig, key: tuple[tuple[DetectorKind, ...], int],
-    points: Sequence[tuple], indices: np.ndarray,
+    points: Sequence[tuple], indices: range,
 ) -> tuple[dict[DetectorKind, np.ndarray], int, int]:
     """A calibration chunk reduced to what the thresholds need: each kind's
     `top` largest statistics, which the engine evaluates under that cut,
@@ -475,22 +465,23 @@ def _top_count(cfg: ExperimentConfig) -> int:
     return cfg.trials_cal - _threshold_index(cfg.pfa, cfg.trials_cal) + 1
 
 
-def _calibration(cfg: ExperimentConfig,
-                 kinds: tuple[DetectorKind, ...]) -> _Block:
-    """The calibration block of a schedule: H0 trials, all kinds sharing
-    each one."""
+def _calibration(cfg: ExperimentConfig) -> _Block:
+    """The calibration block of a schedule: H0 trials at the configured
+    covariance."""
     return _Block(_calibration_chunk, _STAGE_CAL, cfg.trials_cal,
-                  (kinds, _top_count(cfg)), ((None, None, cfg.covariance()),))
+                  ((None, None, cfg.covariance()),))
 
 
 def _threshold_table(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
-                     chunks: Iterable) -> ThresholdTable:
-    """The thresholds merged from the calibration chunks' outputs."""
-    tops, hits, ascents = zip(*chunks)
+                     run: Callable[[object], Iterator]) -> ThresholdTable:
+    """The thresholds of kinds, all sharing each trial, merged from the
+    outputs of run, the calibration block's runner."""
+    top = _top_count(cfg)
+    tops, hits, ascents = zip(*run((kinds, top)))
     cyclic = DetectorKind.C_GLRT in kinds
     return ThresholdTable(
-        thresholds={kind: _kth_largest((t[kind] for t in tops),
-                                       _top_count(cfg)) for kind in kinds},
+        thresholds={kind: _kth_largest((t[kind] for t in tops), top)
+                    for kind in kinds},
         hmax_hits=sum(hits) if cyclic else None,
         ascents=sum(ascents) if cyclic else None)
 
@@ -498,9 +489,8 @@ def _threshold_table(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
 def calibrate_thresholds(cfg: ExperimentConfig,
                          kinds: Sequence[DetectorKind]) -> ThresholdTable:
     """Thresholds at the configured pfa from a shared batch of H0 trials."""
-    kinds = tuple(kinds)
-    return _threshold_table(cfg, kinds,
-                            next(_per_block(cfg, [_calibration(cfg, kinds)])))
+    with _schedule(cfg, [_calibration(cfg)]) as (run,):
+        return _threshold_table(cfg, tuple(kinds), run)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +498,7 @@ def calibrate_thresholds(cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def _sweep_chunk(cfg: ExperimentConfig, key: tuple, points: Sequence[tuple],
-                 indices: np.ndarray) -> list[dict[DetectorKind, object]]:
+                 indices: range) -> list[dict[DetectorKind, object]]:
     """Each point's tallies on the chunk's trials, in point order: key =
     (kinds, cut, tally, table), and tally(cfg, table, kind, result) reduces
     one kind's result to an integer or integer array."""
@@ -530,7 +520,6 @@ def _sweep(
     finish: Callable[[DetectorKind, float, object], Point],
     table: ThresholdTable | None = None,
     calibrate: bool = False,
-    prune: bool = False,
 ) -> dict[DetectorKind, list[Point]]:
     """Evaluate every point (x, mean, cov) on one shared trial block.
 
@@ -542,34 +531,30 @@ def _sweep(
     chunk, in the worker, to an integer or integer array that adds over the
     chunks, so a chunk returns a few numbers per point however many points
     there are; finish(kind, x, total) turns a point's total into a curve
-    point.  With calibrate, the calibration block leads the same schedule,
-    and the sweep's chunks start once its thresholds merge, with the merged
-    table.  With prune, tally reads only whether each statistic exceeds its
-    threshold, so the chunks evaluate the det-ratio kinds under that cut.
-    A kind listed twice would count each trial twice, so it is an error.
+    point.  With calibrate, the calibration block runs first in the same
+    schedule, and the sweep runs with the thresholds it merges.  A sweep
+    with a table, given or calibrated, tallies only whether each statistic
+    exceeds its threshold, so its chunks evaluate the det-ratio kinds under
+    that cut.  A kind listed twice would count each trial twice, so it is
+    an error.
     """
     if len(set(kinds)) < len(kinds):
         raise ValueError(f"a detector is listed twice in {kinds}")
-    pruned = [k for k in kinds if k in DET_RATIO_KINDS] if prune else []
-
-    def key():
-        return (kinds, ({k: table[k] for k in pruned} if pruned else None),
-                tally, table)
-
-    schedule = [_Block(_sweep_chunk, stage, trials,
-                       key if calibrate else key(),
-                       tuple((label.format(x), mean, cov)
-                             for x, mean, cov in points))]
+    blocks = [_Block(_sweep_chunk, stage, trials,
+                     tuple((label.format(x), mean, cov)
+                           for x, mean, cov in points))]
     if calibrate:
-        schedule.insert(0, _calibration(cfg, kinds))
-    runs = _per_block(cfg, schedule)
-    if calibrate:
-        table = _threshold_table(cfg, kinds, next(runs))
+        blocks.insert(0, _calibration(cfg))
     totals = [dict.fromkeys(kinds, 0) for _ in points]
-    for chunk in next(runs):
-        for total, tallies in zip(totals, chunk):
-            for kind in kinds:
-                total[kind] = total[kind] + tallies[kind]
+    with _schedule(cfg, blocks) as (*calibration, run):
+        if calibrate:
+            table = _threshold_table(cfg, kinds, *calibration)
+        cut = None if table is None else {
+            k: table[k] for k in kinds if k in DET_RATIO_KINDS}
+        for chunk in run((kinds, cut, tally, table)):
+            for total, tallies in zip(totals, chunk):
+                for kind in kinds:
+                    total[kind] = total[kind] + tallies[kind]
     return {kind: [finish(kind, float(x), total[kind])
                    for (x, _, _), total in zip(points, totals)]
             for kind in kinds}
@@ -607,8 +592,7 @@ def _exceedance_sweep(
             stderr=binomial_stderr(p, trials),
             trials=trials, seed=cfg.master_seed)
     return _sweep(tuple(kinds), cfg, stage, trials, points, label,
-                  _exceedances, rate, table, calibrate=table is None,
-                  prune=True)
+                  _exceedances, rate, table, calibrate=table is None)
 
 
 def _h1_mean(cfg: ExperimentConfig, sinr_db: float) -> np.ndarray:
@@ -700,8 +684,9 @@ def convergence_study(cfg: ExperimentConfig, pairs: Sequence[tuple[int, int]],
     cov = cfg.covariance()
     mean = _h1_mean(cfg, sinr_db)
     k_tot = cfg.k_p + cfg.k_s
-    parts = list(next(_per_block(cfg, [_Block(
-        _trace_chunk, _STAGE_CONV, n_trials, pairs, ((None, mean, cov),))])))
+    with _schedule(cfg, [_Block(_trace_chunk, _STAGE_CONV, n_trials,
+                                ((None, mean, cov),))]) as (run,):
+        parts = list(run(pairs))
     traces = []
     for j, pair in enumerate(pairs):
         gains = np.concatenate([p[j][0] for p in parts], axis=0)

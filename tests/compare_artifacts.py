@@ -1,15 +1,20 @@
-"""Compare the CSV artifacts of two source trees byte for byte.
+"""Compare the artifacts of two source trees byte for byte.
 
     python3 tests/compare_artifacts.py OTHER_TREE [--work DIR]
 
 Runs one fixed command set of `risdet` subcommands with the `src` of the
 tree holding this script and with OTHER_TREE's `src`, in one process per
 (tree, montecarlo._CHUNK, --threads), _CHUNK in (4096, 997) and --threads
-in (1, 2).  It prints every CSV whose bytes differ between the two trees
-at a layout, then every CSV whose bytes differ between the layouts of one
-tree, and exits 1 if it printed any, else 0.  The artifacts stay under
---work (default: a fresh temporary directory), one directory per tree,
-layout and command.
+in (1, 2).  Each command leaves its CSV, its manifest and its stdout.  It
+prints every file whose bytes differ between the two trees at a layout,
+then every CSV whose bytes differ between the layouts of one tree, and
+exits 1 if it printed any, else 0.  A stdout is compared with its
+command's run directory replaced by <run-dir>, and a manifest without its
+`timestamp` and `outputs`.  Only the CSVs are compared between layouts: a
+manifest records its --threads, and calibrate prints how many c-glrt
+ascents its chunks ran, which depends on the chunking.  The artifacts stay
+under --work (default: a fresh temporary directory), one directory per
+tree, layout and command.
 
 The command set: the small model (N = 4, K_S = 8, pfa 0.05) through every
 experiment subcommand, link-budget and ris-design; the default model
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import json
 import subprocess
 import sys
 import tempfile
@@ -100,9 +106,21 @@ def run_layout(tree: Path, chunk: int, threads: int, out: Path) -> None:
             raise SystemExit(f"{tree}: {name} exited {code}")
 
 
-def csv_bytes(out: Path) -> dict[str, bytes]:
-    return {f"{p.parent.name}/{p.name}": p.read_bytes()
-            for p in sorted(out.glob("*/*.csv"))}
+def artifacts(out: Path) -> dict[str, bytes]:
+    """Every command's files under out, keyed "command/file", as compared:
+    a stdout with its run directory as <run-dir>, and a manifest without
+    the fields that name the time and the run directory."""
+    found = {}
+    for path in sorted(out.glob("*/*")):
+        data = path.read_bytes()
+        if path.name == "stdout.txt":
+            data = data.replace(str(path.parent).encode(), b"<run-dir>")
+        elif path.name.endswith("_manifest.json"):
+            manifest = json.loads(data)
+            del manifest["timestamp"], manifest["outputs"]
+            data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+        found[f"{path.parent.name}/{path.name}"] = data
+    return found
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         subprocess.run([sys.executable, __file__, "--layout", str(tree),
                         str(chunk), str(threads), str(out)],
                        check=True)
-        outputs[side, chunk, threads] = csv_bytes(out)
+        outputs[side, chunk, threads] = artifacts(out)
 
     differ = 0
     for chunk, threads in itertools.product(CHUNKS, THREADS):
@@ -145,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     for side in trees:
         first, *rest = [outputs[side, c, t]
                         for c, t in itertools.product(CHUNKS, THREADS)]
-        for name in sorted(first):
+        for name in sorted(n for n in first if n.endswith(".csv")):
             if any(out.get(name) != first[name] for out in rest):
                 differ += 1
                 print(f"differs between layouts in the {side} tree: {name}")

@@ -702,6 +702,28 @@ def test_settings_built_by_the_sweep_exit_2_before_any_trial(
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("subcommand, pair, message", [
+    ("pd-curve", "[2,3,4]", "[2, 3, 4] is not a list of two cell indices"),
+    ("rmse", "[2,3,4]", "[2, 3, 4] is not a list of two cell indices"),
+    ("pd-curve", "5", "5 is not a list of two cell indices"),
+    ("rmse", "5", "5 is not a list of two cell indices"),
+], ids=["pd-three", "rmse-three", "pd-int", "rmse-int"])
+def test_pair_of_other_than_two_cells_exits_2(subcommand, pair, message,
+                                              tmp_path, capsys, monkeypatch):
+    # model.pair names two cells: a longer list, or one number, is a bad
+    # setting, rejected before a trial is drawn with one line on stderr.
+    def no_trials(*args):
+        raise AssertionError("trial drawn")
+
+    monkeypatch.setattr(mc, "synthesize_batch", no_trials)
+    rc = main([subcommand, "--out-dir", str(tmp_path), *SMALL_MODEL,
+               *SMALL_CAL, f"model.pair={pair}"])
+    out, err = capsys.readouterr()
+    assert rc == 2, err
+    assert err == f"error: bad model.pair: {message}\n"
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_subnormal_noise_power_calibrates(tmp_path, capsys):
     # Every statistic is invariant to the scale of the covariance.  At a
     # subnormal noise power the whitened steering vectors would have

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields, replace
@@ -136,8 +137,9 @@ def _eval_chunk(cfg, key, points, indices):
 def _chunks(cfg, stage, trials, kinds, cut, mean, cov):
     """The chunks of block `stage`, drawn, cut and whitened as a run does,
     each evaluated under `cut` at the one point (mean, cov)."""
-    return [res for (res,) in next(mc._per_block(cfg, [mc._Block(
-        _eval_chunk, stage, trials, (kinds, cut), ((None, mean, cov),))]))]
+    with mc._schedule(cfg, [mc._Block(_eval_chunk, stage, trials,
+                                      ((None, mean, cov),))]) as (run,):
+        return [res for (res,) in run((kinds, cut))]
 
 
 def _cal_chunks(cfg, kinds, cut):
@@ -220,10 +222,11 @@ def test_worker_pool_matches_serial():
 
 @pytest.fixture
 def pool_widths(monkeypatch):
-    """A thread pool in the place of the process pool: it records the width
-    each pool is opened with, in the returned list, and runs the same
-    tasks."""
+    """A thread pool in the place of the process pool, on a machine of four
+    CPUs: it records the width each pool is opened with, in the returned
+    list, and runs the same tasks."""
     widths = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -236,21 +239,75 @@ def pool_widths(monkeypatch):
 
 def test_pool_has_no_more_workers_than_tasks(monkeypatch, pool_widths):
     # Under fork every worker starts with the pool, so a pool wider than its
-    # task list starts processes that never run a task.  A block is cut
-    # into chunks of at most ceil(trials / threads) trials.
+    # task list, or than the machine, starts processes that never run a
+    # task, or that wait for a CPU.  A block is cut into chunks of at most
+    # ceil(trials / threads) trials.
     monkeypatch.setattr(mc, "_CHUNK", 1_000)
     kinds = (DetectorKind.KELLY,)
     serial = calibrate_thresholds(TINY, kinds)
     few = replace(TINY, trials_pd=3)
-    # Eight chunks of 250 calibration trials on eight workers; then three
-    # one-trial chunks of the curve on eight workers, and two chunks of 250
+    # Eight chunks of 250 calibration trials on the four CPUs; then three
+    # one-trial chunks of the curve on three workers, and two chunks of 250
     # on two.
     assert calibrate_thresholds(replace(TINY, threads=8), kinds) == serial
     assert pd_curves(kinds, serial, replace(few, threads=8)) == \
         pd_curves(kinds, serial, few)
     assert pd_curves(kinds, serial, replace(TINY, threads=2)) == \
         pd_curves(kinds, serial, TINY)
-    assert pool_widths == [8, 3, 2]
+    assert pool_widths == [4, 3, 2]
+
+
+@pytest.mark.parametrize("cpus, widths", [(3, [3]), (1, []), (None, [])],
+                         ids=["three-cpus", "one-cpu", "unknown"])
+def test_pool_is_no_wider_than_the_machine(monkeypatch, cpus, widths):
+    # --threads sets the chunking, so every artifact is that of the
+    # threads asked for; the pool is no wider than the CPU count, and a
+    # machine of one CPU, or of an unknown count, runs on one process.  The
+    # stand-in pool starts no thread or process: it records its width and
+    # runs each task in turn.
+    opened = []
+
+    class StandInPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", StandInPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    kinds = (DetectorKind.KELLY,)
+    serial = calibrate_thresholds(TINY, kinds)
+    wide = replace(TINY, threads=500)
+    assert calibrate_thresholds(wide, kinds) == serial
+    assert opened == widths
+    assert pd_curves(kinds, serial, wide) == pd_curves(kinds, serial, TINY)
+    assert opened == widths * 2
+
+
+def test_schedule_lists_no_counter_before_a_chunk_runs(monkeypatch):
+    # A chunk is a range of counters, which the worker turns into the
+    # chunk's counters, so entering the schedule of a 10**7-trial
+    # calibration holds no list of them (76 MiB as uint64 with the chunks'
+    # views).
+    def no_trials(*args):
+        raise AssertionError("trial drawn")
+
+    monkeypatch.setattr(mc, "synthesize_batch", no_trials)
+    cfg = ExperimentConfig(trials_cal=10_000_000)
+    tracemalloc.start()
+    try:
+        with mc._schedule(cfg, [mc._calibration(cfg)]):
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("chunk", [4096, 997])
@@ -310,7 +367,7 @@ def test_chunk_memory_stays_near_its_data_buffer():
     # detector peaks under 1.75 times that buffer.
     cfg = ExperimentConfig()
     idx = mc._trial_block(mc._STAGE_CAL, mc._CHUNK)
-    data_bytes = idx.size * cfg.n_antennas * (cfg.k_p + cfg.k_s) * 16
+    data_bytes = len(idx) * cfg.n_antennas * (cfg.k_p + cfg.k_s) * 16
     tracemalloc.start()
     try:
         z_p, r = synthesize_batch(None, cfg.covariance(), cfg.k_p, cfg.k_s,
@@ -341,7 +398,7 @@ def test_sweep_chunk_memory_stays_near_its_data_buffer():
     key = (ALL_KINDS, {k: table[k] for k in DET_RATIO_KINDS},
            mc._exceedances, table)
     idx = mc._trial_block(mc._STAGE_PD, mc._CHUNK)
-    data_bytes = idx.size * cfg.n_antennas * (cfg.k_p + cfg.k_s) * 16
+    data_bytes = len(idx) * cfg.n_antennas * (cfg.k_p + cfg.k_s) * 16
     tracemalloc.start()
     try:
         counts = mc._sweep_chunk(cfg, key, points, idx)
@@ -615,7 +672,7 @@ def test_sliding_window_requires_enough_bins():
 def test_trial_blocks_are_disjoint():
     seen = set()
     for stage in range(7):
-        ids = set(mc._trial_block(stage, 1_000).tolist())
+        ids = set(mc._trial_block(stage, 1_000))
         assert not ids & seen
         seen |= ids
     with pytest.raises(ValueError):
