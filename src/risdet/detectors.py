@@ -14,10 +14,17 @@ contiguous (T,) array over trials, and all work after the factor is
 elementwise arithmetic on such arrays or one batched product:
 
 - whitening runs over fixed blocks of trials through buffers allocated
-  once: per block, a batched Cholesky of S_S, row-wise forward substitution
-  over a trial-last copy of the factor, and one batched product that writes
-  the block's columns of the (K_P + 3, K_P + 3, T) Gram matrix G;
-- the numerator log det and, per cell pair, the 6x6 workspace of
+  once (`_whitening`): per block, a batched Cholesky of S_S and forward
+  substitution over a trial-last copy of the factor, one broadcast
+  downdate per solved row.  A chunk
+  that several points test keeps each trial's factor and whitened columns
+  (`WhitenedChunk`), and each point forward-substitutes again only the
+  columns it changes: the window cells its mean reaches, and the steering
+  vectors when its own differ from the chunk's.  Per block, one batched
+  product of the point's whitened columns writes the block's columns of
+  the (K_P + 3, K_P + 3, T) Gram matrix G;
+- the numerator log det (formed only for the det-ratio kinds and their
+  bound) and, per cell pair, the 6x6 workspace of
   quadratic forms through S_{n,m} come from one elementwise LDL
   (`_ldl_schur`): of I + G_P, and of the capacitance I + G_ex of the cells
   outside the pair, whose eliminations downdate the workspace's upper
@@ -68,7 +75,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,8 +103,9 @@ _SPAN_IN, _SPAN_OUT = 1e-8, 1e-3
 # it can make reaches a pivot that _require_positive checks.
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
-# Trials per block of the whitening front end of _GramWorkspace: its block
-# buffers stay a few MB whatever the stack length.
+# Trials per block of the whitening front end (_whitening, and a
+# WhitenedChunk's points): its block buffers stay a few MB whatever the
+# stack length.
 _GRAM_BLOCK = 256
 
 
@@ -299,6 +307,135 @@ def _logdet(blocks: dict[tuple[int, int], np.ndarray], size: int,
     return ld
 
 
+def _steering_columns(steering: SteeringSet) -> np.ndarray:
+    """[v_R, v_SR, v_S] as the columns of one (N, 3) array."""
+    return np.stack([steering.v_r, steering.v_sr, steering.v_s], axis=1)
+
+
+def _substitute(l: np.ndarray, w: np.ndarray) -> None:
+    """Forward substitution L W = X in place on trial-last stacks: l
+    (N, N, T) lower factors, w (N, C, T) holding X.
+
+    Once row j is solved, one broadcast product downdates every row below
+    it, so row i still takes its terms l[i, j] w[j] in the order j = 0, 1,
+    ... before its division.  Each column of each trial is solved on its
+    own, so it comes out the same bit for bit whichever columns share the
+    call.
+    """
+    for j in range(len(l)):
+        w[j] /= l[j, j].real
+        w[j + 1:] -= l[j + 1:, j, None] * w[j]
+
+
+def _whitening(draw: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+               t: int, steer: np.ndarray):
+    """The one whitening loop, over blocks of at most _GRAM_BLOCK trials.
+
+    draw(lo, hi) gives the window cells (T', N, K_P) and training vectors
+    (T', N, K_S) of trials lo..hi-1.  Yields, per block, (lo, hi, z_p, r,
+    l, w): the block's draws, the trial-last factor l (N, N, T') of each
+    S_S = R R† and the whitened columns w = L^-1 [Z_P, V] (T', N, K_P + 3),
+    V the (N, 3) steer.  l and w live in buffers allocated once, which the
+    next block overwrites.
+    """
+    for lo in range(0, t, _GRAM_BLOCK):
+        hi = min(lo + _GRAM_BLOCK, t)
+        z_p, r = draw(lo, hi)
+        size, n_dim, k_p = z_p.shape
+        if r.shape[:2] != (size, n_dim):
+            raise ValueError("Z_P and R must share the trial and array dimensions")
+        if r.shape[2] < n_dim:
+            raise ValueError(f"need K_S >= N, got K_S={r.shape[2]}, N={n_dim}")
+        if k_p < 3:
+            raise ValueError("window must hold at least 3 cells")
+        if lo == 0:
+            rows = min(t, _GRAM_BLOCK)
+            s_ss = np.empty((rows, n_dim, n_dim), dtype=np.complex128)
+            l_tl = np.empty((n_dim, n_dim, rows), dtype=np.complex128)
+            w_tl = np.empty((n_dim, k_p + 3, rows), dtype=np.complex128)
+            w_st = np.empty((rows, n_dim, k_p + 3), dtype=np.complex128)
+        s_b = np.matmul(r, np.conj(np.swapaxes(r, 1, 2)), out=s_ss[:size])
+        l = l_tl[:, :, :size]
+        l[...] = _cholesky(s_b, lo).transpose(1, 2, 0)
+        w = w_tl[:, :, :size]
+        w[:, :k_p] = z_p.transpose(1, 2, 0)
+        w[:, k_p:] = steer[:, :, None]
+        _substitute(l, w)
+        w_b = w_st[:size]
+        w_b[...] = w.transpose(2, 0, 1)
+        yield lo, hi, z_p, r, l, w_b
+
+
+class WhitenedChunk:
+    """A chunk of trials whitened once for every point that tests them.
+
+    draw(lo, hi) gives the window cells and training vectors of trials
+    lo..hi-1 (see _whitening); it is called once per whitening block, and
+    each block's draws are dropped once whitened.  The chunk keeps, per
+    trial, the factor L of S_S (trial-last, (N, N, T)), the whitened
+    columns L^-1 [Z_P, V] at `steering` ((T, N, K_P + 3)), and the drawn
+    values of the window cells `cells`, those some point's mean reaches
+    ((N, len(cells), T)).  len() is its number of trials.
+    """
+
+    def __init__(self, draw: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+                 t: int, steering: SteeringSet, cells: Sequence[int] = ()):
+        self.t, self.cells = t, [int(c) for c in cells]
+        self.steer = _steering_columns(steering)
+        for lo, hi, z_p, r, l, w in _whitening(draw, t, self.steer):
+            if lo == 0:
+                n_dim, self.k_p = z_p.shape[1:]
+                self.k_tot = self.k_p + r.shape[2]
+                self.l = np.empty((n_dim, n_dim, t), dtype=np.complex128)
+                self.w = np.empty((t, *w.shape[1:]), dtype=np.complex128)
+                self.raw = np.empty((n_dim, len(self.cells), t),
+                                    dtype=np.complex128)
+            self.l[:, :, lo:hi] = l
+            self.w[lo:hi] = w
+            self.raw[:, :, lo:hi] = z_p[:, :, self.cells].transpose(1, 2, 0)
+
+    def __len__(self) -> int:
+        return self.t
+
+    def blocks(self, mean: np.ndarray | None, steering: SteeringSet):
+        """The whitened columns at the point (mean, steering), per
+        whitening block: (lo, hi, W), W = L^-1 [Z_P, V] (T', N, K_P + 3)
+        with mean (N, K_P) added to the drawn cells (None adds zero); a
+        mean that reaches another cell is a ValueError.
+
+        Only the columns the point changes are forward-substituted: the
+        cells, and the three steering columns when the point's steering
+        vectors differ from the chunk's.  Every other column is the
+        chunk's, which is the same bit for bit.
+        """
+        if mean is not None and np.any(np.delete(mean, self.cells, axis=1)):
+            raise ValueError("the mean reaches a window cell outside the "
+                             f"chunk's cells {self.cells}")
+        steer = _steering_columns(steering)
+        moved = not np.array_equal(steer, self.steer)
+        n_cells, k_p = len(self.cells), self.k_p
+        cols = [*self.cells, *(range(k_p, k_p + 3) if moved else ())]
+        rows = min(self.t, _GRAM_BLOCK)
+        x_tl = np.empty((len(steer), len(cols), rows), dtype=np.complex128)
+        w_st = np.empty((rows, *self.w.shape[1:]), dtype=np.complex128)
+        for lo in range(0, self.t, _GRAM_BLOCK):
+            hi = min(lo + _GRAM_BLOCK, self.t)
+            if not cols:
+                yield lo, hi, self.w[lo:hi]
+                continue
+            x = x_tl[:, :, :hi - lo]
+            for i, c in enumerate(self.cells):
+                np.add(self.raw[:, i, lo:hi],
+                       0.0 if mean is None else mean[:, c, None], out=x[:, i])
+            if moved:
+                x[:, n_cells:] = steer[:, :, None]
+            _substitute(self.l[:, :, lo:hi], x)
+            w_b = w_st[:hi - lo]
+            w_b[...] = self.w[lo:hi]
+            w_b[:, :, cols] = x.transpose(2, 0, 1)
+            yield lo, hi, w_b
+
+
 class _GramWorkspace:
     """Per-trial Gram matrix of whitened window and steering vectors.
 
@@ -308,60 +445,38 @@ class _GramWorkspace:
     via Woodbury and the determinant lemma.  Columns 0..K_P-1 index the
     window cells; K_P, K_P+1, K_P+2 index v_R, v_SR, v_S.  Every array is
     laid out trial-last, so g[i, j] is a contiguous (T,) array.
+
+    The trials are z_p (T, N, K_P) and r (T, N, K_S), whitened here block
+    by block; or z_p is a WhitenedChunk and r the whitened mean of the
+    point that tests it (None for zero), whose blocks re-whiten only what
+    the point changes.  Either way each block's whitened columns W land in
+    the trial-last g through one batched product W† W.  `basis` names the
+    steering vectors of the numerator's Schur block (0 v_R, 1 v_SR, 2
+    v_S); None forms no numerator, which only the det-ratio statistics and
+    their bound read.
     """
 
-    def __init__(self, z_p: np.ndarray, r: np.ndarray, steering: SteeringSet,
-                 basis: tuple[int, ...] = ()):
-        t, n_dim, k_p = z_p.shape
-        if r.shape[:2] != (t, n_dim):
-            raise ValueError("Z_P and R must share the trial and array dimensions")
-        if r.shape[2] < n_dim:
-            raise ValueError(f"need K_S >= N, got K_S={r.shape[2]}, N={n_dim}")
-        if k_p < 3:
-            raise ValueError("window must hold at least 3 cells")
+    def __init__(self, z_p, r, steering: SteeringSet,
+                 basis: tuple[int, ...] | None = ()):
+        if isinstance(z_p, WhitenedChunk):
+            t, k_p, self.k_tot = z_p.t, z_p.k_p, z_p.k_tot
+            blocks = z_p.blocks(r, steering)
+        else:
+            t, k_p = len(z_p), z_p.shape[2]
+            self.k_tot = k_p + r.shape[-1]
+            blocks = ((lo, hi, w) for lo, hi, _, _, _, w in _whitening(
+                lambda lo, hi: (z_p[lo:hi], r[lo:hi]), t,
+                _steering_columns(steering)))
         self.t, self.k_p = t, k_p
-        self.k_tot = k_p + r.shape[2]
         self.pairs = np.array(candidate_pairs(k_p))  # (pairs, 2): (n, m)
         self.iu = (k_p, k_p + 1, k_p + 2)
-        steer = np.stack([steering.v_r, steering.v_sr, steering.v_s], axis=1)
-        # The front end runs over blocks of at most _GRAM_BLOCK trials,
-        # through buffers allocated once: per trial, the factor L_ss of
-        # S_S = R R†, the whitened vectors W = L_ss^-1 [Z_P, V] and their
-        # Gram matrix W† W, which lands in the trial-last g.
-        size = min(t, _GRAM_BLOCK)
-        s_ss = np.empty((size, n_dim, n_dim), dtype=np.complex128)
-        l_tl = np.empty((n_dim, n_dim, size), dtype=np.complex128)
-        w_tl = np.empty((n_dim, k_p + 3, size), dtype=np.complex128)
-        w_st = np.empty((size, n_dim, k_p + 3), dtype=np.complex128)
-        g_st = np.empty((size, k_p + 3, k_p + 3), dtype=np.complex128)
+        g_st = np.empty((min(t, _GRAM_BLOCK), k_p + 3, k_p + 3),
+                        dtype=np.complex128)
         self.g = np.empty((k_p + 3, k_p + 3, t), dtype=np.complex128)
-        for lo in range(0, t, _GRAM_BLOCK):
-            hi = min(lo + _GRAM_BLOCK, t)
-            r_b = r[lo:hi]
-            s_b = np.matmul(r_b, np.conj(np.swapaxes(r_b, 1, 2)),
-                            out=s_ss[:hi - lo])
-            # Forward substitution L_ss W = [Z_P, V], row by row, on
-            # trial-last copies, so that each l[i, j] is a (T,) array.
-            l = l_tl[:, :, :hi - lo]
-            l[...] = _cholesky(s_b, lo).transpose(1, 2, 0)
-            w = w_tl[:, :, :hi - lo]
-            w[:, :k_p] = z_p[lo:hi].transpose(1, 2, 0)
-            w[:, k_p:] = steer[:, :, None]
-            for i in range(n_dim):
-                for j in range(i):
-                    w[i] -= l[i, j] * w[j]
-                w[i] /= l[i, i].real
-            w_b = w_st[:hi - lo]
-            w_b[...] = w.transpose(2, 0, 1)
+        for lo, hi, w_b in blocks:
             self.g[:, :, lo:hi] = np.matmul(
                 np.conj(np.swapaxes(w_b, 1, 2)), w_b,
                 out=g_st[:hi - lo]).transpose(1, 2, 0)
-        # log det(S_P + S_S) - log det(S_S): numerator of every det ratio;
-        # and V† (S_P + S_S)^-1 V, V the steering vectors at the positions
-        # `basis` (0 v_R, 1 v_SR, 2 v_S), as upper entries.
-        self.ld_num_rel, self.basis_gram = _ldl_schur(
-            self.g, list(range(k_p)), [k_p + b for b in basis],
-            "numerator capacitance")
         # Cell energies and matched-filter terms against S_S (variant-1 /
         # baseline ingredients), indexed [steering vector, cell]:
         # num[v, c] = |u_v† c|^2, den[v] = u_v† u_v.
@@ -371,6 +486,18 @@ class _GramWorkspace:
         self.km1_terms = np.abs(gvc) ** 2 / den
         self.alpha_ss = gvc / den
         self.cell_energy = np.real(self.g[range(k_p), range(k_p)])
+        if basis is None:
+            # The numerator's pivots would fail on a NaN or infinite window
+            # cell; without them, each cell's own capacitance is checked.
+            _require_positive("cell capacitance 1 + z† S_S^-1 z",
+                              *(1.0 + self.cell_energy))
+            return
+        # log det(S_P + S_S) - log det(S_S): numerator of every det ratio;
+        # and V† (S_P + S_S)^-1 V, V the steering vectors at the positions
+        # `basis`, as upper entries.
+        self.ld_num_rel, self.basis_gram = _ldl_schur(
+            self.g, list(range(k_p)), [k_p + b for b in basis],
+            "numerator capacitance")
 
     def pair_rows(self, n: int, m: int) -> tuple[list[int], list[int]]:
         """Rows of g outside pair (n, m)'s capacitance, and the six rows
@@ -562,8 +689,8 @@ def _cyclic_batch(
 
 @_quiet
 def c_glrt_gain_trace(
-    z_p: np.ndarray,
-    r: np.ndarray,
+    z_p: np.ndarray | WhitenedChunk,
+    r: np.ndarray | None,
     steering: SteeringSet,
     pairs: tuple[int, int] | Sequence[tuple[int, int]],
     cfg: CGlrtConfig = CGlrtConfig(),
@@ -571,7 +698,8 @@ def c_glrt_gain_trace(
     """Per-iteration relative gains of the cyclic ascent at fixed pairs.
 
     Runs all cfg.h_max iterations (no early stop) over a stack of trials,
-    at one pair (n, m) or at each of a sequence of pairs.  All pairs share
+    given as z_p and r are to batch_evaluate, at one pair (n, m) or at
+    each of a sequence of pairs.  All pairs share
     one whitened Gram workspace, and each is traced from its own pair
     state, so a pair's trace is the same bit for bit whichever pairs share
     the call.
@@ -589,11 +717,12 @@ def c_glrt_gain_trace(
     """
     one = len(pairs) > 0 and np.ndim(pairs[0]) == 0
     pairs = [(int(n), int(m)) for n, m in ([pairs] if one else pairs)]
+    k_p = z_p.k_p if isinstance(z_p, WhitenedChunk) else z_p.shape[2]
     for n, m in pairs:
-        if not 1 < n < m <= z_p.shape[2]:
+        if not 1 < n < m <= k_p:
             raise ValueError(f"pair {(n, m)} must satisfy "
-                             f"1 < n < m <= K_P = {z_p.shape[2]}")
-    ws = _GramWorkspace(z_p, r, steering)
+                             f"1 < n < m <= K_P = {k_p}")
+    ws = _GramWorkspace(z_p, r, steering, None)
     traces = []
     for n, m in pairs:
         try:
@@ -612,9 +741,11 @@ def c_glrt_gain_trace(
 
 @_quiet
 def bounded_cfar_bounds(
-    z_p: np.ndarray, r: np.ndarray, steering: SteeringSet
+    z_p: np.ndarray | WhitenedChunk, r: np.ndarray | None,
+    steering: SteeringSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Structure-invariant upper bounds on the window statistics, per trial.
+    """Structure-invariant upper bounds on the window statistics, per trial,
+    of trials given as z_p and r are to batch_evaluate.
 
     Returns (det_ratio_bound, km1_bound): the det-ratio detectors never
     exceed max_{n,m} det(S_P + S_S)/det(S_{n,m}); the variant-1 known-M
@@ -732,8 +863,8 @@ def _stacked_det_ratio(ws: _GramWorkspace, p: np.ndarray, t: np.ndarray,
 
 @_quiet
 def batch_evaluate(
-    z_p: np.ndarray,
-    r: np.ndarray,
+    z_p: np.ndarray | WhitenedChunk,
+    r: np.ndarray | None,
     steering: SteeringSet,
     kinds: tuple[DetectorKind, ...] | list[DetectorKind],
     cfg: CGlrtConfig = CGlrtConfig(),
@@ -743,8 +874,10 @@ def batch_evaluate(
     """Evaluate detectors over stacked trials.
 
     Args:
-        z_p: window cells, shape (T, N, K_P).
-        r: training vectors, shape (T, N, K_S).
+        z_p: window cells, shape (T, N, K_P); or a WhitenedChunk, whose
+            trials are then tested at the point (r, steering).
+        r: training vectors, shape (T, N, K_S); with a WhitenedChunk, the
+            whitened mean (N, K_P) added to its cells, or None.
         kinds: detectors to evaluate; window detectors share all per-pair work.
         baseline_cell: 1-based window cell fed to Kelly/AMF (steering v_R).
         cut: what the caller keeps of the det-ratio statistics (ep-glrt-ka,
@@ -764,7 +897,8 @@ def batch_evaluate(
     ratio_kinds = [k for k in kinds if k in DET_RATIO_KINDS]
     basis = (_steering_basis(steering) if cut is not None and ratio_kinds
              else None)
-    ws = _GramWorkspace(z_p, r, steering, basis or ())
+    ws = _GramWorkspace(z_p, r, steering,
+                        (basis or ()) if ratio_kinds else None)
     t_len, k_p = ws.t, ws.k_p
     out: dict[DetectorKind, BatchResult] = {}
 

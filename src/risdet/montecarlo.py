@@ -25,6 +25,8 @@ exceedance chunk its thresholds.  Each point is whitened by its covariance
 factor, so a chunk draws white trials, adds each point's whitened mean and
 tests them against that point's whitened steering vectors: every statistic
 is invariant under that change of array basis, and no trial is coloured.
+A chunk of several points factors each trial's training scatter once and
+re-whitens per point only the columns that point changes.
 A numerical failure in a chunk is re-raised naming its point and the
 counter of its first failing trial.
 """
@@ -51,6 +53,7 @@ from .detectors import (
     DetectorKind,
     NonMonotonic,
     PROPOSED_KINDS,
+    WhitenedChunk,
     batch_evaluate,
     c_glrt_gain_trace,
 )
@@ -310,13 +313,17 @@ def _naming_trial(cfg: ExperimentConfig, indices: range) -> Iterator[None]:
             f"offset {offset}) under master seed {cfg.master_seed}") from err
 
 
-def _white_trials(cfg: ExperimentConfig, mean: np.ndarray | None,
-                  indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """The trials of the chunk's counters in the whitened frame: covariance
-    I around the whitened mean, so synthesis colours nothing."""
-    counters = np.arange(indices.start, indices.stop, dtype=np.uint64)
-    return synthesize_batch(mean, np.eye(cfg.n_antennas), cfg.k_p, cfg.k_s,
-                            cfg.master_seed, counters)
+def _white_draw(cfg: ExperimentConfig, mean: np.ndarray | None,
+                indices: range) -> Callable[[int, int], tuple]:
+    """draw(lo, hi): the trials of the chunk's counters lo..hi-1 in the
+    whitened frame, covariance I around the whitened mean, so synthesis
+    colours nothing."""
+    def draw(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        counters = np.arange(indices.start + lo, indices.start + hi,
+                             dtype=np.uint64)
+        return synthesize_batch(mean, np.eye(cfg.n_antennas), cfg.k_p,
+                                cfg.k_s, cfg.master_seed, counters)
+    return draw
 
 
 def _evaluations(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
@@ -327,25 +334,35 @@ def _evaluations(cfg: ExperimentConfig, kinds: tuple[DetectorKind, ...],
     (label, mean, steering), in order, on the chunk's trials; each point's
     results are reduced, and dropped, before the next point is evaluated.
 
-    The trials are drawn once, white and with zero mean.  A white copy is
-    kept of each window cell that some point's mean reaches, and for each
-    point the drawn window is rewritten as that copy plus the point's mean,
-    so a point gets the values it would get drawn around its mean alone.
-    The other cells stay as drawn, which adding a zero mean would not
-    change.  A numerical failure names the point by its label (a point
-    labelled None is the only one of its block), and the counter of its
-    first failing trial.
+    A chunk of one point draws its trials around that point's mean and
+    hands them to batch_evaluate as they are, which whitens them block by
+    block and keeps nothing more: no other point re-whitens them.  A chunk
+    of several points
+    draws and whitens its trials once, white and with zero mean, one
+    whitening block at a time (detectors.WhitenedChunk): it keeps each
+    trial's factor of S_S, its whitened columns, and the drawn values of
+    each window cell that some point's mean reaches.  Each point adds its
+    mean to those cells and re-whitens only them, and the steering columns
+    when its steering differs from the first point's, so a point gets the
+    values it would get drawn around its mean alone.  The other cells stay
+    as drawn, which adding a zero mean would not change.  A numerical
+    failure at a point names it by its label (a point labelled None is the
+    only one of its block), and the counter of its first failing trial; a
+    training scatter of a chunk of several points that cannot be factored
+    fails before any point, so it names no point.
     """
     out = []
     with _naming_trial(cfg, indices):
-        z_p, r = _white_trials(cfg, None, indices)
-        means = [mean for _, mean, _ in points if mean is not None]
-        cells = np.flatnonzero(np.any(means, axis=(0, 1))) if means else []
-        white = z_p[:, :, cells]
-        for label, mean, steering in points:
-            for i, c in enumerate(cells):
-                np.add(white[:, :, i], 0.0 if mean is None else mean[:, c],
-                       out=z_p[:, :, c])
+        # Each point's (z_p, r) as batch_evaluate takes them.
+        if len(points) == 1:
+            trials = [_white_draw(cfg, points[0][1], indices)(0, len(indices))]
+        else:
+            means = [mean for _, mean, _ in points if mean is not None]
+            cells = np.flatnonzero(np.any(means, axis=(0, 1))) if means else []
+            chunk = WhitenedChunk(_white_draw(cfg, None, indices),
+                                  len(indices), points[0][2], cells)
+            trials = [(chunk, mean) for _, mean, _ in points]
+        for (label, _, steering), (z_p, r) in zip(points, trials):
             try:
                 res = batch_evaluate(z_p, r, steering, kinds, cfg.cglrt,
                                      cfg.baseline_cell, cut=cut)
@@ -366,7 +383,7 @@ def _trace_chunk(cfg: ExperimentConfig, pairs: tuple[tuple[int, int], ...],
     chunk's trials at the block's one point."""
     ((_, mean, steering),) = points
     with _naming_trial(cfg, indices):
-        z_p, r = _white_trials(cfg, mean, indices)
+        z_p, r = _white_draw(cfg, mean, indices)(0, len(indices))
         return c_glrt_gain_trace(z_p, r, steering, pairs, cfg.cglrt)
 
 

@@ -18,9 +18,11 @@ tree, layout and command.
 
 The command set: the small model (N = 4, K_S = 8, pfa 0.05) through every
 experiment subcommand, link-budget and ris-design; the default model
-through calibrate, sliding-window, a seven-detector pd-curve up to +24 dB
-and the three-pair convergence trace; and the minimal training set
-N = K_S = 4 through calibrate.  Its file name keeps it out of pytest's
+through calibrate, sliding-window, a seven-detector pd-curve up to +24 dB,
+the three-pair convergence trace, a CNR cfar-sweep (each point whitened by
+its own covariance, so its steering differs from the chunk's) and rmse (the
+five window detectors uncut); and the minimal training set N = K_S = 4
+through calibrate.  Its file name keeps it out of pytest's
 collection.
 """
 
@@ -84,6 +86,9 @@ COMMANDS = {
     "calibrate-minimal": ("calibrate", "--seed", "15", "model.n_antennas=4",
                           "model.k_s=4", "experiment.pfa=0.01",
                           "experiment.trials_cal=6000"),
+    "cfar-cnr-default": ("cfar-sweep", "--axis", "cnr", "--seed", "16",
+                         "experiment.trials_cal=3000", "experiment.pfa=0.01"),
+    "rmse-default": ("rmse", "--seed", "17", "experiment.trials_pd=200"),
 }
 
 

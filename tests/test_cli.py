@@ -277,8 +277,11 @@ def test_failing_trial_exits_3_with_its_counter(tmp_path, capsys,
     def planted_at_point(z_p, *args, **kwargs):
         calls.append(len(z_p))
         if len(calls) == 3:  # the calibration chunk, then one per point
-            z_p = z_p.copy()
-            z_p[7, 0, 0] = np.nan
+            # z_p is the chunk whitened once; its drawn copy of window
+            # cell 1, which the means reach, is re-whitened at each point.
+            z_p = copy.copy(z_p)
+            z_p.raw = z_p.raw.copy()
+            z_p.raw[0, 0, 7] = np.nan
         return evaluate(z_p, *args, **kwargs)
 
     monkeypatch.setattr(mc, "synthesize_batch", synthesize_batch)
@@ -293,6 +296,33 @@ def test_failing_trial_exits_3_with_its_counter(tmp_path, capsys,
     assert err.startswith("numerical failure: NotPositiveDefinite: ")
     assert (f" at SINR 5 dB; first failing trial: counter {counter} "
             f"(stage 1, offset 7) under master seed 5") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_singular_training_in_a_sweep_exits_3_naming_no_point(
+        tmp_path, capsys, monkeypatch):
+    # A sweep chunk factors each trial's training scatter once, before any
+    # point tests it, so a scatter that is not positive definite names the
+    # trial's counter and no point: every point shares it.
+    counter = mc._STAGE_PD * mc._STAGE_STRIDE + 7
+
+    def planted(*args):
+        z_p, r = synthesize_batch(*args)
+        r[args[-1] == counter] = 0.0
+        return z_p, r
+
+    monkeypatch.setattr(mc, "synthesize_batch", planted)
+    rc = main(["pd-curve", "--out-dir", str(tmp_path), "--seed", "5",
+               *SMALL_MODEL, *SMALL_CAL, "experiment.trials_pd=50",
+               "experiment.sinr_grid=[-5,5,15]"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "numerical failure: NotPositiveDefinite: training scatter matrix is "
+        "not positive definite in 1 trial(s), first at batch position 7; "
+        f"first failing trial: counter {counter} (stage 1, offset 7) under "
+        "master seed 5")
+    assert " at SINR" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -375,6 +375,11 @@ def test_non_pd_pair_workspace_raises(rng):
             NotPositiveDefinite, match="numerator capacitance") as err:
         det._GramWorkspace(z_p, r, steering)
     assert err.value.positions.tolist() == [2]
+    # Without a det-ratio kind no numerator is formed, and the cell's own
+    # capacitance 1 + z† S_S^-1 z fails instead: no statistic is NaN.
+    with pytest.raises(NotPositiveDefinite, match="cell capacitance") as err:
+        batch_evaluate(z_p, r, steering, (KM_1, KELLY, AMF))
+    assert err.value.positions.tolist() == [2]
     # A training scatter matrix that cannot be factored fails by position.
     r[0] = 0.0
     with pytest.raises(NotPositiveDefinite, match="training") as err:

@@ -380,24 +380,20 @@ def test_chunk_memory_stays_near_its_data_buffer():
     assert peak < 1.75 * data_bytes
 
 
-def test_sweep_chunk_memory_stays_near_its_data_buffer():
-    # One chunk of the default model tested at the 25 SINRs of its grid
-    # with every detector, under the thresholds, as pd-curve tests it.  The
-    # chunk draws its trials once, keeps a white copy of the window cells
-    # the means reach and rewrites those cells for each point, and each
-    # point's results are reduced before the next point runs, so the chunk
-    # peaks under the bound of a chunk tested at one point.
+def _sweep_chunk_peak(stage, points):
+    """One default-model chunk of block `stage` tested at points (label,
+    mean, cov) with every detector under the thresholds, as an exceedance
+    sweep tests it: its tallies, and its traced peak over its data
+    buffer."""
     cfg = ExperimentConfig()
     table = calibrate_thresholds(replace(cfg, pfa=0.01, trials_cal=1_000),
                                  ALL_KINDS)
     steering = cfg.steering()
-    points = tuple(
-        (f"SINR {s:g} dB",
-         *whiten(cfg.covariance(), mc._h1_mean(cfg, s), steering))
-        for s in cfg.sinr_grid)
+    points = tuple((label, *whiten(cov, mean, steering))
+                   for label, mean, cov in points)
     key = (ALL_KINDS, {k: table[k] for k in DET_RATIO_KINDS},
            mc._exceedances, table)
-    idx = mc._trial_block(mc._STAGE_PD, mc._CHUNK)
+    idx = mc._trial_block(stage, mc._CHUNK)
     data_bytes = len(idx) * cfg.n_antennas * (cfg.k_p + cfg.k_s) * 16
     tracemalloc.start()
     try:
@@ -405,8 +401,68 @@ def test_sweep_chunk_memory_stays_near_its_data_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return counts, peak / data_bytes
+
+
+def test_sweep_chunk_memory_stays_near_its_data_buffer():
+    # One chunk of the default model tested at the 25 SINRs of its grid
+    # with every detector, under the thresholds, as pd-curve tests it.  The
+    # chunk draws and whitens its trials one block at a time, keeping each
+    # trial's factor of S_S, its whitened columns and a copy of the window
+    # cells the means reach, and each point's results are reduced before
+    # the next point runs, so the chunk peaks under the bound of a chunk
+    # tested at one point.
+    cfg = ExperimentConfig()
+    counts, peak = _sweep_chunk_peak(
+        mc._STAGE_PD, [(f"SINR {s:g} dB", mc._h1_mean(cfg, s),
+                        cfg.covariance()) for s in cfg.sinr_grid])
     assert len(counts) == 25 and counts[-1][DetectorKind.KELLY] > 4_000
-    assert peak < 1.75 * data_bytes
+    assert peak < 1.75
+
+
+def test_cfar_sweep_chunk_memory_stays_near_its_data_buffer():
+    # The same chunk at five CNRs: each point is whitened by its own
+    # covariance, so it re-whitens the three steering columns of every
+    # trial, block by block, and still peaks under the same bound.
+    cfg = ExperimentConfig()
+    counts, peak = _sweep_chunk_peak(
+        mc._STAGE_CFAR_CNR, [(f"CNR {v:g} dB", None, cfg.covariance(cnr_db=v))
+                             for v in (15.0, 20.0, 25.0, 30.0, 35.0)])
+    assert len(counts) == 5
+    assert peak < 1.75
+
+
+@pytest.mark.parametrize("axis", ["sinr", "cnr"])
+def test_sweep_chunk_factors_each_training_scatter_once(monkeypatch, axis):
+    # A sweep chunk draws and whitens its trials once: each trial's S_S is
+    # factored in one whitening block, however many points test the chunk,
+    # and a point re-whitens only the cells its mean reaches and, when its
+    # covariance differs, the steering columns.  Each point's statistics
+    # equal those of its trials drawn and whitened alone, bit for bit.
+    cfg = ExperimentConfig()
+    kinds = (DetectorKind.EP_GLRT_KM_1, DetectorKind.KELLY, DetectorKind.AMF)
+    steering = cfg.steering()
+    points = [(str(x), *whiten(cfg.covariance(), mc._h1_mean(cfg, x),
+                               steering)) if axis == "sinr"
+              else (str(x), *whiten(cfg.covariance(cnr_db=x), None, steering))
+              for x in (-10.0, 10.0, 30.0)]
+    idx = mc._trial_block(mc._STAGE_PD, 700)
+    factored, cholesky = [], det._cholesky
+
+    def counted(a, first):
+        factored.append((len(a), first))
+        return cholesky(a, first)
+
+    monkeypatch.setattr(det, "_cholesky", counted)
+    got = mc._evaluations(cfg, kinds, None, points, idx,
+                          lambda res: {k: res[k].statistic for k in kinds})
+    assert factored == [(256, 0), (256, 256), (188, 512)]
+    for (_, mean, steer), stats in zip(points, got):
+        z_p, r = synthesize_batch(mean, np.eye(cfg.n_antennas), cfg.k_p,
+                                  cfg.k_s, cfg.master_seed, idx)
+        want = batch_evaluate(z_p, r, steer, kinds)
+        for kind in kinds:
+            assert np.array_equal(stats[kind], want[kind].statistic), kind
 
 
 @pytest.mark.parametrize("sinr_db", [None, 20.0])
