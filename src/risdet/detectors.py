@@ -40,25 +40,25 @@ elementwise arithmetic on such arrays or one batched product:
   (`c_glrt_gain_trace`) run the same step.
 
 A caller that keeps only each det-ratio kind's top k statistics, or only
-whether each exceeds its threshold, passes that as a cut.  With V a basis
-of the steering span, U = log det(V† S_{n,m}^-1 V) - log det(V† (S_P +
+whether each exceeds its threshold, passes that as a cut; without one, a
+call keeps each trial's maximum and its first-max pair.  With V a basis of
+the steering span, U = log det(V† S_{n,m}^-1 V) - log det(V† (S_P +
 S_S)^-1 V) bounds the log statistic of ep-glrt-ka, a-glrt and c-glrt at
 pair (n, m) whatever the amplitudes: eliminating the basis and the window
 cells of one matrix in two orders gives U = ld_num - ld_ex - log det(I_3 +
 S), S the Schur complement of the pair's three cells against V through
 S_{n,m}, and S is at most the residual form T† H T at any amplitudes.  The
-first term reads the steering block of the pair workspace, and the pair
-LDL forms only that block and km-2's entries for every trial; the
-(pair, trial) entries whose bound reaches the cut, less a margin, are then
-evaluated exactly, the survivors of all pairs in stacks of at most T
-entries, with the operations of the per-pair route, so that every value
-they produce is the same bit for bit and no stack outgrows a pair's.
-
-Both routes fill one (pairs, T) table per window detector, -inf where a
-cut left an entry out, and a (T, pairs) table of c-glrt iterations; each
-trial's first maximum over the pairs gives its statistic and pair.  An
-uncut call keeps the per-pair route: the survivor stacks would cost it a
-second pair LDL for km-2's entries and a gather of every entry's rows.
+first term reads the steering block of the pair workspace, which the pair
+LDL forms with km-2's entries and no other.  One rule in two passes then
+picks the (pair, trial) entries to evaluate exactly: each trial's entry of
+largest bound, then every other whose bound plus a margin is >= max(the
+kind's cut, the trial's first value), so every entry that could tie a
+maximum is kept.  Both passes stack their entries, at most T/2 to a stack,
+with the operations of pair_state, so every value is the same bit for bit
+whichever entries share a stack.  Each window detector fills one
+(pairs, T) table, -inf where an entry was left out, and a (T, pairs) table
+of c-glrt iterations; each trial's first maximum over the pairs gives its
+statistic and pair.
 
 A pivot or capacitance determinant that is not positive and finite raises
 NotPositiveDefinite naming the batch positions of the failing trials.  Those
@@ -795,46 +795,38 @@ def _steering_basis(steering: SteeringSet) -> tuple[int, ...] | None:
 
 
 def _det_ratio(ws: _GramWorkspace, h: np.ndarray, ld_ex: np.ndarray,
-               p: int | np.ndarray, t: slice | np.ndarray,
-               kinds: list[DetectorKind], cfg: CGlrtConfig,
-               vals: dict[DetectorKind, np.ndarray], ascents: np.ndarray,
-               ceiling: np.ndarray | None = None) -> None:
+               p: np.ndarray, t: np.ndarray, kinds: list[DetectorKind],
+               cfg: CGlrtConfig, vals: dict[DetectorKind, np.ndarray],
+               ascents: np.ndarray, ceiling: np.ndarray) -> None:
     """ep-glrt-ka, a-glrt and c-glrt, those of them in kinds, at the
-    entries (pair p, trial t) of a (6, 6, S) stack h of pair workspaces,
-    into vals[kind][p, t] and the c-glrt iterations into ascents[t, p]: p
-    is one pair index and t = slice(None), every trial, or p and t are (S,)
-    arrays, the batch positions that errors name.  Each statistic is
-    exp(ld_rel - ld_res): ld_rel = log det(S_P + S_S) - log det(S_{n,m}),
+    entries (pair p[i], trial t[i]) of a (6, 6, S) stack h of pair
+    workspaces, into vals[kind][p, t] and the c-glrt iterations into
+    ascents[t, p]; errors name the batch positions t.  Each statistic is
+    exp(ld_rel - ld_res), ld_rel = log det(S_P + S_S) - log det(S_{n,m})
     from ld_ex = log det(S_{n,m}) - log det(S_S), and ld_res the residual
-    log det at the kind's amplitudes.
-
-    The ascent runs where the a-glrt log statistic ld_rel - ld_res(start)
-    is at most `ceiling` (everywhere when None); elsewhere c-glrt keeps its
-    start, the a-glrt value, with 0 iterations.
+    log det at the kind's amplitudes.  The ascent runs where the a-glrt log
+    statistic ld_rel - ld_res(start) is at most `ceiling`; elsewhere c-glrt
+    keeps its start, the a-glrt value, with 0 iterations.
     """
     n, m = ws.pairs[p].T
-    at = None if isinstance(t, slice) else t
     ld_rel = ws.ld_num_rel[t] - ld_ex
     if DetectorKind.EP_GLRT_KA in kinds:
         alphas = [ws.alpha_ss[0, 0, t], ws.alpha_ss[1, n - 1, t],
                   ws.alpha_ss[2, m - 1, t]]
         vals[DetectorKind.EP_GLRT_KA][p, t] = np.exp(
-            ld_rel - _residual_logdet(h, alphas, at))
+            ld_rel - _residual_logdet(h, alphas, t))
     if DetectorKind.A_GLRT in kinds or DetectorKind.C_GLRT in kinds:
-        start = _plugin_start(h, at)
+        start = _plugin_start(h, t)
     if DetectorKind.A_GLRT in kinds:
         vals[DetectorKind.A_GLRT][p, t] = np.exp(ld_rel - start[1])
     if DetectorKind.C_GLRT in kinds:
-        if ceiling is None:
-            ld_res, iters, _ = _cyclic_batch(h, start, ws.k_tot, cfg, at=at)
-        else:
-            ld_res = start[1].copy()
-            iters = np.zeros(ld_res.shape, dtype=np.int64)
-            run = np.flatnonzero(ld_rel - start[1] <= ceiling)
-            if run.size:
-                ld_res[run], iters[run], _ = _cyclic_batch(
-                    h[:, :, run], ([a[run] for a in start[0]], start[1][run]),
-                    ws.k_tot, cfg, at=run if at is None else at[run])
+        ld_res = start[1].copy()
+        iters = np.zeros(ld_res.shape, dtype=np.int64)
+        run = np.flatnonzero(ld_rel - start[1] <= ceiling)
+        if run.size:
+            ld_res[run], iters[run], _ = _cyclic_batch(
+                h[:, :, run], ([a[run] for a in start[0]], start[1][run]),
+                ws.k_tot, cfg, at=t[run])
         vals[DetectorKind.C_GLRT][p, t] = np.exp(ld_rel - ld_res)
         ascents[t, p] = iters
 
@@ -842,12 +834,11 @@ def _det_ratio(ws: _GramWorkspace, h: np.ndarray, ld_ex: np.ndarray,
 def _stacked_det_ratio(ws: _GramWorkspace, p: np.ndarray, t: np.ndarray,
                        kinds: list[DetectorKind], cfg: CGlrtConfig,
                        vals: dict[DetectorKind, np.ndarray],
-                       ascents: np.ndarray,
-                       ceiling: np.ndarray | None = None) -> None:
+                       ascents: np.ndarray, ceiling: np.ndarray) -> None:
     """_det_ratio at the entries (pair p[i], trial t[i]) in one stack: each
     entry's Gram rows in its pair's [ex, sel] order, so that one LDL forms
     every entry's workspace with the operations of pair_state, and every
-    value equals the per-pair one bit for bit."""
+    value is the same bit for bit whichever entries share the stack."""
     rows = np.array([[*ex, *sel] for ex, sel in
                      (ws.pair_rows(n, m) for n, m in ws.pairs)])[p].T
     n_ex = ws.k_p - 3
@@ -884,19 +875,20 @@ def batch_evaluate(
             a-glrt, c-glrt).  An int k keeps each one's k largest: those
             are exact, and every other value is below the k-th largest.  A
             mapping kind -> eta keeps whether each exceeds its eta, which
-            every value tells exactly.  None keeps every value exact.
+            every value tells exactly.  None keeps each trial's maximum
+            and its first-max pair exact.
 
     Returns:
         kind -> BatchResult with (T,) statistic arrays; window detectors also
         carry the maximizing pair, the cyclic detector its iteration counts
-        at that pair and at every pair (ascents).  With a cut the pair and
-        the counts are those of the pairs evaluated exactly.
+        at that pair and at every pair (ascents, 0 where none ran).  Under
+        a cut the pair and the counts are those of the pairs evaluated
+        exactly.
     """
     _warn_if_degenerate_steering(steering)
     kinds = tuple(kinds)
     ratio_kinds = [k for k in kinds if k in DET_RATIO_KINDS]
-    basis = (_steering_basis(steering) if cut is not None and ratio_kinds
-             else None)
+    basis = _steering_basis(steering) if ratio_kinds else None
     ws = _GramWorkspace(z_p, r, steering,
                         (basis or ()) if ratio_kinds else None)
     t_len, k_p = ws.t, ws.k_p
@@ -919,9 +911,9 @@ def batch_evaluate(
     if not window_kinds:
         return out
 
-    # Each window detector's statistic at every (pair, trial), -inf where a
-    # cut left it unevaluated, and the c-glrt iterations at every (trial,
-    # pair), 0 where no ascent ran.
+    # Each window detector's statistic at every (pair, trial), -inf where
+    # the rule left it unevaluated, and the c-glrt iterations at every
+    # (trial, pair), 0 where no ascent ran.
     n_pairs = len(ws.pairs)
     vals = {kind: np.full((n_pairs, t_len), -np.inf) for kind in window_kinds}
     ascents = np.zeros((t_len, n_pairs), dtype=np.int64)
@@ -933,26 +925,23 @@ def batch_evaluate(
                                            + ws.km1_terms[2, m - 1])
 
     km_2 = DetectorKind.EP_GLRT_KM_2 in window_kinds
-    upper = None  # the pair LDL forms every workspace entry
+    # The bound reads the basis block of each pair workspace, and km-2 its
+    # three matched-filter entries and steering norms: the pair LDL forms
+    # no other entry.  A steering set with no basis bounds no entry.
+    upper, bound = [], np.full((n_pairs, t_len), np.inf)
     if basis is not None:
-        # The bound reads the basis block of each pair workspace, and km-2
-        # its three matched-filter entries and steering norms: the pair
-        # LDL forms no other entry.
         rows = [_UR + b for b in basis]
         upper = [(i, j) for a, i in enumerate(rows) for j in rows[a:]]
-        if km_2:
-            upper += [e for e in ((_Z1, _UR), (_ZN, _USR), (_ZM, _US),
-                                  (_UR, _UR), (_USR, _USR), (_US, _US))
-                      if e not in upper]
         ld_basis = _logdet(ws.basis_gram, len(basis),
                            "steering Gram through S_S + S_P")
-        bound = np.empty((n_pairs, t_len))
+    if km_2:
+        upper += [e for e in ((_Z1, _UR), (_ZN, _USR), (_ZM, _US),
+                              (_UR, _UR), (_USR, _USR), (_US, _US))
+                  if e not in upper]
 
-    # km-1 reads only the matched-filter terms against S_S: alone, it needs
-    # no pair workspace.
-    for p, (n, m) in enumerate(ws.pairs if km_2 or ratio_kinds else ()):
-        ld_ex, h = _ldl_schur(ws.g, *ws.pair_rows(n, m), "pair capacitance",
-                              upper)
+    for p, (n, m) in enumerate(ws.pairs if upper else ()):
+        _, h = _ldl_schur(ws.g, *ws.pair_rows(n, m), "pair capacitance",
+                          upper)
         if basis is not None:
             bound[p] = _logdet(
                 {(a, b): h[rows[a], rows[b]] for a in range(len(rows))
@@ -965,10 +954,7 @@ def batch_evaluate(
                 np.abs(h[_Z1, _UR]) ** 2 / norms[0]
                 + np.abs(h[_ZN, _USR]) ** 2 / norms[1]
                 + np.abs(h[_ZM, _US]) ** 2 / norms[2])
-        if basis is None and ratio_kinds:
-            _det_ratio(ws, _hermitian(h, 6), ld_ex, p, slice(None),
-                       ratio_kinds, cfg, vals, ascents)
-    if basis is not None:
+    if ratio_kinds:
         _evaluate_above_cut(ws, bound, cut, ratio_kinds, cfg, vals, ascents)
 
     for kind in window_kinds:
@@ -993,57 +979,67 @@ def _first_max(kind: DetectorKind, vals: np.ndarray, ascents: np.ndarray,
 
 
 def _evaluate_above_cut(ws: _GramWorkspace, bound: np.ndarray,
-                        cut: int | Mapping[DetectorKind, float],
+                        cut: int | Mapping[DetectorKind, float] | None,
                         kinds: list[DetectorKind], cfg: CGlrtConfig,
                         vals: dict[DetectorKind, np.ndarray],
                         ascents: np.ndarray) -> None:
-    """Fill vals[kind][p, t] exactly at every (pair, trial) whose bound
-    reaches the kind's cut less the trial's margin, and the c-glrt ascents
-    there; every other entry stays -inf, or for c-glrt the a-glrt value
-    where that was formed.
+    """Fill vals[kind][p, t] exactly at every (pair, trial) that can reach
+    what the caller keeps, and the c-glrt ascents there; every other entry
+    stays -inf, or for c-glrt the a-glrt value where that was formed.
 
-    bound[p, t] is the log bound of pair p on every det-ratio log statistic.
-    A top-k cut is each kind's k-th largest statistic over the 4k trials
-    with the largest bound, each at its pair of largest bound: a lower
-    bound on the k-th largest of the stack.  Under a threshold cut, c-glrt
-    also skips the ascent where a-glrt already exceeds eta by the margin,
-    since the ascent can only raise the statistic.
+    bound[p, t] is pair p's log bound U; U + margin, the entry's floor, is
+    above each det-ratio log statistic.  Pass 1 evaluates each trial's
+    entry of largest bound: under a top-k cut in the 4k trials of largest
+    bound, whose k-th largest values set each kind's cut, and under a
+    threshold cut where its floor reaches some eta.  Pass 2 evaluates every
+    other entry whose floor is >= max(the kind's cut, the trial's pass-1
+    value) for some kind that the trial does not already know to exceed
+    its eta.  The ascent runs only where c-glrt needs the entry, and under
+    a threshold cut not where a-glrt already exceeds eta by the margin.
     """
-    t_len = ws.t
     margin = ((cfg.h_max + 1) * MONOTONE_SLACK
               * np.maximum(1.0, ws.cell_energy.max(axis=0)))
-    if isinstance(cut, Mapping):
-        log_cut = {kind: (math.log(cut[kind]) if cut.get(kind, 0.0) > 0.0
-                          else -np.inf) for kind in kinds}
-    else:
-        if cut < 1:
-            raise ValueError(f"a top-k cut needs k >= 1, got {cut}")
-        log_cut = dict.fromkeys(kinds, -np.inf)
-        if t_len >= cut:
-            t_seed = np.sort(np.argsort(bound.max(axis=0),
-                                        kind="stable")[-4 * cut:])
-            p_seed = bound[:, t_seed].argmax(axis=0)
-            _stacked_det_ratio(ws, p_seed, t_seed, kinds, cfg, vals, ascents)
-            for kind in kinds:
-                log_cut[kind] = np.log(np.partition(
-                    vals[kind][p_seed, t_seed], -cut)[-cut])
     floor = bound + margin
+    etas = cut if isinstance(cut, Mapping) else None
+    top = None if etas is not None else cut
+    if top is not None and top < 1:
+        raise ValueError(f"a top-k cut needs k >= 1, got {top}")
+    log_cut = {kind: math.log(etas[kind]) if etas and etas.get(kind, 0) > 0
+               else -np.inf for kind in kinds}
+    c_cut = log_cut.get(DetectorKind.C_GLRT, -np.inf)
+    above = np.full(ws.t, np.inf) if c_cut == -np.inf else c_cut + margin
+    # Stacks of at most half the trials keep the workspaces below a
+    # (6, 6, T) pair workspace, however many entries are evaluated: a stack
+    # also gathers its Gram rows and copies its workspace for the ascent.
+    size = max(1, ws.t // 2)
+
+    def evaluate(p_idx, t_idx, c_level):
+        ceiling = np.where(floor[p_idx, t_idx] >= c_level, above[t_idx],
+                           -np.inf)
+        for s in range(0, p_idx.size, size):
+            part = slice(s, s + size)
+            _stacked_det_ratio(ws, p_idx[part], t_idx[part], kinds, cfg, vals,
+                               ascents, ceiling[part])
+
+    t1 = np.arange(ws.t)
+    if top is not None:
+        t1 = np.sort(np.argsort(bound.max(axis=0), kind="stable")[-4 * top:])
+    p1 = bound[:, t1].argmax(axis=0)
+    reach = floor[p1, t1] >= min(log_cut.values())
+    p1, t1 = p1[reach], t1[reach]
+    evaluate(p1, t1, c_cut)
+    # The level each entry's floor must reach, per kind and trial.
+    level = {}
+    for kind in kinds:
+        first = vals[kind][p1, t1]
+        if top is not None and ws.t >= top:
+            log_cut[kind] = np.log(np.partition(first, -top)[-top])
+        level[kind] = np.full(ws.t, log_cut[kind])
+        level[kind][t1] = np.maximum(log_cut[kind], np.log(first))
+        if etas is not None:
+            level[kind][t1[first > etas.get(kind, 0.0)]] = np.inf
     # An evaluated statistic is an exp, never -inf.
-    todo = (vals[kinds[0]] == -np.inf) & (floor >= min(log_cut.values()))
-    if not todo.any():
-        return
-    p_idx, t_idx = np.nonzero(todo)
-    ceiling = None
-    if DetectorKind.C_GLRT in kinds:
-        c_cut = log_cut[DetectorKind.C_GLRT]
-        above = (c_cut + margin[t_idx]
-                 if isinstance(cut, Mapping) and c_cut > -np.inf else np.inf)
-        ceiling = np.where(floor[p_idx, t_idx] >= c_cut, above, -np.inf)
-    # Stacks of at most half the trials keep the workspaces below the
-    # per-pair route's, however many entries survive: a stack also gathers
-    # its Gram rows and copies its workspace for the ascent.
-    size = max(1, t_len // 2)
-    for s in range(0, p_idx.size, size):
-        part = slice(s, s + size)
-        _stacked_det_ratio(ws, p_idx[part], t_idx[part], kinds, cfg, vals,
-                           ascents, None if ceiling is None else ceiling[part])
+    todo = (vals[kinds[0]] == -np.inf) & np.logical_or.reduce(
+        [floor >= level[kind] for kind in kinds])
+    p2, t2 = np.nonzero(todo)
+    evaluate(p2, t2, level.get(DetectorKind.C_GLRT, above)[t2])

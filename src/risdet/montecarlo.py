@@ -182,10 +182,10 @@ PROFILES = {
 class ThresholdTable:
     """Detection thresholds keyed by detector.
 
-    ascents counts the cyclic ascents that calibration ran, one per (pair,
-    trial) that could reach the chunk's top statistics, and hmax_hits those
-    that stopped at the iteration cap h_max; both None when c-glrt was not
-    calibrated.
+    ascents counts the cyclic ascents that calibration ran: one per (pair,
+    trial) that either pass of the cut gave c-glrt, a few per cent of them
+    all, and hmax_hits those that stopped at the iteration cap h_max; both
+    None when c-glrt was not calibrated.
     """
 
     thresholds: dict[DetectorKind, float]
@@ -693,7 +693,9 @@ def convergence_study(cfg: ExperimentConfig, pairs: Sequence[tuple[int, int]],
     requested cell pair; the trace averages the per-iteration gains over
     the trials.  Every pair is traced on the same trials, counter block
     (_STAGE_CONV, 0), so each trial is drawn, whitened and factored once,
-    and the traces of two pairs compare them on common data.
+    and the traces of two pairs compare them on common data.  From its
+    first gain below epsilon * 1e-6 on, a trial's gains are rounding
+    noise, and it adds 0.0 to the mean gain of each iteration.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -707,6 +709,8 @@ def convergence_study(cfg: ExperimentConfig, pairs: Sequence[tuple[int, int]],
     traces = []
     for j, pair in enumerate(pairs):
         gains = np.concatenate([p[j][0] for p in parts], axis=0)
+        floor = np.abs(gains) < cfg.cglrt.epsilon * 1e-6
+        gains[np.logical_or.accumulate(floor, axis=1)] = 0.0
         update_lds = np.concatenate([p[j][1] for p in parts], axis=0)
         step_gain = np.expm1(k_tot * -np.diff(update_lds, axis=1))
         traces.append(ConvergenceTrace(

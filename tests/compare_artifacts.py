@@ -21,8 +21,9 @@ experiment subcommand, link-budget and ris-design; the default model
 through calibrate, sliding-window, a seven-detector pd-curve up to +24 dB,
 the three-pair convergence trace, a CNR cfar-sweep (each point whitened by
 its own covariance, so its steering differs from the chunk's) and rmse (the
-five window detectors uncut); and the minimal training set N = K_S = 4
-through calibrate.  Its file name keeps it out of pytest's
+five window detectors uncut), once more at -20 and -10 dB alone, where
+most (pair, trial) entries reach the second pass of the det-ratio rule;
+and the minimal training set N = K_S = 4 through calibrate.  Its file name keeps it out of pytest's
 collection.
 """
 
@@ -89,6 +90,8 @@ COMMANDS = {
     "cfar-cnr-default": ("cfar-sweep", "--axis", "cnr", "--seed", "16",
                          "experiment.trials_cal=3000", "experiment.pfa=0.01"),
     "rmse-default": ("rmse", "--seed", "17", "experiment.trials_pd=200"),
+    "rmse-low-default": ("rmse", "--seed", "17", "experiment.trials_pd=200",
+                         "experiment.sinr_grid=[-20,-10]"),
 }
 
 

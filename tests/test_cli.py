@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import re
@@ -396,6 +397,22 @@ def test_unknown_detector_exits_2(tmp_path, capsys):
                *SMALL_MODEL, *SMALL_CAL])
     assert rc == 2
     assert "unknown detector" in capsys.readouterr().err
+
+
+def test_convergence_rows_at_the_rounding_floor_read_zero(tmp_path, capsys):
+    # From each trial's first gain below epsilon * 1e-6 on, the trial adds
+    # 0.0 to the mean gain of each iteration: the tail rows of this run,
+    # which read rounding noise of both signs without that floor, read
+    # exactly 0.0, and no mean gain is negative.
+    assert main(["convergence", "--pair", "2,4", "--pair", "3,4", "--seed",
+                 "11", *SMALL_MODEL, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "convergence.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    gains = {pair: [float(row["mean_gain"]) for row in rows
+                    if row["pair"] == pair] for pair in ("2-4", "3-4")}
+    assert all(len(g) == 20 and min(g) >= 0.0 for g in gains.values())
+    assert gains["2-4"][11:] == [0.0] * 9 and 0.0 not in gains["2-4"][:11]
+    assert gains["3-4"][13:] == [0.0] * 7 and 0.0 not in gains["3-4"][:13]
 
 
 def test_calibrate_smoke(tmp_path, capsys):

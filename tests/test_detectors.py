@@ -31,7 +31,7 @@ from risdet.signal_model import (
 
 import oracles
 
-from conftest import make_steering
+from conftest import every_entry, every_entry_results, make_steering
 
 KM_1 = DetectorKind.EP_GLRT_KM_1
 KM_2 = DetectorKind.EP_GLRT_KM_2
@@ -630,17 +630,10 @@ def test_pair_bound_holds_at_every_pair(n, k_p, extra, seed, rank):
     than the ascent's slack, stays above a-glrt up to that margin."""
     _, z_p, r, steering = _ranked_stack(n, k_p, extra, seed, rank, trials=6)
     cfg = CGlrtConfig()
-    ws = det._GramWorkspace(z_p, r, steering)
-    margin = ((cfg.h_max + 1) * det.MONOTONE_SLACK
-              * np.maximum(1.0, ws.cell_energy.max(axis=0)))
+    ws, vals, _ = every_entry(z_p, r, steering, (KA, C, A), cfg)
+    margin = _margin(ws, cfg)
     cols = (steering.v_r, steering.v_sr, steering.v_s)
-    vals = {kind: np.full((len(ws.pairs), ws.t), -np.inf)
-            for kind in (KA, C, A)}
-    ascents = np.zeros((ws.t, len(ws.pairs)), dtype=np.int64)
     for i, (p, m) in enumerate(candidate_pairs(k_p)):
-        h, ld_ex, _ = ws.pair_state(p, m)
-        det._det_ratio(ws, h, ld_ex, i, slice(None), [KA, C, A], cfg, vals,
-                       ascents)
         log = {kind: np.log(val[i]) for kind, val in vals.items()}
         bound = np.array([oracles.bound_oracle(z_p[t], r[t], cols, p, m)
                           for t in range(len(z_p))])
@@ -658,9 +651,11 @@ def test_cuts_keep_the_top_statistics_and_the_exceedances(
     """Under a top-k cut each det-ratio kind's k largest statistics, and
     under a threshold cut its exceedances, are those of the full
     evaluation bit for bit; every other detector is untouched, and every
-    ascent that runs is the full evaluation's."""
+    ascent that runs is the full evaluation's.  The full evaluation takes
+    the det-ratio kinds at every (pair, trial) entry."""
     _, z_p, r, steering = _ranked_stack(n, k_p, extra, seed, rank, trials=48)
-    full = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    full = {**batch_evaluate(z_p, r, steering, ALL_KINDS),
+            **every_entry_results(z_p, r, steering)}
     # A threshold at a statistic itself, and one between two of them.
     at = {kind: np.quantile(full[kind].statistic, level, method="lower")
           for kind in det.DET_RATIO_KINDS}
@@ -721,33 +716,60 @@ def test_steering_basis_takes_each_vector_outside_the_band(eps_s, eps_sr,
     assert det._steering_basis(SteeringSet(v_r, v_sr, v_s)) == basis
 
 
-def test_steering_set_in_the_band_evaluates_every_cut_exactly():
-    """With v_S between _SPAN_IN and _SPAN_OUT of its norm outside the span
-    of v_R, no bound is taken: every cut evaluates every (pair, trial), and
-    every field equals the uncut evaluation's bit for bit."""
-    rng, z_p, r, _ = _random_stack(4, 5, 3, 23, trials=24)
+def _band_stack(k_p, trials):
+    """A random stack whose v_S lies between _SPAN_IN and _SPAN_OUT of its
+    norm outside the span of v_R: a steering set with no basis."""
+    rng, z_p, r, _ = _random_stack(4, k_p, 3, 23, trials)
     q, _ = np.linalg.qr(_complex(rng, 4, 4))
     steering = SteeringSet(q[:, 0], _complex(rng, 4),
                            _near_span(rng, q[:, :1], q[:, 1], _BAND))
     assert det._steering_basis(steering) is None
-    full = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    return z_p, r, steering
+
+
+def _assert_same_fields(got, want, trials=slice(None), kinds=ALL_KINDS):
+    """Every field of kinds equal bit for bit, at the given trials."""
+    for kind in kinds:
+        for f in fields(BatchResult):
+            a, b = getattr(got[kind], f.name), getattr(want[kind], f.name)
+            assert (a is None and b is None) or np.array_equal(a[trials],
+                                                               b[trials])
+
+
+def test_steering_set_in_the_band_evaluates_every_cut_exactly():
+    """With v_S between _SPAN_IN and _SPAN_OUT of its norm outside the span
+    of v_R, no bound is taken: U = +inf at every (pair, trial).  No cut and
+    every top-k cut then evaluate every entry, and every field equals the
+    all-entries evaluation's bit for bit; a threshold cut evaluates every
+    entry of each trial that exceeds no eta, and keeps every exceedance."""
+    z_p, r, steering = _band_stack(5, 24)
+    full = {**batch_evaluate(z_p, r, steering, ALL_KINDS),
+            **every_entry_results(z_p, r, steering)}
     median = {kind: np.median(full[kind].statistic)
               for kind in det.DET_RATIO_KINDS}
-    for cut in (1, 5, median):
-        got = batch_evaluate(z_p, r, steering, ALL_KINDS, cut=cut)
-        for kind in ALL_KINDS:
-            for f in fields(BatchResult):
-                a, b = getattr(got[kind], f.name), getattr(full[kind], f.name)
-                assert (a is None and b is None) or np.array_equal(a, b)
+    for cut in (None, 1, 5):
+        _assert_same_fields(batch_evaluate(z_p, r, steering, ALL_KINDS,
+                                           cut=cut), full)
+    got = batch_evaluate(z_p, r, steering, ALL_KINDS, cut=median)
+    below = np.logical_and.reduce([full[kind].statistic <= median[kind]
+                                   for kind in det.DET_RATIO_KINDS])
+    assert 0 < np.count_nonzero(below) < 24
+    _assert_same_fields(got, full, below)
+    _assert_same_fields(got, full, kinds=[k for k in ALL_KINDS
+                                          if k not in det.DET_RATIO_KINDS])
+    for kind in det.DET_RATIO_KINDS:
+        assert np.array_equal(got[kind].statistic > median[kind],
+                              full[kind].statistic > median[kind])
 
 
 def test_survivors_run_in_stacks_of_at_most_the_batch(monkeypatch):
-    """A threshold of 0 keeps every (pair, trial) entry: they run in stacks
-    of at most T/2 entries, so the workspaces stay below the per-pair
-    route's size, and every field equals the uncut evaluation's bit for
-    bit."""
-    _, z_p, r, steering = _ranked_stack(4, 6, 3, 5, "angles", trials=24)
-    full = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    """A steering set with no basis keeps every (pair, trial) entry of an
+    uncut call: they run in stacks of at most T/2 entries, so the
+    workspaces stay below a (6, 6, T) pair workspace's size, and every
+    field equals the all-entries evaluation's bit for bit."""
+    z_p, r, steering = _band_stack(6, 24)
+    full = {**batch_evaluate(z_p, r, steering, ALL_KINDS),
+            **every_entry_results(z_p, r, steering)}
     sizes = []
     stacked = det._stacked_det_ratio
 
@@ -756,14 +778,119 @@ def test_survivors_run_in_stacks_of_at_most_the_batch(monkeypatch):
         return stacked(ws, p_idx, *args)
 
     monkeypatch.setattr(det, "_stacked_det_ratio", spy)
-    got = batch_evaluate(z_p, r, steering, ALL_KINDS,
-                         cut=dict.fromkeys(det.DET_RATIO_KINDS, 0.0))
+    got = batch_evaluate(z_p, r, steering, ALL_KINDS)
     assert sum(sizes) == 24 * len(candidate_pairs(6))
     assert max(sizes) == 12
-    for kind in ALL_KINDS:
-        for f in fields(BatchResult):
-            a, b = getattr(got[kind], f.name), getattr(full[kind], f.name)
+    _assert_same_fields(got, full)
+
+
+def _margin(ws, cfg=CGlrtConfig()):
+    """The cut's margin of each trial of a Gram workspace."""
+    return ((cfg.h_max + 1) * det.MONOTONE_SLACK
+            * np.maximum(1.0, ws.cell_energy.max(axis=0)))
+
+
+@pytest.mark.parametrize("gap", [1.0, 0.0])
+@pytest.mark.parametrize("kind", det.DET_RATIO_KINDS)
+def test_a_tie_across_the_passes_keeps_the_first_pair(kind, gap):
+    """Cells 3 and 4 are equal and carry the strongest echo, so pairs
+    (2, 3) and (2, 4) tie bit for bit, at most trials' maximum.  A bound
+    of +inf at every other entry makes pass 1 evaluate (2, 4); (2, 3)
+    comes in pass 2, its bound plus the margin `gap` above the trial's
+    pass-1 log value, or at it exactly, which >= keeps.  Each trial's
+    statistic and first pair are the all-entries evaluation's."""
+    rng, z_p, r, steering = _random_stack(4, 5, 3, 29, trials=16)
+    z_p[:, :, 1] += 30.0 * steering.v_sr
+    z_p[:, :, 2] += 30.0 * steering.v_s
+    z_p[:, :, 3] = z_p[:, :, 2]
+    ws, want, want_ascents = every_entry(z_p, r, steering, (kind,))
+    ref = det._first_max(kind, want[kind], want_ascents, ws.pairs)
+    assert np.count_nonzero((ref.n_hat == 2) & (ref.m_hat == 3)) >= 12
+    assert np.array_equal(want[kind][0], want[kind][1])
+    bound = np.full(want[kind].shape, np.inf)
+    for t, (level, margin) in enumerate(zip(np.log(want[kind][1]) + gap,
+                                            _margin(ws))):
+        b = level - margin
+        while b + margin < level:
+            b = np.nextafter(b, np.inf)
+        while b + margin > level:
+            b = np.nextafter(b, -np.inf)
+        assert b + margin == level
+        bound[0, t] = b
+    assert np.all(bound.argmax(axis=0) == 1)
+    vals = {kind: np.full(bound.shape, -np.inf)}
+    ascents = np.zeros(want_ascents.shape, dtype=np.int64)
+    det._quiet(det._evaluate_above_cut)(ws, bound, None, [kind],
+                                        CGlrtConfig(), vals, ascents)
+    got = det._first_max(kind, vals[kind], ascents, ws.pairs)
+    assert np.array_equal(vals[kind], want[kind])
+    for f in fields(BatchResult):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_a_trial_above_every_eta_after_pass_1_is_done(monkeypatch):
+    """Under a threshold cut, pass 1 evaluates each trial's entry of
+    largest bound, and a trial whose values there exceed every kind's eta
+    is done: pass 2 evaluates none of its other entries.  Every value
+    evaluated, and every exceedance, is the all-entries evaluation's bit
+    for bit; c-glrt keeps the a-glrt value where its ascent was skipped."""
+    _, z_p, r, steering = _ranked_stack(4, 6, 3, 5, "angles", trials=48)
+    _, want, _ = every_entry(z_p, r, steering)
+    ref = every_entry_results(z_p, r, steering)
+    eta = {kind: np.median(ref[kind].statistic)
+           for kind in det.DET_RATIO_KINDS}
+    seen = {}
+    evaluate_above_cut = det._evaluate_above_cut
+
+    def spy(ws, bound, cut, kinds, cfg, vals, ascents):
+        evaluate_above_cut(ws, bound, cut, kinds, cfg, vals, ascents)
+        seen.update(bound=bound, vals=vals, ascents=ascents)
+
+    monkeypatch.setattr(det, "_evaluate_above_cut", spy)
+    got = batch_evaluate(z_p, r, steering, ALL_KINDS, cut=eta)
+    first = seen["bound"].argmax(axis=0)
+    done = np.logical_and.reduce([want[kind][first, range(48)] > eta[kind]
+                                  for kind in det.DET_RATIO_KINDS])
+    assert 0 < np.count_nonzero(done) < 48
+    evaluated = seen["vals"][KA] > -np.inf
+    pairs = np.arange(len(candidate_pairs(6)))[:, None]
+    assert np.array_equal(evaluated[:, done], pairs == first[done])
+    for kind in (KA, A):
+        assert np.array_equal(seen["vals"][kind][evaluated],
+                              want[kind][evaluated])
+    ran = seen["ascents"].T > 0
+    assert np.array_equal(seen["vals"][C][ran], want[C][ran])
+    skipped = evaluated & ~ran
+    assert np.array_equal(seen["vals"][C][skipped], want[A][skipped])
+    for kind in det.DET_RATIO_KINDS:
+        assert np.array_equal(got[kind].statistic > eta[kind],
+                              ref[kind].statistic > eta[kind])
+
+
+def _assert_first_maxima(z_p, r, steering):
+    """An uncut batch_evaluate gives each det-ratio kind's first maximum
+    over the pairs, its pair and the c-glrt iterations there, as the
+    all-entries evaluation does, bit for bit."""
+    got = batch_evaluate(z_p, r, steering, ALL_KINDS)
+    want = every_entry_results(z_p, r, steering)
+    for kind in det.DET_RATIO_KINDS:
+        for name in ("statistic", "n_hat", "m_hat", "iterations"):
+            a, b = getattr(got[kind], name), getattr(want[kind], name)
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@_FEW
+@given(**_SHAPES, rank=_RANKS)
+def test_an_uncut_call_gives_each_trials_first_maximum(n, k_p, extra, seed,
+                                                        rank):
+    _assert_first_maxima(*_ranked_stack(n, k_p, extra, seed, rank,
+                                        trials=24)[1:])
+
+
+def test_an_uncut_call_in_the_band_gives_each_trials_first_maximum():
+    _assert_first_maxima(*_band_stack(6, 24))
 
 
 def test_first_maximum_takes_the_first_of_tied_pairs():

@@ -37,6 +37,8 @@ from risdet.montecarlo import (
 )
 from risdet.signal_model import NotPositiveDefinite, synthesize_batch, whiten
 
+from conftest import every_entry
+
 # Small-array configuration used throughout: fast but statistically useful.
 TINY = ExperimentConfig(
     pfa=0.05, trials_cal=2_000, trials_pd=500,
@@ -153,19 +155,22 @@ def test_calibration_counts_hmax_hits():
     # A tight cap makes some, but not all, ascents stop at h_max.  The
     # calibration runs an ascent only at the (trial, pair) entries that can
     # reach its chunk's top statistics, and counts those ascents and, of
-    # them, the ones that stopped at h_max.
+    # them, the ones that stopped at h_max.  The full evaluation runs the
+    # ascent at every (trial, pair) of the chunk.
     cfg = replace(TINY, trials_cal=1_000, cglrt=CGlrtConfig(h_max=3))
     kinds = (DetectorKind.C_GLRT, DetectorKind.AMF)
     table = calibrate_thresholds(cfg, kinds)
     (cut,) = _cal_chunks(cfg, kinds, mc._top_count(cfg))
-    (full,) = _cal_chunks(cfg, kinds, None)
+    idx = mc._trial_block(mc._STAGE_CAL, cfg.trials_cal)
+    _, _, every = every_entry(*mc._white_draw(cfg, None, idx)(0, len(idx)),
+                              whiten(cfg.covariance(), None, cfg.steering())[1],
+                              (DetectorKind.C_GLRT,), cfg.cglrt)
     ran = cut[DetectorKind.C_GLRT].ascents > 0
     assert table.ascents == np.count_nonzero(ran)
     assert table.hmax_hits == np.count_nonzero(
         cut[DetectorKind.C_GLRT].ascents == cfg.cglrt.h_max)
     # The ascents that ran are those of the full evaluation, and they are
     # a small share of it.
-    every = full[DetectorKind.C_GLRT].ascents
     assert every.min() >= 1
     assert np.array_equal(cut[DetectorKind.C_GLRT].ascents[ran], every[ran])
     assert 0 < table.hmax_hits < table.ascents < every.size // 2
