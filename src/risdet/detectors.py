@@ -794,20 +794,39 @@ def _steering_basis(steering: SteeringSet) -> tuple[int, ...] | None:
     return tuple(sorted(basis))
 
 
-def _det_ratio(ws: _GramWorkspace, h: np.ndarray, ld_ex: np.ndarray,
-               p: np.ndarray, t: np.ndarray, kinds: list[DetectorKind],
-               cfg: CGlrtConfig, vals: dict[DetectorKind, np.ndarray],
-               ascents: np.ndarray, ceiling: np.ndarray) -> None:
+def _stacked_det_ratio(ws: _GramWorkspace, p: np.ndarray, t: np.ndarray,
+                       kinds: list[DetectorKind], cfg: CGlrtConfig,
+                       vals: dict[DetectorKind, np.ndarray],
+                       ascents: np.ndarray, ceiling: np.ndarray) -> None:
     """ep-glrt-ka, a-glrt and c-glrt, those of them in kinds, at the
-    entries (pair p[i], trial t[i]) of a (6, 6, S) stack h of pair
-    workspaces, into vals[kind][p, t] and the c-glrt iterations into
-    ascents[t, p]; errors name the batch positions t.  Each statistic is
-    exp(ld_rel - ld_res), ld_rel = log det(S_P + S_S) - log det(S_{n,m})
-    from ld_ex = log det(S_{n,m}) - log det(S_S), and ld_res the residual
-    log det at the kind's amplitudes.  The ascent runs where the a-glrt log
-    statistic ld_rel - ld_res(start) is at most `ceiling`; elsewhere c-glrt
-    keeps its start, the a-glrt value, with 0 iterations.
+    entries (pair p[i], trial t[i]) in one stack, into vals[kind][p, t] and
+    the c-glrt iterations into ascents[t, p]; errors name the batch
+    positions t.
+
+    Each entry's Gram rows, in its pair's [ex, sel] order, go through one
+    LDL that forms every entry's (6, 6) pair workspace h with the
+    operations of pair_state, so every value is the same bit for bit
+    whichever entries share the stack.  Each statistic is exp(ld_rel -
+    ld_res), ld_rel = log det(S_P + S_S) - log det(S_{n,m}) and ld_res the
+    residual log det at the kind's amplitudes.  The ascent runs where the
+    a-glrt log statistic ld_rel - ld_res(start) is at most `ceiling`;
+    elsewhere c-glrt keeps its start, the a-glrt value, with 0 iterations.
     """
+    k_g, n_ex = ws.k_p + 3, ws.k_p - 3
+    rows = np.array([[*ex, *sel] for ex, sel in
+                     (ws.pair_rows(n, m) for n, m in ws.pairs)])[p].T
+    # The LDL reads the upper triangle only: one take from g per row.
+    base, col = rows * (k_g * ws.t) + t, rows * ws.t
+    stack = np.empty((k_g, k_g, p.size), dtype=np.complex128)
+    for i in range(k_g):
+        np.take(ws.g.ravel(), base[i] + col[i:], out=stack[i, i:])
+    ld_ex, blocks = _ldl_schur(stack, list(range(n_ex)),
+                               list(range(n_ex, k_g)), "pair capacitance")
+    # The gathered rows and the LDL's entries are freed before the ascent,
+    # which sets the stack's peak.
+    del stack
+    h = _hermitian(blocks, 6)
+    del blocks
     n, m = ws.pairs[p].T
     ld_rel = ws.ld_num_rel[t] - ld_ex
     if DetectorKind.EP_GLRT_KA in kinds:
@@ -829,27 +848,6 @@ def _det_ratio(ws: _GramWorkspace, h: np.ndarray, ld_ex: np.ndarray,
                 ws.k_tot, cfg, at=t[run])
         vals[DetectorKind.C_GLRT][p, t] = np.exp(ld_rel - ld_res)
         ascents[t, p] = iters
-
-
-def _stacked_det_ratio(ws: _GramWorkspace, p: np.ndarray, t: np.ndarray,
-                       kinds: list[DetectorKind], cfg: CGlrtConfig,
-                       vals: dict[DetectorKind, np.ndarray],
-                       ascents: np.ndarray, ceiling: np.ndarray) -> None:
-    """_det_ratio at the entries (pair p[i], trial t[i]) in one stack: each
-    entry's Gram rows in its pair's [ex, sel] order, so that one LDL forms
-    every entry's workspace with the operations of pair_state, and every
-    value is the same bit for bit whichever entries share the stack."""
-    rows = np.array([[*ex, *sel] for ex, sel in
-                     (ws.pair_rows(n, m) for n, m in ws.pairs)])[p].T
-    n_ex = ws.k_p - 3
-    # The gathered Gram rows, a temporary of the LDL call, and the LDL's
-    # entries are freed before the ascent, which sets the stack's peak.
-    ld_ex, blocks = _ldl_schur(ws.g[rows[:, None, :], rows[None, :, :], t],
-                               list(range(n_ex)), list(range(n_ex, n_ex + 6)),
-                               "pair capacitance")
-    h = _hermitian(blocks, 6)
-    del blocks
-    _det_ratio(ws, h, ld_ex, p, t, kinds, cfg, vals, ascents, ceiling)
 
 
 @_quiet
@@ -955,7 +953,7 @@ def batch_evaluate(
                 + np.abs(h[_ZN, _USR]) ** 2 / norms[1]
                 + np.abs(h[_ZM, _US]) ** 2 / norms[2])
     if ratio_kinds:
-        _evaluate_above_cut(ws, bound, cut, ratio_kinds, cfg, vals, ascents)
+        _evaluate_det_ratio(ws, bound, cut, ratio_kinds, cfg, vals, ascents)
 
     for kind in window_kinds:
         out[kind] = _first_max(kind, vals[kind], ascents, ws.pairs)
@@ -978,7 +976,7 @@ def _first_max(kind: DetectorKind, vals: np.ndarray, ascents: np.ndarray,
     return BatchResult(stat, n_hat, m_hat, ascents[trials, best], ascents)
 
 
-def _evaluate_above_cut(ws: _GramWorkspace, bound: np.ndarray,
+def _evaluate_det_ratio(ws: _GramWorkspace, bound: np.ndarray,
                         cut: int | Mapping[DetectorKind, float] | None,
                         kinds: list[DetectorKind], cfg: CGlrtConfig,
                         vals: dict[DetectorKind, np.ndarray],
@@ -989,13 +987,15 @@ def _evaluate_above_cut(ws: _GramWorkspace, bound: np.ndarray,
 
     bound[p, t] is pair p's log bound U; U + margin, the entry's floor, is
     above each det-ratio log statistic.  Pass 1 evaluates each trial's
-    entry of largest bound: under a top-k cut in the 4k trials of largest
-    bound, whose k-th largest values set each kind's cut, and under a
-    threshold cut where its floor reaches some eta.  Pass 2 evaluates every
-    other entry whose floor is >= max(the kind's cut, the trial's pass-1
-    value) for some kind that the trial does not already know to exceed
-    its eta.  The ascent runs only where c-glrt needs the entry, and under
-    a threshold cut not where a-glrt already exceeds eta by the margin.
+    entry of largest bound: in every trial without a cut, under a top-k cut
+    in the 4k trials of largest bound, whose k-th largest values set each
+    kind's cut, and under a threshold cut where its floor reaches some eta.
+    Pass 2 evaluates every other entry whose floor is >= max(the kind's
+    cut, the trial's pass-1 value) for some kind.  A kind whose eta the
+    trial exceeds after pass 1 gets the level +inf, which only a floor of
+    +inf (a steering set with no basis) reaches.  The ascent runs only
+    where c-glrt needs the entry, and under a threshold cut not where
+    a-glrt already exceeds eta by the margin.
     """
     margin = ((cfg.h_max + 1) * MONOTONE_SLACK
               * np.maximum(1.0, ws.cell_energy.max(axis=0)))

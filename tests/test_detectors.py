@@ -738,25 +738,30 @@ def _assert_same_fields(got, want, trials=slice(None), kinds=ALL_KINDS):
 
 def test_steering_set_in_the_band_evaluates_every_cut_exactly():
     """With v_S between _SPAN_IN and _SPAN_OUT of its norm outside the span
-    of v_R, no bound is taken: U = +inf at every (pair, trial).  No cut and
-    every top-k cut then evaluate every entry, and every field equals the
-    all-entries evaluation's bit for bit; a threshold cut evaluates every
-    entry of each trial that exceeds no eta, and keeps every exceedance."""
+    of v_R, no bound is taken: U = +inf at every (pair, trial), so no cut,
+    every top-k cut and every threshold cut evaluate every entry, and every
+    field equals the all-entries evaluation's bit for bit.  Under a
+    threshold c-glrt alone differs: it skips the ascent where a-glrt
+    exceeds its eta by the margin, so its fields are exact at each trial
+    where no pair skipped it, its ascents wherever one was not skipped,
+    and its exceedances everywhere."""
     z_p, r, steering = _band_stack(5, 24)
+    ws, vals, ascents = every_entry(z_p, r, steering)
     full = {**batch_evaluate(z_p, r, steering, ALL_KINDS),
-            **every_entry_results(z_p, r, steering)}
+            **{kind: det._first_max(kind, vals[kind], ascents, ws.pairs)
+               for kind in det.DET_RATIO_KINDS}}
     median = {kind: np.median(full[kind].statistic)
               for kind in det.DET_RATIO_KINDS}
     for cut in (None, 1, 5):
         _assert_same_fields(batch_evaluate(z_p, r, steering, ALL_KINDS,
                                            cut=cut), full)
     got = batch_evaluate(z_p, r, steering, ALL_KINDS, cut=median)
-    below = np.logical_and.reduce([full[kind].statistic <= median[kind]
-                                   for kind in det.DET_RATIO_KINDS])
-    assert 0 < np.count_nonzero(below) < 24
-    _assert_same_fields(got, full, below)
-    _assert_same_fields(got, full, kinds=[k for k in ALL_KINDS
-                                          if k not in det.DET_RATIO_KINDS])
+    _assert_same_fields(got, full, kinds=[k for k in ALL_KINDS if k is not C])
+    skipped = np.log(vals[A]) > np.log(median[C]) + _margin(ws)
+    whole = ~skipped.any(axis=0)
+    assert 0 < np.count_nonzero(whole) < 24
+    _assert_same_fields(got, full, whole, kinds=[C])
+    assert np.array_equal(got[C].ascents, np.where(skipped.T, 0, ascents))
     for kind in det.DET_RATIO_KINDS:
         assert np.array_equal(got[kind].statistic > median[kind],
                               full[kind].statistic > median[kind])
@@ -820,7 +825,7 @@ def test_a_tie_across_the_passes_keeps_the_first_pair(kind, gap):
     assert np.all(bound.argmax(axis=0) == 1)
     vals = {kind: np.full(bound.shape, -np.inf)}
     ascents = np.zeros(want_ascents.shape, dtype=np.int64)
-    det._quiet(det._evaluate_above_cut)(ws, bound, None, [kind],
+    det._quiet(det._evaluate_det_ratio)(ws, bound, None, [kind],
                                         CGlrtConfig(), vals, ascents)
     got = det._first_max(kind, vals[kind], ascents, ws.pairs)
     assert np.array_equal(vals[kind], want[kind])
@@ -841,13 +846,13 @@ def test_a_trial_above_every_eta_after_pass_1_is_done(monkeypatch):
     eta = {kind: np.median(ref[kind].statistic)
            for kind in det.DET_RATIO_KINDS}
     seen = {}
-    evaluate_above_cut = det._evaluate_above_cut
+    evaluate_det_ratio = det._evaluate_det_ratio
 
     def spy(ws, bound, cut, kinds, cfg, vals, ascents):
-        evaluate_above_cut(ws, bound, cut, kinds, cfg, vals, ascents)
+        evaluate_det_ratio(ws, bound, cut, kinds, cfg, vals, ascents)
         seen.update(bound=bound, vals=vals, ascents=ascents)
 
-    monkeypatch.setattr(det, "_evaluate_above_cut", spy)
+    monkeypatch.setattr(det, "_evaluate_det_ratio", spy)
     got = batch_evaluate(z_p, r, steering, ALL_KINDS, cut=eta)
     first = seen["bound"].argmax(axis=0)
     done = np.logical_and.reduce([want[kind][first, range(48)] > eta[kind]
